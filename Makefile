@@ -15,56 +15,48 @@ test:
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Allocation-budget gate on its own: per-scenario GC words/event rows
-# (Reno 6.0, Reno/RED 8.0, Vegas 8.0 minor words/event) written to
-# BENCH_alloc.json. Exits non-zero when any scenario exceeds its
-# committed threshold or leaks pool slots; the full (non --fast) run
-# additionally enforces the Reno events/sec floor.
+# Each gated bench section writes one BENCH_*.json file: a "gates" list
+# of {name, measured, op, bound, spread?, skip?} plus the section's
+# measurements and a machine descriptor. The section prints one verdict
+# line per gate and exits non-zero when any gate fails;
+# `report-check FILE` re-reads the file and reaches the same verdict.
+
+# Allocation budget: per-scenario minor words/event (Reno 6.0,
+# Reno/RED 8.0, Vegas 8.0) and, in full mode, the Reno events/sec floor.
 bench-alloc:
 	dune exec bench/main.exe -- --only alloc --fast
 
-# Flow-scaling gate on its own: one Reno/RED run each at N = 10^3,
-# 10^4 and 10^5 greedy flows in a mean-field regime (capacity, buffer
-# and RED thresholds scale with N), written to BENCH_flows.json. Exits
-# non-zero when a row exceeds 512 bytes/flow, grows a pre-sized slab,
-# leaks a packet or flow row, or (the converged N <= 10^4 rows) lands
-# outside the fluid-model ratio bands; the full (non --fast) run
-# additionally enforces the N = 10^5 events/sec floor.
+# Flow scaling: one Reno/RED run each at N = 10^3, 10^4 and 10^5 greedy
+# flows in a mean-field regime (capacity, buffer and RED thresholds
+# scale with N). Gates bytes/flow, slab growth, leaks, words/event, the
+# fluid-model ratio bands on the converged N <= 10^4 rows and, in full
+# mode, the N = 10^5 events/sec floor.
 bench-flows:
 	dune exec bench/main.exe -- --only flows --fast
 
-# Burstiness-observability gate on its own: paired probed-vs-burst Reno
-# runs (minor words/event delta must stay within 0.05), a streaming-vs-
-# offline c.o.v. equivalence check at the RTT timescale (|err| <= 1e-6),
-# and a RED w_q sweep bracketing the Reynier/Hollot critical gain whose
-# oscillation-detector verdicts must match the predicted side, written
-# to BENCH_burst.json. Exits non-zero when any gate fails.
+# Burstiness observability: the burst aggregator's words/event delta,
+# streaming-vs-offline c.o.v. equivalence at the RTT timescale, and a
+# RED w_q sweep bracketing the Reynier/Hollot critical gain whose
+# oscillation-detector verdicts must match the predicted side.
 bench-burst:
 	dune exec bench/main.exe -- --only burst --fast
 
-# Parallelism gate on its own: the sequential-vs-parallel replicate
-# sweep plus the sharded conservative-PDES single-run section — a
-# 1-shard vs 4-shard bit-identity check (always enforced) and 1/2/4
-# shard wall-clock rows at N = 10^4 Reno/RED, written to
-# BENCH_parallel.json. On machines with >= 4 domains the recorded
-# single-run speedup must reach the committed 3x floor; with fewer the
-# ratio is recorded as null rather than commit oversubscription noise.
+# Parallelism: sequential-vs-parallel sweep determinism, 1-shard vs
+# 4-shard sharded-PDES bit-identity, and 1/2/4 shard wall-clock rows at
+# N = 10^4 Reno/RED. The >= 3x single-run speedup gate is skipped on
+# machines with fewer than 4 domains.
 bench-pdes:
 	dune exec bench/main.exe -- --only pdes --fast
-	dune exec bin/main.exe -- report-check --kind=parallel BENCH_parallel.json
+	dune exec bin/main.exe -- report-check BENCH_parallel.json
 
-# Hybrid fluid/packet gate on its own: hybrid-vs-packet validation at
-# N = 10^3 and 10^4 (foreground throughput, combined queue and loss
-# ratios inside the committed bands), the converged N = 10^6 run
-# (K = 100 packet foreground + 999,900 fluid background; leak-free,
-# zero slab growth; the full run also enforces the >= 10x
-# work-per-simulated-second floor against pure packet at equal N), and
-# the RED w_q stability sweep rerun at mean-field scale through the
-# hybrid engine, written to BENCH_hybrid.json. Exits non-zero when any
-# gate fails.
+# Hybrid fluid/packet engine: hybrid-vs-packet validation bands at
+# N = 10^3 and 10^4, the converged N = 10^6 row (K = 100 packet
+# foreground + 999,900 fluid background; leak-free, zero slab growth,
+# and in full mode the >= 10x work-per-simulated-second floor), and the
+# RED w_q stability sweep at mean-field scale.
 bench-hybrid:
 	dune exec bench/main.exe -- --only hybrid --fast
-	dune exec bin/main.exe -- report-check --kind=hybrid BENCH_hybrid.json
+	dune exec bin/main.exe -- report-check BENCH_hybrid.json
 
 # Just the paper's figures, at paper scale.
 figures:
@@ -72,27 +64,12 @@ figures:
 
 # Smoke-test everything at reduced scale.
 fast:
-	dune exec bench/main.exe -- --fast --skip-micro
+	dune exec bench/main.exe -- --fast
 
 # CI gate: build, unit + cram tests (including the parallel determinism
-# suite, re-run explicitly so a filtered runtest cannot skip it), then a
-# telemetry smoke run whose report must validate, plus the events/sec
-# overhead baseline, the sequential-vs-parallel sweep timing, and the
-# allocation budget (fails when any scenario's minor words/event
-# regresses past its committed threshold — 6.0 for the Reno N=50 row —
-# and re-validated from the written BENCH_alloc.json by report-check),
-# and the flow-scaling sweep up to N = 10^5 (bytes/flow, slab growth,
-# leak and fluid-ratio gates, re-validated from BENCH_flows.json), and
-# the burstiness-observability gates (burst words/event delta, streaming
-# c.o.v. equivalence, RED oscillation-detector sweep, re-validated from
-# BENCH_burst.json). The parallel sweep runs as `--only pdes`, which
-# also exercises the sharded-PDES single-run section (1-vs-4-shard
-# bit-identity plus shard-count timing rows) and is re-validated from
-# BENCH_parallel.json by report-check --kind=parallel. The hybrid
-# fluid/packet gates (hybrid-vs-packet validation bands, the converged
-# N = 10^6 row, the mean-field RED stability sweep) run as `--only
-# hybrid` and are re-validated from BENCH_hybrid.json by report-check
-# --kind=hybrid.
+# suite, re-run explicitly so a filtered runtest cannot skip it), a
+# telemetry smoke run whose report must validate, then every gated
+# bench section, each re-validated from the BENCH_*.json it wrote.
 check:
 	dune build @all
 	dune runtest
@@ -102,17 +79,17 @@ check:
 	  --trace-out=/tmp/burstsim-trace.ndjson
 	dune exec bin/main.exe -- report-check /tmp/burstsim-report.json
 	dune exec bench/main.exe -- --fast --only telemetry
-	dune exec bin/main.exe -- report-check --kind=bench-telemetry BENCH_telemetry.json
+	dune exec bin/main.exe -- report-check BENCH_telemetry.json
 	dune exec bench/main.exe -- --fast --only pdes
-	dune exec bin/main.exe -- report-check --kind=parallel BENCH_parallel.json
+	dune exec bin/main.exe -- report-check BENCH_parallel.json
 	dune exec bench/main.exe -- --fast --only alloc
-	dune exec bin/main.exe -- report-check --kind=alloc BENCH_alloc.json
+	dune exec bin/main.exe -- report-check BENCH_alloc.json
 	dune exec bench/main.exe -- --fast --only flows
-	dune exec bin/main.exe -- report-check --kind=flows BENCH_flows.json
+	dune exec bin/main.exe -- report-check BENCH_flows.json
 	dune exec bench/main.exe -- --fast --only burst
-	dune exec bin/main.exe -- report-check --kind=burst BENCH_burst.json
+	dune exec bin/main.exe -- report-check BENCH_burst.json
 	dune exec bench/main.exe -- --fast --only hybrid
-	dune exec bin/main.exe -- report-check --kind=hybrid BENCH_hybrid.json
+	dune exec bin/main.exe -- report-check BENCH_hybrid.json
 
 clean:
 	dune clean

@@ -1059,41 +1059,14 @@ let twoway_cmd =
     Term.(const run $ duration $ seed $ fast $ clients_list)
 
 (* ------------------------------------------------------------------ *)
-(* report-check — validate a --telemetry report file                   *)
+(* report-check — validate a --telemetry report or a BENCH_*.json file  *)
 
 let report_check_cmd =
   let file =
-    let doc = "Report file written by --telemetry=FILE." in
+    let doc = "Report file: a --telemetry=FILE report or a BENCH_*.json file." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
-  let kind =
-    let doc =
-      "Report schema to check: $(b,telemetry) for a --telemetry=FILE report, \
-       $(b,alloc) for the BENCH_alloc.json allocation-budget sweep, \
-       $(b,flows) for the BENCH_flows.json flow-scaling sweep, \
-       $(b,bench-telemetry) for the BENCH_telemetry.json overhead report, \
-       $(b,burst) for the BENCH_burst.json burstiness-observability report, \
-       $(b,parallel) for the BENCH_parallel.json parallelism report (sweep \
-       fan-out and single-run sharded PDES), \
-       $(b,hybrid) for the BENCH_hybrid.json hybrid fluid/packet report."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("telemetry", `Telemetry);
-               ("alloc", `Alloc);
-               ("flows", `Flows);
-               ("bench-telemetry", `Bench_telemetry);
-               ("burst", `Burst);
-               ("parallel", `Parallel);
-               ("hybrid", `Hybrid);
-             ])
-          `Telemetry
-      & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
-  let run kind file =
+  let run file =
     let ic =
       try open_in file
       with Sys_error msg ->
@@ -1105,18 +1078,14 @@ let report_check_cmd =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let validate, what =
-      match kind with
-      | `Telemetry -> (Telemetry.Report.validate, "telemetry report")
-      | `Alloc -> (Telemetry.Report.validate_alloc, "alloc report")
-      | `Flows -> (Telemetry.Report.validate_flows, "flows report")
-      | `Bench_telemetry ->
-          (Telemetry.Report.validate_bench_telemetry, "bench-telemetry report")
-      | `Burst -> (Telemetry.Report.validate_burst, "burst report")
-      | `Parallel -> (Telemetry.Report.validate_parallel, "parallel report")
-      | `Hybrid -> (Telemetry.Report.validate_hybrid, "hybrid report")
+    let result, what =
+      match Burstcore.Json.parse contents with
+      | Error msg -> (Error msg, "report")
+      | Ok j when Burstcore.Json.member "gates" j <> None ->
+          (Telemetry.Report.validate_gates j, "bench report")
+      | Ok j -> (Telemetry.Report.validate j, "telemetry report")
     in
-    match Result.bind (Burstcore.Json.parse contents) validate with
+    match result with
     | Ok () -> print_endline (what ^ " ok")
     | Error msg ->
         Format.eprintf "%s: invalid %s: %s@." file what msg;
@@ -1125,21 +1094,16 @@ let report_check_cmd =
   Cmd.v
     (Cmd.info "report-check"
        ~doc:
-         "Validate a JSON report: a --telemetry=FILE run report, with \
-          --kind=alloc the BENCH_alloc.json allocation sweep, with \
-          --kind=flows the BENCH_flows.json flow-scaling sweep, with \
-          --kind=bench-telemetry the BENCH_telemetry.json overhead report, \
-          with --kind=burst the BENCH_burst.json burstiness report, with \
-          --kind=parallel the BENCH_parallel.json parallelism report, or \
-          with --kind=hybrid the BENCH_hybrid.json hybrid fluid/packet \
-          report (all used by 'make check').")
-    Term.(const run $ kind $ file)
+         "Validate a JSON report: a document with a 'gates' list (every \
+          BENCH_*.json file) must pass every gate; anything else is checked \
+          as a --telemetry=FILE run report. Used by 'make check'.")
+    Term.(const run $ file)
 
 (* ------------------------------------------------------------------ *)
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.8.0"
+    (Cmd.info "burstsim" ~version:"1.9.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

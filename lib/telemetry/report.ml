@@ -72,691 +72,6 @@ let required_fields =
     "metrics";
   ]
 
-(* BENCH_alloc.json: the allocation-budget sweep written by the bench
-   runner. A header describes the sweep; each row is one scenario with
-   its measured GC figures and the committed budget it was checked
-   against. *)
-
-let alloc_required_fields =
-  [
-    "clients";
-    "duration_s";
-    "reps";
-    "baseline_minor_words_per_event";
-    "baseline_events_per_sec";
-    "rows";
-  ]
-
-let alloc_row_required_fields =
-  [
-    "scenario";
-    "clients";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "minor_words_per_event";
-    "promoted_words_per_event";
-    "major_collections";
-    "threshold_minor_words_per_event";
-    "min_events_per_sec";
-    "leak_free";
-  ]
-
-let validate_alloc_row row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "scenario" row with
-        | Some (Json.String s) -> s
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) alloc_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else
-        let number f = Option.bind (Json.member f row) Json.to_float in
-        (match (number "minor_words_per_event", number "threshold_minor_words_per_event")
-         with
-        | Some wpe, Some threshold when wpe > threshold ->
-            [
-              Printf.sprintf "%s: minor_words_per_event %.4f exceeds threshold %g"
-                label wpe threshold;
-            ]
-        | Some _, Some _ -> []
-        | _ -> [ label ^ ": words_per_event fields are not numbers" ])
-        @
-        match Json.member "leak_free" row with
-        | Some (Json.Bool true) -> []
-        | Some (Json.Bool false) -> [ label ^ ": leak_free is false" ]
-        | _ -> [ label ^ ": leak_free is not a bool" ])
-  | _ -> [ "row is not an object" ]
-
-let validate_alloc j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) alloc_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        match Json.member "rows" j with
-        | Some (Json.List []) -> Error "rows is empty"
-        | Some (Json.List rows) -> (
-            match List.concat_map validate_alloc_row rows with
-            | [] -> Ok ()
-            | errors -> Error (String.concat "; " errors))
-        | _ -> Error "rows is not a list")
-  | _ -> Error "alloc report is not a JSON object"
-
-(* BENCH_flows.json: the flow-scaling sweep (10^3..10^5 greedy flows).
-   Schema check plus the budgets the file itself carries: per-flow
-   bytes, zero slab growth, leak-freedom, and — on the rows the bench
-   ran to fluid equilibrium ([fluid_gated] true) — the measured/ODE
-   queue and throughput ratios. The events/sec floor is deliberately
-   not re-checked here: wall time depends on the machine and on --fast,
-   and the bench itself enforces it in full mode. *)
-
-let flows_required_fields =
-  [
-    "per_flow_capacity_pps";
-    "base_rtt_s";
-    "bytes_per_flow_budget";
-    "minor_words_per_event_budget";
-    "min_events_per_sec";
-    "throughput_ratio_min";
-    "throughput_ratio_max";
-    "queue_ratio_min";
-    "queue_ratio_max";
-    "rows";
-  ]
-
-let flows_row_required_fields =
-  [
-    "flows";
-    "duration_s";
-    "fluid_gated";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "minor_words_per_event";
-    "bytes_per_flow";
-    "flow_footprint_bytes";
-    "flow_table_growths";
-    "queue_growths";
-    "queue_capacity";
-    "queue_hwm";
-    "wheel_parked";
-    "delivered";
-    "measured_queue";
-    "fluid_queue";
-    "queue_ratio";
-    "measured_throughput_pps";
-    "fluid_throughput_pps";
-    "throughput_ratio";
-    "leak_free";
-  ]
-
-let validate_flows_row ~header row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "flows" row with
-        | Some (Json.Int n) -> Printf.sprintf "N=%d" n
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) flows_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else begin
-        let number j f = Option.bind (Json.member f j) Json.to_float in
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        (* A smoke row (the N = 10^6 scale probe) commits only to the
-           per-flow byte budget and leak-freedom: its horizon is too
-           short for steady-state words/event or fluid ratios, and its
-           slabs are allowed to grow. Absent [smoke] means false. *)
-        let smoke =
-          match Json.member "smoke" row with
-          | Some (Json.Bool b) -> b
-          | _ -> false
-        in
-        let le what measured budget =
-          match (number row measured, number header budget) with
-          | Some m, Some b ->
-              if m > b then err "%s: %s %g exceeds budget %g" label what m b
-          | _ -> err "%s: %s fields are not numbers" label what
-        in
-        le "bytes_per_flow" "bytes_per_flow" "bytes_per_flow_budget";
-        if not smoke then begin
-          le "minor words/event" "minor_words_per_event"
-            "minor_words_per_event_budget";
-          match (number row "flow_table_growths", number row "queue_growths")
-          with
-          | Some ft, Some q ->
-              if ft <> 0. || q <> 0. then
-                err "%s: slabs grew (%g flow-table, %g event-queue)" label ft q
-          | _ -> err "%s: growth fields are not numbers" label
-        end;
-        (match Json.member "leak_free" row with
-        | Some (Json.Bool true) -> ()
-        | Some (Json.Bool false) -> err "%s: leak_free is false" label
-        | _ -> err "%s: leak_free is not a bool" label);
-        (match Json.member "fluid_gated" row with
-        | Some (Json.Bool true) ->
-            let within what v lo hi =
-              match (number row v, number header lo, number header hi) with
-              | Some x, Some a, Some b ->
-                  if x < a || x > b then
-                    err "%s: %s %g outside [%g, %g]" label what x a b
-              | _ -> err "%s: %s fields are not numbers" label what
-            in
-            within "throughput ratio" "throughput_ratio"
-              "throughput_ratio_min" "throughput_ratio_max";
-            within "queue ratio" "queue_ratio" "queue_ratio_min"
-              "queue_ratio_max"
-        | Some (Json.Bool false) -> ()
-        | _ -> err "%s: fluid_gated is not a bool" label);
-        List.rev !errors
-      end)
-  | _ -> [ "row is not an object" ]
-
-let validate_flows j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) flows_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        match Json.member "rows" j with
-        | Some (Json.List []) -> Error "rows is empty"
-        | Some (Json.List rows) -> (
-            match List.concat_map (validate_flows_row ~header:j) rows with
-            | [] -> Ok ()
-            | errors -> Error (String.concat "; " errors))
-        | _ -> Error "rows is not a list")
-  | _ -> Error "flows report is not a JSON object"
-
-(* BENCH_parallel.json: the sequential-vs-parallel sweep comparison plus
-   the single-run sharded-PDES scaling section. Both determinism flags
-   are hard gates; the single-run speedup is re-checked against the
-   file's own [min_speedup] floor, but only when the bench recorded one
-   (it records null on machines with fewer than 4 domains, where the
-   ratio would measure oversubscription noise, not scaling). *)
-
-let parallel_required_fields =
-  [
-    "scenario";
-    "clients";
-    "replicates";
-    "duration_s";
-    "domains";
-    "sequential_wall_s";
-    "parallel_wall_s";
-    "speedup";
-    "deterministic";
-    "single_run";
-  ]
-
-let parallel_single_run_required_fields =
-  [
-    "scenario";
-    "clients";
-    "duration_s";
-    "window_s";
-    "available_domains";
-    "min_speedup";
-    "rows";
-    "speedup";
-    "sharded_deterministic";
-  ]
-
-let validate_parallel j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) parallel_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else begin
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let number o f = Option.bind (Json.member f o) Json.to_float in
-        (match Json.member "deterministic" j with
-        | Some (Json.Bool true) -> ()
-        | Some (Json.Bool false) ->
-            err "deterministic is false (parallel sweep diverged)"
-        | _ -> err "deterministic is not a bool");
-        (match Json.member "single_run" j with
-        | Some (Json.Obj _ as sr) ->
-            let missing =
-              List.filter
-                (fun f -> Json.member f sr = None)
-                parallel_single_run_required_fields
-            in
-            if missing <> [] then
-              err "single_run: missing fields: %s" (String.concat ", " missing)
-            else begin
-              (match Json.member "sharded_deterministic" sr with
-              | Some (Json.Bool true) -> ()
-              | Some (Json.Bool false) ->
-                  err
-                    "single_run: sharded_deterministic is false (1-shard and \
-                     K-shard runs diverged)"
-              | _ -> err "single_run: sharded_deterministic is not a bool");
-              (match Json.member "rows" sr with
-              | Some (Json.List []) -> err "single_run: rows is empty"
-              | Some (Json.List rows) ->
-                  List.iter
-                    (fun row ->
-                      match (number row "shards", number row "wall_s") with
-                      | Some _, Some _ -> ()
-                      | _ ->
-                          err
-                            "single_run: row without numeric shards/wall_s \
-                             fields")
-                    rows
-              | _ -> err "single_run: rows is not a list");
-              match Json.member "speedup" sr with
-              | Some Json.Null -> (
-                  match number sr "available_domains" with
-                  | Some d when d >= 4. ->
-                      err
-                        "single_run: speedup is null despite %g available \
-                         domains" d
-                  | Some _ -> ()
-                  | None -> err "single_run: available_domains is not a number")
-              | Some v -> (
-                  match (Json.to_float v, number sr "min_speedup") with
-                  | Some s, Some m ->
-                      if s < m then
-                        err
-                          "single_run: speedup %.2fx is below the committed \
-                           floor %.2fx" s m
-                  | _ -> err "single_run: speedup/min_speedup are not numbers")
-              | None -> ()
-            end
-        | _ -> err "single_run is not an object");
-        match List.rev !errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors)
-      end)
-  | _ -> Error "parallel report is not a JSON object"
-
-(* BENCH_telemetry.json: the three-configuration overhead benchmark
-   (baseline / probed / probed+recorder). Schema check plus the
-   committed budgets the file itself carries. *)
-let bench_telemetry_required_fields =
-  [
-    "scenario";
-    "clients";
-    "events";
-    "baseline_events_per_sec";
-    "probed_events_per_sec";
-    "recorded_events_per_sec";
-    "probed_run_s";
-    "recorded_run_s";
-    "probe_overhead_pct";
-    "probe_overhead_budget_pct";
-    "recorder_overhead_pct";
-    "recorder_overhead_budget_pct";
-    "recorder_minor_words_per_event_delta";
-    "recorder_words_budget";
-    "recorder_records";
-    "recorder_dropped";
-  ]
-
-let validate_bench_telemetry j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter
-          (fun f -> Json.member f j = None)
-          bench_telemetry_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        let number f = Option.bind (Json.member f j) Json.to_float in
-        let gate what value budget =
-          match (number value, number budget) with
-          | Some v, Some b when v > b ->
-              [ Printf.sprintf "%s %.4f exceeds budget %g" what v b ]
-          | Some _, Some _ -> []
-          | _ -> [ Printf.sprintf "%s fields are not numbers" what ]
-        in
-        let errors =
-          gate "probe overhead pct" "probe_overhead_pct"
-            "probe_overhead_budget_pct"
-          @ gate "recorder overhead pct" "recorder_overhead_pct"
-              "recorder_overhead_budget_pct"
-          @ gate "recorder minor words/event delta"
-              "recorder_minor_words_per_event_delta" "recorder_words_budget"
-          @
-          match number "recorder_records" with
-          | Some r when r > 0. -> []
-          | Some _ -> [ "recorder_records is zero" ]
-          | None -> [ "recorder_records is not a number" ]
-        in
-        match errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors))
-  | _ -> Error "bench-telemetry report is not a JSON object"
-
-(* BENCH_burst.json: the burstiness-observability benchmark. Three
-   claims travel in one file and are re-checked here from the file's
-   own committed budgets: (1) the streaming aggregator's allocation
-   cost per event stays under its budget, (2) the streaming c.o.v. at
-   the paper's RTT timescale matches the offline estimator within
-   tolerance, and (3) the oscillation detector fires on the unstable
-   side — and only the unstable side — of a RED w_q sweep bracketing
-   the linearized (Hollot-style) stability condition. *)
-
-let burst_required_fields =
-  [
-    "scenario";
-    "clients";
-    "reps";
-    "events";
-    "probed_run_s";
-    "burst_run_s";
-    "burst_overhead_pct";
-    "burst_minor_words_per_event_delta";
-    "burst_words_budget";
-    "cov_offline";
-    "cov_streaming";
-    "cov_abs_err";
-    "cov_tolerance";
-    "red_sweep";
-  ]
-
-let burst_row_required_fields =
-  [ "w_q"; "side"; "rel_amplitude"; "frequency_hz"; "crossings"; "oscillating" ]
-
-let validate_burst_row row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Option.bind (Json.member "w_q" row) Json.to_float with
-        | Some w -> Printf.sprintf "w_q=%g" w
-        | None -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) burst_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else
-        match (Json.member "side" row, Json.member "oscillating" row) with
-        | Some (Json.String side), Some (Json.Bool osc) ->
-            if side <> "stable" && side <> "unstable" then
-              [ Printf.sprintf "%s: side %S is not stable|unstable" label side ]
-            else if osc <> (side = "unstable") then
-              [
-                Printf.sprintf
-                  "%s: detector verdict oscillating=%b contradicts side %S"
-                  label osc side;
-              ]
-            else []
-        | _ -> [ label ^ ": side/oscillating have the wrong types" ])
-  | _ -> [ "red_sweep row is not an object" ]
-
-let validate_burst j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) burst_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        let number f = Option.bind (Json.member f j) Json.to_float in
-        let gate what value budget =
-          match (number value, number budget) with
-          | Some v, Some b when v > b ->
-              [ Printf.sprintf "%s %g exceeds budget %g" what v b ]
-          | Some _, Some _ -> []
-          | _ -> [ Printf.sprintf "%s fields are not numbers" what ]
-        in
-        let errors =
-          gate "burst minor words/event delta"
-            "burst_minor_words_per_event_delta" "burst_words_budget"
-          @ gate "streaming-vs-offline c.o.v. error" "cov_abs_err"
-              "cov_tolerance"
-          @
-          match Json.member "red_sweep" j with
-          | Some (Json.Obj _ as sweep) -> (
-              match Json.member "rows" sweep with
-              | Some (Json.List []) -> [ "red_sweep.rows is empty" ]
-              | Some (Json.List rows) ->
-                  let row_errors = List.concat_map validate_burst_row rows in
-                  let side s row =
-                    Json.member "side" row = Some (Json.String s)
-                  in
-                  (if List.exists (side "stable") rows then []
-                   else [ "red_sweep has no stable row" ])
-                  @ (if List.exists (side "unstable") rows then []
-                     else [ "red_sweep has no unstable row" ])
-                  @ row_errors
-              | _ -> [ "red_sweep.rows is not a list" ])
-          | Some _ -> [ "red_sweep is not an object" ]
-          | None -> []
-        in
-        match errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors))
-  | _ -> Error "burst report is not a JSON object"
-
-(* BENCH_hybrid.json: the hybrid fluid/packet engine report. Three
-   claims travel in one file: (1) at N in {10^3, 10^4} the hybrid engine
-   (K packet-level foreground flows + fluid background) reproduces the
-   pure packet-level run's foreground throughput, combined queue and
-   loss rate within the file's own tolerance bands, (2) the converged
-   N = 10^6 run is leak-free, slab-stable, and does at least
-   [work_ratio_min] times less work per simulated second than the pure
-   packet extrapolation (the ratio is null in --fast/smoke mode, where
-   the horizon is too short to measure it honestly), and (3) the RED
-   w_q stability sweep at mean-field scale classifies every row on the
-   side the fluid Hopf threshold predicts. *)
-
-let hybrid_required_fields =
-  [
-    "scenario";
-    "foreground";
-    "throughput_ratio_min";
-    "throughput_ratio_max";
-    "queue_ratio_min";
-    "queue_ratio_max";
-    "loss_abs_tol";
-    "work_ratio_min";
-    "validation";
-    "converged";
-    "stability_sweep";
-  ]
-
-let hybrid_validation_row_required_fields =
-  [
-    "flows";
-    "background";
-    "packet_throughput_pps";
-    "hybrid_throughput_pps";
-    "throughput_ratio";
-    "packet_queue_mean";
-    "hybrid_queue_mean";
-    "queue_ratio";
-    "packet_loss_rate";
-    "hybrid_loss_rate";
-    "loss_abs_err";
-    "event_ratio";
-  ]
-
-let hybrid_converged_required_fields =
-  [
-    "flows";
-    "foreground";
-    "background";
-    "duration_s";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "bg_window_mean";
-    "bg_queue_mean";
-    "slowdown_mean";
-    "flow_table_growths";
-    "queue_growths";
-    "leak_free";
-    "smoke";
-    "work_ratio";
-  ]
-
-let validate_hybrid_row ~header row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "flows" row with
-        | Some (Json.Int n) -> Printf.sprintf "N=%d" n
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter
-          (fun f -> Json.member f row = None)
-          hybrid_validation_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else begin
-        let number j f = Option.bind (Json.member f j) Json.to_float in
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let within what v lo hi =
-          match (number row v, number header lo, number header hi) with
-          | Some x, Some a, Some b ->
-              if x < a || x > b then
-                err "%s: %s %g outside [%g, %g]" label what x a b
-          | _ -> err "%s: %s fields are not numbers" label what
-        in
-        within "foreground throughput ratio" "throughput_ratio"
-          "throughput_ratio_min" "throughput_ratio_max";
-        within "combined queue ratio" "queue_ratio" "queue_ratio_min"
-          "queue_ratio_max";
-        (match (number row "loss_abs_err", number header "loss_abs_tol") with
-        | Some e, Some tol ->
-            if e > tol then
-              err "%s: loss-rate error %g exceeds tolerance %g" label e tol
-        | _ -> err "%s: loss_abs_err fields are not numbers" label);
-        (match number row "event_ratio" with
-        | Some r when r < 1. ->
-            err "%s: hybrid did more work than pure packet (event ratio %g)"
-              label r
-        | Some _ -> ()
-        | None -> err "%s: event_ratio is not a number" label);
-        List.rev !errors
-      end)
-  | _ -> [ "validation row is not an object" ]
-
-let validate_hybrid j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) hybrid_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else begin
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let number o f = Option.bind (Json.member f o) Json.to_float in
-        (match Json.member "validation" j with
-        | Some (Json.List []) -> err "validation is empty"
-        | Some (Json.List rows) ->
-            List.iter
-              (fun row ->
-                List.iter
-                  (fun m -> errors := m :: !errors)
-                  (validate_hybrid_row ~header:j row))
-              rows
-        | _ -> err "validation is not a list");
-        (match Json.member "converged" j with
-        | Some (Json.Obj _ as c) -> (
-            let missing =
-              List.filter
-                (fun f -> Json.member f c = None)
-                hybrid_converged_required_fields
-            in
-            if missing <> [] then
-              err "converged: missing fields: %s" (String.concat ", " missing)
-            else begin
-              (match Json.member "leak_free" c with
-              | Some (Json.Bool true) -> ()
-              | Some (Json.Bool false) -> err "converged: leak_free is false"
-              | _ -> err "converged: leak_free is not a bool");
-              (match
-                 (number c "flow_table_growths", number c "queue_growths")
-               with
-              | Some ft, Some q ->
-                  if ft <> 0. || q <> 0. then
-                    err "converged: slabs grew (%g flow-table, %g event-queue)"
-                      ft q
-              | _ -> err "converged: growth fields are not numbers");
-              let smoke =
-                match Json.member "smoke" c with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              match Json.member "work_ratio" c with
-              | Some Json.Null ->
-                  if not smoke then
-                    err "converged: work_ratio is null outside smoke mode"
-              | Some v -> (
-                  match (Json.to_float v, number j "work_ratio_min") with
-                  | Some r, Some m ->
-                      if r < m then
-                        err
-                          "converged: work ratio %.1fx is below the committed \
-                           floor %.1fx" r m
-                  | _ ->
-                      err "converged: work_ratio/work_ratio_min are not numbers"
-              )
-              | None -> ()
-            end)
-        | _ -> err "converged is not an object");
-        (match Json.member "stability_sweep" j with
-        | Some (Json.Obj _ as sweep) -> (
-            (match number sweep "wq_critical" with
-            | Some w when w > 0. -> ()
-            | Some w -> err "stability_sweep: wq_critical %g is not positive" w
-            | None -> err "stability_sweep: wq_critical is not a number");
-            match Json.member "rows" sweep with
-            | Some (Json.List []) -> err "stability_sweep.rows is empty"
-            | Some (Json.List rows) ->
-                List.iter
-                  (fun row ->
-                    List.iter
-                      (fun m -> errors := m :: !errors)
-                      (validate_burst_row row))
-                  rows;
-                let side s row =
-                  Json.member "side" row = Some (Json.String s)
-                in
-                if not (List.exists (side "stable") rows) then
-                  err "stability_sweep has no stable row";
-                if not (List.exists (side "unstable") rows) then
-                  err "stability_sweep has no unstable row"
-            | _ -> err "stability_sweep.rows is not a list")
-        | _ -> err "stability_sweep is not an object");
-        match List.rev !errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors)
-      end)
-  | _ -> Error "hybrid report is not a JSON object"
-
 let validate j =
   match j with
   | Json.Obj _ ->
@@ -781,3 +96,154 @@ let validate j =
               | _ -> [ "missing fields: " ^ String.concat ", " missing ])
              @ shape_errors))
   | _ -> Error "report is not a JSON object"
+
+(* Gate documents: every BENCH_*.json file carries a [gates] list. The
+   bench that writes a file and [report-check] that re-reads it judge
+   each gate with the same [verdict]. *)
+
+type op = Le | Ge | Eq
+type spread = { reps : int; q1 : float; median : float; q3 : float }
+
+type gate = {
+  name : string;
+  measured : float option;
+  op : op;
+  bound : float;
+  spread : spread option;
+  skip : string option;
+}
+
+type verdict = Pass | Skipped of string | Fail of string
+
+let op_label = function Le -> "le" | Ge -> "ge" | Eq -> "eq"
+
+let verdict g =
+  match (g.measured, g.skip) with
+  | None, Some reason when reason <> "" -> Skipped reason
+  | None, _ -> Fail "measured is null with no skip reason"
+  | Some m, _ -> (
+      match g.spread with
+      | Some s when s.median <> m ->
+          Fail
+            (Printf.sprintf "measured %g is not its spread median %g" m
+               s.median)
+      | spread -> (
+          (* A timed gate is judged on the quartile nearest its bound, so
+             it fails only when most reps land on the wrong side. *)
+          let what, x =
+            match (spread, g.op) with
+            | Some s, Le -> ("q1", s.q1)
+            | Some s, Ge -> ("q3", s.q3)
+            | _ -> ("measured", m)
+          in
+          match g.op with
+          | Le when not (x <= g.bound) ->
+              Fail (Printf.sprintf "%s %g exceeds bound %g" what x g.bound)
+          | Ge when not (x >= g.bound) ->
+              Fail (Printf.sprintf "%s %g is below bound %g" what x g.bound)
+          | Eq when not (x = g.bound) ->
+              Fail (Printf.sprintf "%s %g is not %g" what x g.bound)
+          | Le | Ge | Eq -> Pass))
+
+let gate_to_json g =
+  (* A non-finite measurement is written as null: lacking a skip reason,
+     it fails on re-read just as it failed in memory. *)
+  let measured =
+    match g.measured with
+    | Some m when Float.is_finite m -> Json.Float m
+    | _ -> Json.Null
+  in
+  Json.Obj
+    ([
+       ("name", Json.String g.name);
+       ("measured", measured);
+       ("op", Json.String (op_label g.op));
+       ("bound", Json.Float g.bound);
+     ]
+    @ (match g.spread with
+      | Some s ->
+          [
+            ( "spread",
+              Json.Obj
+                [
+                  ("reps", Json.Int s.reps);
+                  ("q1", Json.Float s.q1);
+                  ("median", Json.Float s.median);
+                  ("q3", Json.Float s.q3);
+                ] );
+          ]
+      | None -> [])
+    @ match g.skip with Some r -> [ ("skip", Json.String r) ] | None -> [])
+
+let gate_of_json j =
+  let ( let* ) = Result.bind in
+  let string = function Json.String s -> Some s | _ -> None in
+  let field conv what f =
+    match Option.bind (Json.member f j) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s is not %s" f what)
+  in
+  let optional conv what f =
+    if Json.member f j = None then Ok None
+    else Result.map Option.some (field conv what f)
+  in
+  let* name = field string "a string" "name" in
+  Result.map_error
+    (fun e -> name ^ ": " ^ e)
+    (let* op =
+       field
+         (function
+           | Json.String "le" -> Some Le
+           | Json.String "ge" -> Some Ge
+           | Json.String "eq" -> Some Eq
+           | _ -> None)
+         "le, ge or eq" "op"
+     in
+     let* bound = field Json.to_float "a number" "bound" in
+     let* measured =
+       field
+         (function
+           | Json.Null -> Some None
+           | v -> Option.map Option.some (Json.to_float v))
+         "a number or null" "measured"
+     in
+     let* spread =
+       optional
+         (fun s ->
+           let q f = Option.bind (Json.member f s) Json.to_float in
+           match (Json.member "reps" s, q "q1", q "median", q "q3") with
+           | Some (Json.Int reps), Some q1, Some median, Some q3 ->
+               Some { reps; q1; median; q3 }
+           | _ -> None)
+         "{reps, q1, median, q3}" "spread"
+     in
+     let* skip = optional string "a string" "skip" in
+     Ok { name; measured; op; bound; spread; skip })
+
+let validate_gates j =
+  match Json.member "gates" j with
+  | Some (Json.List []) -> Error "gates is empty"
+  | Some (Json.List items) -> (
+      let parsed = List.map gate_of_json items in
+      let gates = List.filter_map Result.to_option parsed in
+      let rec duplicates = function
+        | a :: b :: rest when a = b ->
+            a :: duplicates (List.filter (( <> ) a) rest)
+        | _ :: rest -> duplicates rest
+        | [] -> []
+      in
+      let errors =
+        List.filter_map (function Error e -> Some e | Ok _ -> None) parsed
+        @ List.map
+            (fun n -> "duplicate gate " ^ n)
+            (duplicates (List.sort compare (List.map (fun g -> g.name) gates)))
+        @ List.filter_map
+            (fun g ->
+              match verdict g with
+              | Fail m -> Some (g.name ^ ": " ^ m)
+              | Pass | Skipped _ -> None)
+            gates
+      in
+      match errors with [] -> Ok () | _ -> Error (String.concat "; " errors))
+  | Some _ -> Error "gates is not a list"
+  | None -> Error "no gates list"

@@ -1,9 +1,11 @@
-(** The end-of-run JSON report: a summary snapshot of a {!Probe.t}.
+(** The end-of-run JSON report and the gate documents of the bench.
 
-    The report is the machine-readable contract behind [--telemetry]:
-    {!required_fields} lists the keys every report carries, and
-    {!validate} checks a parsed document against that contract (used by
-    the [report-check] subcommand and [make check]). *)
+    The run report is the machine-readable contract behind
+    [--telemetry]: {!required_fields} lists the keys every report
+    carries, and {!validate} checks a parsed document against that
+    contract. Every BENCH_*.json file carries a [gates] list instead,
+    checked by {!validate_gates}. Both are used by the [report-check]
+    subcommand and [make check]. *)
 
 type t = {
   label : string;
@@ -37,80 +39,42 @@ val validate : Json.t -> (unit, string) result
 (** Check that a parsed report is an object carrying every required
     field, with [phases] an object and [metrics] a list. *)
 
-val alloc_required_fields : string list
-val alloc_row_required_fields : string list
+(** {1 Gates} *)
 
-val validate_alloc : Json.t -> (unit, string) result
-(** Check a BENCH_alloc.json document written by the bench runner's
-    allocation gate: the sweep header fields, a non-empty [rows] list,
-    and for every row the full column set plus the committed
-    invariants — [minor_words_per_event] within
-    [threshold_minor_words_per_event] and [leak_free] true. The
-    events/sec floor is deliberately not re-checked here: it is
-    wall-clock sensitive and enforced by the bench itself (full mode
-    only). *)
+type op = Le | Ge | Eq  (** measured [<=], [>=] or [=] the bound *)
 
-val flows_required_fields : string list
-val flows_row_required_fields : string list
+type spread = { reps : int; q1 : float; median : float; q3 : float }
+(** Quartiles of a timed measurement over its reps. *)
 
-val validate_flows : Json.t -> (unit, string) result
-(** Check a BENCH_flows.json document written by the flow-scaling
-    sweep: the regime header, a non-empty [rows] list, and for every
-    row the full column set plus the committed invariants —
-    [bytes_per_flow] and [minor_words_per_event] within the budgets the
-    file carries, zero flow-table and event-queue growth, [leak_free]
-    true, and (rows with [fluid_gated] true) the measured/fluid queue
-    and throughput ratios inside the header's bands. The events/sec
-    floor is wall-clock sensitive and enforced by the bench itself in
-    full mode, not here. Rows with [smoke] true (the N = 10^6 scale
-    probe) are held only to the byte budget and leak-freedom. *)
+type gate = {
+  name : string;  (** unique within a document *)
+  measured : float option;  (** [None] when the gate was not run *)
+  op : op;
+  bound : float;
+  spread : spread option;  (** timed gates: [measured] is the median *)
+  skip : string option;  (** why a gate with no measurement was not run *)
+}
+(** One committed claim. A band is a [Ge] gate plus an [Le] gate; a
+    boolean is [Eq] 1. *)
 
-val parallel_required_fields : string list
-val parallel_single_run_required_fields : string list
+val op_label : op -> string
+(** ["le"], ["ge"] or ["eq"], as written in the JSON. *)
 
-val validate_parallel : Json.t -> (unit, string) result
-(** Validate a BENCH_parallel.json parallelism report
-    ([report-check --kind=parallel]): the sequential-vs-parallel sweep
-    comparison fields with [deterministic] true, plus the [single_run]
-    sharded-PDES section — [sharded_deterministic] true, non-empty
-    per-shard-count timing [rows], and a recorded single-run [speedup]
-    no lower than the file's own [min_speedup] floor. A null [speedup]
-    is accepted only when [available_domains] < 4 (the bench skips the
-    ratio rather than commit oversubscription noise). *)
+type verdict = Pass | Skipped of string | Fail of string
 
-val validate_bench_telemetry : Json.t -> (unit, string) result
-(** Validate a BENCH_telemetry.json overhead report: required fields
-    plus the probe/recorder overhead and allocation budgets the file
-    carries ([report-check --kind=bench-telemetry]). *)
+val verdict : gate -> verdict
+(** [Skipped] when [measured] is [None] with a non-empty [skip] reason;
+    [Fail] when [measured] is [None] without one. A gate with a
+    [spread] must have [measured] equal to its median, and is judged
+    on the quartile nearest its bound: an [Le] gate fails only when
+    [q1 > bound], a [Ge] gate only when [q3 < bound]. Any other gate
+    compares [measured] with [bound]. *)
 
-val burst_required_fields : string list
-val burst_row_required_fields : string list
+val gate_to_json : gate -> Json.t
+(** [{name, measured, op, bound, spread?, skip?}] with [op] one of
+    ["le"], ["ge"], ["eq"]. A non-finite [measured] is written as null. *)
 
-val validate_burst : Json.t -> (unit, string) result
-(** Validate a BENCH_burst.json burstiness-observability report
-    ([report-check --kind=burst]): required fields, then the three
-    committed claims re-checked from the file's own budgets — the
-    {!Burst} aggregator's [burst_minor_words_per_event_delta] within
-    [burst_words_budget], the streaming-vs-offline c.o.v. gap
-    [cov_abs_err] within [cov_tolerance], and in [red_sweep.rows]
-    (which must include both sides) every row's oscillation-detector
-    verdict agreeing with its declared [side] of the RED stability
-    condition. *)
-
-val hybrid_required_fields : string list
-val hybrid_validation_row_required_fields : string list
-val hybrid_converged_required_fields : string list
-
-val validate_hybrid : Json.t -> (unit, string) result
-(** Validate a BENCH_hybrid.json hybrid fluid/packet report
-    ([report-check --kind=hybrid]): required fields, then the three
-    committed claims re-checked from the file's own tolerance bands —
-    every [validation] row's hybrid-vs-packet foreground throughput and
-    combined-queue ratios inside the header bands with the loss-rate
-    gap within [loss_abs_tol] and an [event_ratio] of at least 1; the
-    [converged] N = 10^6 section leak-free with zero slab growth and a
-    [work_ratio] no lower than [work_ratio_min] (null accepted only
-    with [smoke] true — the --fast horizon is too short to measure the
-    ratio honestly); and every [stability_sweep] row's
-    oscillation-detector verdict agreeing with its declared [side] of
-    the fluid Hopf threshold [wq_critical]. *)
+val validate_gates : Json.t -> (unit, string) result
+(** Check a document's [gates] list: it must be non-empty, every gate
+    must parse, names must be unique, and no gate's {!verdict} may be
+    [Fail]. Errors name the gate. *)

@@ -461,338 +461,224 @@ let report_validate_rejects () =
         Report.required_fields
   | _ -> Alcotest.fail "report is not an object"
 
-let alloc_row ?(wpe = 5.8) ?(threshold = 6.0) ?(leak_free = true) () =
-  Json.Obj
-    [
-      ("scenario", Json.String "Reno");
-      ("clients", Json.Int 50);
-      ("events", Json.Int 1000);
-      ("wall_s", Json.Float 0.1);
-      ("events_per_sec", Json.Float 1e4);
-      ("minor_words_per_event", Json.Float wpe);
-      ("promoted_words_per_event", Json.Float 0.02);
-      ("major_collections", Json.Int 0);
-      ("threshold_minor_words_per_event", Json.Float threshold);
-      ("min_events_per_sec", Json.Null);
-      ("leak_free", Json.Bool leak_free);
-    ]
-
-let alloc_doc rows =
-  Json.Obj
-    [
-      ("clients", Json.Int 50);
-      ("duration_s", Json.Float 30.);
-      ("reps", Json.Int 3);
-      ("baseline_minor_words_per_event", Json.Float 30.48);
-      ("baseline_events_per_sec", Json.Float 1.3e6);
-      ("rows", Json.List rows);
-    ]
-
-let report_validate_alloc_accepts () =
-  match Report.validate_alloc (alloc_doc [ alloc_row () ]) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed alloc report: %s" e
-
-let report_validate_alloc_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_alloc doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  expect_error "empty rows" (alloc_doc []) "rows is empty";
-  expect_error "over-budget row"
-    (alloc_doc [ alloc_row ~wpe:6.5 () ])
-    "exceeds threshold";
-  expect_error "leaking row"
-    (alloc_doc [ alloc_row ~leak_free:false () ])
-    "leak_free is false";
-  (* One bad row fails the whole document even next to good ones. *)
-  expect_error "mixed rows"
-    (alloc_doc [ alloc_row (); alloc_row ~wpe:9.9 () ])
-    "exceeds threshold";
-  match alloc_doc [ alloc_row () ] with
-  | Json.Obj fields ->
-      List.iter
-        (fun required ->
-          let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_alloc mutilated with
-          | Ok () -> Alcotest.failf "accepted alloc report without %s" required
-          | Error msg ->
-              Alcotest.(check bool) "error names the field" true
-                (Astring_like.contains msg required))
-        Report.alloc_required_fields
-  | _ -> Alcotest.fail "alloc doc is not an object"
-
-let flows_row ?(bytes_per_flow = 496) ?(wpe = 6.0) ?(ft_growths = 0)
-    ?(q_growths = 0) ?(leak_free = true) ?(fluid_gated = true)
-    ?(throughput_ratio = 1.0) ?(queue_ratio = 0.5) ?(smoke = false) () =
-  (* [smoke] is emitted only when true, like older reports that predate
-     the field: absent must read as false. *)
-  Json.Obj
-    ((if smoke then [ ("smoke", Json.Bool true) ] else [])
-    @ [
-      ("flows", Json.Int 1000);
-      ("duration_s", Json.Float 10.);
-      ("fluid_gated", Json.Bool fluid_gated);
-      ("events", Json.Int 1_000_000);
-      ("wall_s", Json.Float 1.0);
-      ("events_per_sec", Json.Float 1e6);
-      ("minor_words_per_event", Json.Float wpe);
-      ("promoted_words_per_event", Json.Float 0.02);
-      ("major_collections", Json.Int 0);
-      ("bytes_per_flow", Json.Int bytes_per_flow);
-      ("flow_footprint_bytes", Json.Int (bytes_per_flow * 1000));
-      ("flow_table_growths", Json.Int ft_growths);
-      ("queue_growths", Json.Int q_growths);
-      ("queue_capacity", Json.Int 52_064);
-      ("queue_hwm", Json.Int 5_000);
-      ("wheel_parked", Json.Int 9_000);
-      ("delivered", Json.Int 120_000);
-      ("measured_queue", Json.Float 2400.);
-      ("fluid_queue", Json.Float 4800.);
-      ("queue_ratio", Json.Float queue_ratio);
-      ("measured_throughput_pps", Json.Float 16_000.);
-      ("fluid_throughput_pps", Json.Float 16_000.);
-      ("throughput_ratio", Json.Float throughput_ratio);
-      ("leak_free", Json.Bool leak_free);
-    ])
-
-let flows_doc rows =
-  Json.Obj
-    [
-      ("per_flow_capacity_pps", Json.Float 16.);
-      ("base_rtt_s", Json.Float 0.2);
-      ("bytes_per_flow_budget", Json.Int 512);
-      ("minor_words_per_event_budget", Json.Float 8.0);
-      ("min_events_per_sec", Json.Float 300_000.);
-      ("throughput_ratio_min", Json.Float 0.8);
-      ("throughput_ratio_max", Json.Float 1.05);
-      ("queue_ratio_min", Json.Float 0.35);
-      ("queue_ratio_max", Json.Float 1.5);
-      ("rows", Json.List rows);
-    ]
-
-let report_validate_flows_accepts () =
-  (match Report.validate_flows (flows_doc [ flows_row () ]) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed flows report: %s" e);
-  (* A non-converged row reports its ratios but is not gated on them. *)
-  match
-    Report.validate_flows
-      (flows_doc [ flows_row ~fluid_gated:false ~throughput_ratio:0.3 () ])
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "gated an ungated row's fluid ratio: %s" e
-
-let report_validate_flows_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_flows doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  expect_error "empty rows" (flows_doc []) "rows is empty";
-  expect_error "fat row"
-    (flows_doc [ flows_row ~bytes_per_flow:600 () ])
-    "exceeds budget";
-  expect_error "allocating row"
-    (flows_doc [ flows_row ~wpe:8.5 () ])
-    "exceeds budget";
-  expect_error "grown flow table"
-    (flows_doc [ flows_row ~ft_growths:1 () ])
-    "slabs grew";
-  expect_error "grown event queue"
-    (flows_doc [ flows_row ~q_growths:2 () ])
-    "slabs grew";
-  expect_error "leaking row"
-    (flows_doc [ flows_row ~leak_free:false () ])
-    "leak_free is false";
-  expect_error "slow converged row"
-    (flows_doc [ flows_row ~throughput_ratio:0.5 () ])
-    "throughput ratio";
-  expect_error "off-model queue"
-    (flows_doc [ flows_row ~queue_ratio:3.0 () ])
-    "queue ratio";
-  (match flows_doc [ flows_row () ] with
-  | Json.Obj fields ->
-      List.iter
-        (fun required ->
-          let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_flows mutilated with
-          | Ok () -> Alcotest.failf "accepted flows report without %s" required
-          | Error msg ->
-              Alcotest.(check bool) "error names the field" true
-                (Astring_like.contains msg required))
-        Report.flows_required_fields
-  | _ -> Alcotest.fail "flows doc is not an object");
-  match flows_row () with
-  | Json.Obj fields ->
-      List.iter
-        (fun required ->
-          let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_flows (flows_doc [ mutilated ]) with
-          | Ok () -> Alcotest.failf "accepted flows row without %s" required
-          | Error msg ->
-              Alcotest.(check bool) "error names the field" true
-                (Astring_like.contains msg required))
-        Report.flows_row_required_fields
-  | _ -> Alcotest.fail "flows row is not an object"
-
-let report_validate_flows_smoke_rows () =
-  let expect_error name doc needle =
-    match Report.validate_flows doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  (* A smoke row (the N = 10^6 scale probe) is far from steady state:
-     only the byte budget and leak-freedom bind; words/event, slab
-     growth and fluid ratios are reported but not gated. *)
-  (match
-     Report.validate_flows
-       (flows_doc
-          [
-            flows_row ~smoke:true ~fluid_gated:false ~wpe:25.0 ~ft_growths:3
-              ~q_growths:5 ~throughput_ratio:0.1 ~queue_ratio:4.0 ();
-          ])
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "gated a smoke row on a non-smoke budget: %s" e);
-  expect_error "fat smoke row"
-    (flows_doc [ flows_row ~smoke:true ~bytes_per_flow:600 () ])
-    "exceeds budget";
-  expect_error "leaking smoke row"
-    (flows_doc [ flows_row ~smoke:true ~leak_free:false () ])
-    "leak_free is false"
-
 (* ------------------------------------------------------------------ *)
-(* Parallel report validation (BENCH_parallel.json) *)
+(* Gate documents (BENCH_*.json) *)
 
-let parallel_single_run ?(available_domains = 4) ?(speedup = Json.Float 3.4)
-    ?(sharded_deterministic = true)
-    ?(rows =
+let gate ?spread ?skip name op bound measured =
+  { Report.name; measured; op; bound; spread; skip }
+
+let spread ?(reps = 9) q1 median q3 = { Report.reps; q1; median; q3 }
+
+(* Written and parsed back, as report-check sees a bench file. *)
+let gates_doc gates =
+  let doc =
+    Json.Obj
       [
-        Json.Obj [ ("shards", Json.Int 1); ("wall_s", Json.Float 4.0) ];
-        Json.Obj [ ("shards", Json.Int 4); ("wall_s", Json.Float 1.17) ];
-      ]) () =
-  Json.Obj
-    [
-      ("scenario", Json.String "Reno/RED");
-      ("clients", Json.Int 10_000);
-      ("duration_s", Json.Float 2.0);
-      ("window_s", Json.Float 0.05);
-      ("available_domains", Json.Int available_domains);
-      ("min_speedup", Json.Float 3.0);
-      ("rows", Json.List rows);
-      ("speedup", speedup);
-      ("sharded_deterministic", Json.Bool sharded_deterministic);
-    ]
-
-let parallel_doc ?(deterministic = true)
-    ?(single_run = parallel_single_run ()) () =
-  Json.Obj
-    [
-      ("scenario", Json.String "Reno");
-      ("clients", Json.List [ Json.Int 10; Json.Int 20 ]);
-      ("replicates", Json.Int 4);
-      ("duration_s", Json.Float 10.);
-      ("domains", Json.Int 4);
-      ("sequential_wall_s", Json.Float 2.0);
-      ("parallel_wall_s", Json.Float 0.6);
-      ("speedup", Json.Float 3.3);
-      ("deterministic", Json.Bool deterministic);
-      ("single_run", single_run);
-    ]
-
-let report_validate_parallel_accepts () =
-  (match Report.validate_parallel (parallel_doc ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed parallel report: %s" e);
-  (* On a small machine the single-run ratio is skipped, not faked:
-     null speedup is legal only below 4 available domains. *)
-  match
-    Report.validate_parallel
-      (parallel_doc
-         ~single_run:
-           (parallel_single_run ~available_domains:1 ~speedup:Json.Null ())
-         ())
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a skipped single-run speedup: %s" e
-
-let report_validate_parallel_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_parallel doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
+        ("scenario", Json.String "Reno");
+        ("gates", Json.List (List.map Report.gate_to_json gates));
+      ]
   in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  expect_error "diverged sweep"
-    (parallel_doc ~deterministic:false ())
-    "deterministic is false";
-  expect_error "diverged sharded run"
-    (parallel_doc ~single_run:(parallel_single_run ~sharded_deterministic:false ()) ())
-    "sharded_deterministic is false";
-  expect_error "slow single run"
-    (parallel_doc ~single_run:(parallel_single_run ~speedup:(Json.Float 2.0) ()) ())
-    "below the committed floor";
-  expect_error "null speedup on a big machine"
-    (parallel_doc
-       ~single_run:(parallel_single_run ~available_domains:8 ~speedup:Json.Null ())
-       ())
-    "speedup is null";
-  expect_error "empty timing rows"
-    (parallel_doc ~single_run:(parallel_single_run ~rows:[] ()) ())
-    "rows is empty";
-  expect_error "row without wall_s"
-    (parallel_doc
-       ~single_run:
-         (parallel_single_run ~rows:[ Json.Obj [ ("shards", Json.Int 1) ] ] ())
-       ())
-    "numeric shards/wall_s";
-  (match parallel_doc () with
-  | Json.Obj fields ->
-      List.iter
-        (fun required ->
-          let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_parallel mutilated with
-          | Ok () -> Alcotest.failf "accepted parallel report without %s" required
-          | Error msg ->
-              Alcotest.(check bool) "error names the field" true
-                (Astring_like.contains msg required))
-        Report.parallel_required_fields
-  | _ -> Alcotest.fail "parallel doc is not an object");
-  match parallel_single_run () with
-  | Json.Obj fields ->
-      List.iter
-        (fun required ->
-          let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match
-            Report.validate_parallel (parallel_doc ~single_run:mutilated ())
-          with
-          | Ok () ->
-              Alcotest.failf "accepted single_run section without %s" required
-          | Error msg ->
-              Alcotest.(check bool) "error names the field" true
-                (Astring_like.contains msg required))
-        Report.parallel_single_run_required_fields
-  | _ -> Alcotest.fail "single_run section is not an object"
+  match Json.parse (Json.to_string doc) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "gate document does not parse: %s" e
+
+let expect_gates_ok what doc =
+  match Report.validate_gates doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "rejected %s: %s" what e
+
+let expect_gates_error what doc needle =
+  match Report.validate_gates doc with
+  | Ok () -> Alcotest.failf "accepted %s" what
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s error mentions %s (got: %s)" what needle msg)
+        true
+        (Astring_like.contains msg needle)
+
+(* One fixture per BENCH file, shaped like what the bench writes. *)
+let alloc_gates =
+  [
+    gate "Reno.minor_words_per_event" Report.Le 6.0 (Some 5.8);
+    gate "Reno.events_per_sec" Report.Ge 2.06e6 None
+      ~skip:"--fast: runs too short to time";
+    gate "Reno/RED.minor_words_per_event" Report.Le 8.0 (Some 6.2);
+  ]
+
+let flows_gates =
+  [
+    gate "N=1000.bytes_per_flow" Report.Le 512. (Some 496.);
+    gate "N=1000.leak_free" Report.Eq 1. (Some 1.);
+    gate "N=1000.flow_table_growths" Report.Eq 0. (Some 0.);
+    gate "N=1000.minor_words_per_event" Report.Le 8. (Some 4.);
+    gate "N=1000.throughput_ratio.lo" Report.Ge 0.8 (Some 1.0);
+    gate "N=1000.throughput_ratio.hi" Report.Le 1.05 (Some 1.0);
+    gate "N=100000.events_per_sec" Report.Ge 3e5 (Some 9e5)
+      ~spread:(spread ~reps:1 9e5 9e5 9e5);
+  ]
+
+(* The N = 10^6 smoke row commits only to bytes/flow and leak-freedom. *)
+let flows_smoke_gates =
+  [
+    gate "N=1000000.bytes_per_flow" Report.Le 512. (Some 496.);
+    gate "N=1000000.leak_free" Report.Eq 1. (Some 1.);
+  ]
+
+let parallel_gates =
+  [
+    gate "deterministic" Report.Eq 1. (Some 1.);
+    gate "sharded_deterministic" Report.Eq 1. (Some 1.);
+    gate "single_run_speedup" Report.Ge 3. None
+      ~skip:"2 domain(s) available, scaling needs 4";
+  ]
+
+let telemetry_gates =
+  [
+    gate "probe_overhead_pct" Report.Le 15. (Some 3.2)
+      ~spread:(spread 1.0 3.2 5.0);
+    (* q3 is over budget, but q1 is not: one noisy rep cannot fail it. *)
+    gate "recorder_overhead_pct" Report.Le 8. (Some 4.2)
+      ~spread:(spread 2.0 4.2 9.5);
+    gate "recorder_minor_words_per_event_delta" Report.Le 0.05 (Some 0.036);
+    gate "recorder_records" Report.Ge 1. (Some 30180.);
+  ]
+
+let burst_gates =
+  [
+    gate "burst_minor_words_per_event_delta" Report.Le 0.05 (Some (-0.004));
+    gate "cov_abs_err" Report.Le 1e-6 (Some 0.);
+    gate "red_sweep.stable.oscillating" Report.Eq 0. (Some 0.);
+    gate "red_sweep.unstable.oscillating" Report.Eq 1. (Some 1.);
+  ]
+
+let hybrid_gates =
+  [
+    gate "N=1000.throughput_ratio.lo" Report.Ge 0.8 (Some 1.19);
+    gate "N=1000.throughput_ratio.hi" Report.Le 1.25 (Some 1.19);
+    gate "N=1000.loss_abs_err" Report.Le 0.025 (Some 0.017);
+    gate "N=1000.event_ratio" Report.Ge 1. (Some 17.);
+    gate "converged.leak_free" Report.Eq 1. (Some 1.);
+    gate "converged.work_ratio" Report.Ge 10. None
+      ~skip:"--fast: no pure-packet baseline at this horizon";
+    gate "stability_sweep.unstable.oscillating" Report.Eq 1. (Some 1.);
+  ]
+
+let gates_accept gates () = expect_gates_ok "a passing document" (gates_doc gates)
+
+(* Doctor one gate at a time on the written JSON, as a hand edit would:
+   move a measurement past its bound, or strip a skipped gate's reason.
+   Every edit must be rejected, naming the gate. *)
+let gates_reject gates () =
+  let doctored i =
+    gates_doc
+      (List.mapi
+         (fun j g ->
+           if i <> j then g
+           else
+             match g.Report.measured with
+             | None -> { g with skip = None }
+             | Some _ ->
+                 let bad =
+                   match g.Report.op with
+                   | Report.Le | Report.Eq -> g.Report.bound +. 1.
+                   | Report.Ge -> g.Report.bound -. 1.
+                 in
+                 { g with measured = Some bad })
+         gates)
+  in
+  List.iteri
+    (fun i g ->
+      expect_gates_error ("doctored " ^ g.Report.name) (doctored i) g.Report.name)
+    gates
+
+let gates_reject_malformed () =
+  let ok = gate "a" Report.Le 1. (Some 0.) in
+  expect_gates_error "no gates list" (Json.Obj [ ("rows", Json.List []) ])
+    "no gates list";
+  expect_gates_error "an empty gates list" (gates_doc []) "gates is empty";
+  expect_gates_error "duplicate names" (gates_doc [ ok; ok ]) "duplicate gate a";
+  expect_gates_error "a null measurement with no skip"
+    (gates_doc [ gate "b" Report.Ge 1. None ])
+    "b: measured is null with no skip reason";
+  expect_gates_error "an empty skip reason"
+    (gates_doc [ gate "b" Report.Ge 1. None ~skip:"" ])
+    "b: measured is null";
+  expect_gates_error "an unknown op"
+    (Json.Obj
+       [
+         ( "gates",
+           Json.List
+             [
+               Json.Obj
+                 [
+                   ("name", Json.String "c");
+                   ("measured", Json.Float 1.);
+                   ("op", Json.String "lt");
+                   ("bound", Json.Float 2.);
+                 ];
+             ] );
+       ])
+    "c: op is not le, ge or eq"
+
+let gates_spread_rule () =
+  let verdict_is what expected g =
+    Alcotest.(check bool) what expected
+      (match Report.verdict g with Report.Fail _ -> false | _ -> true)
+  in
+  (* le: judged on q1, so a median over the bound still passes. *)
+  verdict_is "le, q1 at bound" true
+    (gate "t" Report.Le 8. (Some 9.) ~spread:(spread 8. 9. 12.));
+  verdict_is "le, q1 over bound" false
+    (gate "t" Report.Le 8. (Some 9.) ~spread:(spread 8.5 9. 12.));
+  (* ge: judged on q3. *)
+  verdict_is "ge, q3 at bound" true
+    (gate "t" Report.Ge 3. (Some 2.) ~spread:(spread 1. 2. 3.));
+  verdict_is "ge, q3 under bound" false
+    (gate "t" Report.Ge 3. (Some 2.) ~spread:(spread 1. 2. 2.9));
+  (* Without a spread the measurement itself is compared. *)
+  verdict_is "le, no spread" false (gate "t" Report.Le 8. (Some 9.));
+  verdict_is "measured off the median" false
+    (gate "t" Report.Le 8. (Some 1.) ~spread:(spread 1. 2. 3.))
+
+let gates_verdict_property =
+  let gen =
+    let open QCheck.Gen in
+    let value = map (fun k -> float_of_int k /. 4.) (int_range (-8) 8) in
+    let one i =
+      let* op = oneofl [ Report.Le; Report.Ge; Report.Eq ] in
+      let* bound = value in
+      let* measured = opt ~ratio:0.8 value in
+      let* skip = opt (oneofl [ ""; "--fast" ]) in
+      let* spread =
+        match measured with
+        | None -> return None
+        | Some m ->
+            let* lo = value and* hi = value in
+            let* keep_median = bool in
+            let median = if keep_median then m else m +. 0.5 in
+            opt
+              (return
+                 {
+                   Report.reps = 5;
+                   q1 = Float.min median lo;
+                   median;
+                   q3 = Float.max median hi;
+                 })
+      in
+      return (gate (Printf.sprintf "g%d" i) op bound measured ?spread ?skip)
+    in
+    let* n = int_range 1 6 in
+    flatten_l (List.init n one)
+  in
+  QCheck.Test.make ~name:"validate_gates accepts iff every verdict passes"
+    ~count:500 (QCheck.make gen) (fun gates ->
+      let all_pass =
+        List.for_all
+          (fun g ->
+            match Report.verdict g with Report.Fail _ -> false | _ -> true)
+          gates
+      in
+      Result.is_ok (Report.validate_gates (gates_doc gates)) = all_pass)
 
 (* ------------------------------------------------------------------ *)
 (* Probe + Run integration *)
@@ -1151,61 +1037,6 @@ let spans_from_synthetic_records () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* bench-telemetry report schema *)
-
-let bench_tel_doc ?(drop = "") ?(recorder_overhead = 2.0) ?(words = 0.01)
-    ?(records = 6509) () =
-  let fields =
-    [
-      ("scenario", Json.String "Reno");
-      ("clients", Json.Int 50);
-      ("events", Json.Int 60000);
-      ("baseline_events_per_sec", Json.Float 3e6);
-      ("probed_events_per_sec", Json.Float 2.9e6);
-      ("recorded_events_per_sec", Json.Float 2.8e6);
-      ("probed_run_s", Json.Float 0.02);
-      ("recorded_run_s", Json.Float 0.0205);
-      ("probe_overhead_pct", Json.Float 1.0);
-      ("probe_overhead_budget_pct", Json.Float 15.0);
-      ("recorder_overhead_pct", Json.Float recorder_overhead);
-      ("recorder_overhead_budget_pct", Json.Float 8.0);
-      ("recorder_minor_words_per_event_delta", Json.Float words);
-      ("recorder_words_budget", Json.Float 0.05);
-      ("recorder_records", Json.Int records);
-      ("recorder_dropped", Json.Int 0);
-    ]
-  in
-  Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
-
-let report_validate_bench_telemetry_accepts () =
-  match Report.validate_bench_telemetry (bench_tel_doc ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed report: %s" e
-
-let report_validate_bench_telemetry_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_bench_telemetry doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  expect_error "a missing field"
-    (bench_tel_doc ~drop:"recorder_overhead_pct" ())
-    "missing fields: recorder_overhead_pct";
-  expect_error "overhead above budget"
-    (bench_tel_doc ~recorder_overhead:9.5 ())
-    "exceeds budget";
-  expect_error "allocating recorder"
-    (bench_tel_doc ~words:0.5 ())
-    "words/event delta";
-  expect_error "a silent recorder" (bench_tel_doc ~records:0 ())
-    "recorder_records is zero"
-
-(* ------------------------------------------------------------------ *)
 (* Burst: the streaming multi-timescale aggregator *)
 
 (* Deterministic pseudo-random bytes (a 48-bit LCG, high bits): tests
@@ -1417,78 +1248,7 @@ let burst_record_summary_decodes () =
   in
   check_float "level-0 cov bits round-trip" expect !cov0
 
-let burst_row ?(side = "stable") ?osc ?(w_q = 1e-4) () =
-  let osc = match osc with Some o -> o | None -> side = "unstable" in
-  Json.Obj
-    [
-      ("w_q", Json.Float w_q);
-      ("side", Json.String side);
-      ("rel_amplitude", Json.Float (if osc then 0.34 else 0.03));
-      ("frequency_hz", Json.Float (if osc then 1.9 else 0.5));
-      ("crossings", Json.Int (if osc then 227 else 56));
-      ("oscillating", Json.Bool osc);
-    ]
-
-let burst_doc ?(drop = "") ?(delta = -0.004) ?(cov_err = 0.) ?rows () =
-  let rows =
-    match rows with
-    | Some rows -> rows
-    | None -> [ burst_row ~side:"unstable" ~w_q:0.1 (); burst_row () ]
-  in
-  let fields =
-    [
-      ("scenario", Json.String "Reno");
-      ("clients", Json.Int 50);
-      ("reps", Json.Int 3);
-      ("events", Json.Int 92322);
-      ("probed_run_s", Json.Float 0.05);
-      ("burst_run_s", Json.Float 0.052);
-      ("burst_overhead_pct", Json.Float 4.5);
-      ("burst_minor_words_per_event_delta", Json.Float delta);
-      ("burst_words_budget", Json.Float 0.05);
-      ("cov_offline", Json.Float 0.241);
-      ("cov_streaming", Json.Float 0.241);
-      ("cov_abs_err", Json.Float cov_err);
-      ("cov_tolerance", Json.Float 1e-6);
-      ("red_sweep", Json.Obj [ ("rows", Json.List rows) ]);
-    ]
-  in
-  Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
-
-let report_validate_burst_accepts () =
-  match Report.validate_burst (burst_doc ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed burst report: %s" e
-
-let report_validate_burst_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_burst doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  expect_error "a missing field"
-    (burst_doc ~drop:"cov_abs_err" ())
-    "missing fields: cov_abs_err";
-  expect_error "words delta over budget" (burst_doc ~delta:0.2 ())
-    "exceeds budget";
-  expect_error "streaming cov drift" (burst_doc ~cov_err:1e-3 ())
-    "c.o.v. error";
-  expect_error "verdict contradicting side"
-    (burst_doc
-       ~rows:[ burst_row ~side:"unstable" ~osc:false ~w_q:0.1 (); burst_row () ]
-       ())
-    "contradicts side";
-  expect_error "missing stable row"
-    (burst_doc ~rows:[ burst_row ~side:"unstable" ~w_q:0.1 () ] ())
-    "no stable row";
-  expect_error "empty sweep" (burst_doc ~rows:[] ()) "rows is empty"
-
-(* --- hybrid fluid/packet report ----------------------------------- *)
+(* --- hybrid record kinds ------------------------------------------- *)
 
 let hybrid_record_kinds_roundtrip () =
   List.iter
@@ -1520,170 +1280,6 @@ let hybrid_record_kinds_roundtrip () =
       match Option.bind (Json.member "value" j) Json.to_float with
       | Some v -> check_float "value bits round-trip" 21237.5 v
       | None -> Alcotest.fail "value missing")
-
-let hybrid_validation_row ?(ratio = 1.15) ?(queue_ratio = 1.5)
-    ?(loss_err = 0.017) ?(event_ratio = 17.) ?(drop = "") () =
-  let fields =
-    [
-      ("flows", Json.Int 1_000);
-      ("background", Json.Int 950);
-      ("packet_throughput_pps", Json.Float 14.6);
-      ("hybrid_throughput_pps", Json.Float (14.6 *. ratio));
-      ("throughput_ratio", Json.Float ratio);
-      ("packet_queue_mean", Json.Float 1693.);
-      ("hybrid_queue_mean", Json.Float (1693. *. queue_ratio));
-      ("queue_ratio", Json.Float queue_ratio);
-      ("packet_loss_rate", Json.Float 0.041);
-      ("hybrid_loss_rate", Json.Float (0.041 +. loss_err));
-      ("loss_abs_err", Json.Float loss_err);
-      ("event_ratio", Json.Float event_ratio);
-    ]
-  in
-  Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
-
-let hybrid_converged ?(leak_free = true) ?(growths = 0) ?(smoke = false)
-    ?(work_ratio = Json.Float 1200.) ?(drop = "") () =
-  let fields =
-    [
-      ("flows", Json.Int 1_000_000);
-      ("foreground", Json.Int 100);
-      ("background", Json.Int 999_900);
-      ("duration_s", Json.Float 10.);
-      ("events", Json.Int 170_310);
-      ("wall_s", Json.Float 1.9);
-      ("events_per_sec", Json.Float 89_000.);
-      ("bg_window_mean", Json.Float 7.1);
-      ("bg_queue_mean", Json.Float 21237.5);
-      ("slowdown_mean", Json.Float 3245.);
-      ("flow_table_growths", Json.Int growths);
-      ("queue_growths", Json.Int growths);
-      ("leak_free", Json.Bool leak_free);
-      ("smoke", Json.Bool smoke);
-      ("work_ratio", work_ratio);
-    ]
-  in
-  Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
-
-let hybrid_doc ?(drop = "") ?rows ?converged ?sweep_rows
-    ?(wq_critical = 7.5e-6) () =
-  let rows =
-    match rows with Some r -> r | None -> [ hybrid_validation_row () ]
-  in
-  let converged =
-    match converged with Some c -> c | None -> hybrid_converged ()
-  in
-  let sweep_rows =
-    match sweep_rows with
-    | Some r -> r
-    | None -> [ burst_row ~side:"unstable" ~w_q:7.5e-4 (); burst_row () ]
-  in
-  let fields =
-    [
-      ("scenario", Json.String "Reno/RED");
-      ("foreground", Json.Int 50);
-      ("throughput_ratio_min", Json.Float 0.8);
-      ("throughput_ratio_max", Json.Float 1.25);
-      ("queue_ratio_min", Json.Float 0.5);
-      ("queue_ratio_max", Json.Float 2.0);
-      ("loss_abs_tol", Json.Float 0.025);
-      ("work_ratio_min", Json.Float 10.);
-      ("validation", Json.List rows);
-      ("converged", converged);
-      ( "stability_sweep",
-        Json.Obj
-          [
-            ("wq_critical", Json.Float wq_critical);
-            ("rows", Json.List sweep_rows);
-          ] );
-    ]
-  in
-  Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
-
-let report_validate_hybrid_accepts () =
-  (match Report.validate_hybrid (hybrid_doc ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a well-formed hybrid report: %s" e);
-  (* A smoke-mode converged row may carry a null work ratio: the pure
-     packet reference at N = 10^6 is only run in full mode. *)
-  match
-    Report.validate_hybrid
-      (hybrid_doc
-         ~converged:(hybrid_converged ~smoke:true ~work_ratio:Json.Null ())
-         ())
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rejected a smoke converged row: %s" e
-
-let report_validate_hybrid_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_hybrid doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
-  expect_error "a non-object" (Json.String "nope") "not a JSON object";
-  List.iter
-    (fun f -> expect_error ("dropping " ^ f) (hybrid_doc ~drop:f ()) f)
-    Report.hybrid_required_fields;
-  List.iter
-    (fun f ->
-      expect_error
-        ("dropping row field " ^ f)
-        (hybrid_doc ~rows:[ hybrid_validation_row ~drop:f () ] ())
-        f)
-    Report.hybrid_validation_row_required_fields;
-  List.iter
-    (fun f ->
-      expect_error
-        ("dropping converged field " ^ f)
-        (hybrid_doc ~converged:(hybrid_converged ~drop:f ()) ())
-        f)
-    Report.hybrid_converged_required_fields;
-  expect_error "empty validation" (hybrid_doc ~rows:[] ()) "validation is empty";
-  expect_error "throughput ratio outside band"
-    (hybrid_doc ~rows:[ hybrid_validation_row ~ratio:1.6 () ] ())
-    "outside";
-  expect_error "queue ratio outside band"
-    (hybrid_doc ~rows:[ hybrid_validation_row ~queue_ratio:0.2 () ] ())
-    "outside";
-  expect_error "loss error over tolerance"
-    (hybrid_doc ~rows:[ hybrid_validation_row ~loss_err:0.08 () ] ())
-    "exceeds tolerance";
-  expect_error "hybrid doing more work than packet"
-    (hybrid_doc ~rows:[ hybrid_validation_row ~event_ratio:0.5 () ] ())
-    "more work";
-  expect_error "leaking converged run"
-    (hybrid_doc ~converged:(hybrid_converged ~leak_free:false ()) ())
-    "leak_free is false";
-  expect_error "grown slabs"
-    (hybrid_doc ~converged:(hybrid_converged ~growths:2 ()) ())
-    "slabs grew";
-  expect_error "work ratio below floor"
-    (hybrid_doc
-       ~converged:(hybrid_converged ~work_ratio:(Json.Float 3.) ())
-       ())
-    "below the committed floor";
-  expect_error "null work ratio outside smoke mode"
-    (hybrid_doc ~converged:(hybrid_converged ~work_ratio:Json.Null ()) ())
-    "null outside smoke";
-  expect_error "non-positive critical gain"
-    (hybrid_doc ~wq_critical:0. ())
-    "not positive";
-  expect_error "sweep verdict contradicting side"
-    (hybrid_doc
-       ~sweep_rows:
-         [ burst_row ~side:"unstable" ~osc:false ~w_q:7.5e-4 (); burst_row () ]
-       ())
-    "contradicts side";
-  expect_error "sweep missing stable row"
-    (hybrid_doc ~sweep_rows:[ burst_row ~side:"unstable" ~w_q:7.5e-4 () ] ())
-    "no stable row";
-  expect_error "empty sweep"
-    (hybrid_doc ~sweep_rows:[] ())
-    "rows is empty"
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1729,33 +1325,34 @@ let suite =
       [
         Alcotest.test_case "of_probe validates" `Quick report_of_probe_validates;
         Alcotest.test_case "validate rejects" `Quick report_validate_rejects;
-        Alcotest.test_case "alloc schema accepts" `Quick report_validate_alloc_accepts;
-        Alcotest.test_case "alloc schema rejects" `Quick report_validate_alloc_rejects;
-        Alcotest.test_case "flows schema accepts" `Quick
-          report_validate_flows_accepts;
-        Alcotest.test_case "flows schema rejects" `Quick
-          report_validate_flows_rejects;
-        Alcotest.test_case "flows smoke rows gated lightly" `Quick
-          report_validate_flows_smoke_rows;
+        Alcotest.test_case "alloc schema accepts" `Quick (gates_accept alloc_gates);
+        Alcotest.test_case "alloc schema rejects" `Quick (gates_reject alloc_gates);
+        Alcotest.test_case "flows schema accepts" `Quick (gates_accept flows_gates);
+        Alcotest.test_case "flows schema rejects" `Quick (gates_reject flows_gates);
+        Alcotest.test_case "flows smoke rows gated lightly" `Quick (fun () ->
+            gates_accept (flows_gates @ flows_smoke_gates) ();
+            gates_reject flows_smoke_gates ());
         Alcotest.test_case "parallel schema accepts" `Quick
-          report_validate_parallel_accepts;
+          (gates_accept parallel_gates);
         Alcotest.test_case "parallel schema rejects" `Quick
-          report_validate_parallel_rejects;
+          (gates_reject parallel_gates);
         Alcotest.test_case "bench-telemetry schema accepts" `Quick
-          report_validate_bench_telemetry_accepts;
+          (gates_accept telemetry_gates);
         Alcotest.test_case "bench-telemetry schema rejects" `Quick
-          report_validate_bench_telemetry_rejects;
-        Alcotest.test_case "burst schema accepts" `Quick
-          report_validate_burst_accepts;
-        Alcotest.test_case "burst schema rejects" `Quick
-          report_validate_burst_rejects;
+          (gates_reject telemetry_gates);
+        Alcotest.test_case "burst schema accepts" `Quick (gates_accept burst_gates);
+        Alcotest.test_case "burst schema rejects" `Quick (gates_reject burst_gates);
         Alcotest.test_case "hybrid record kinds round-trip" `Quick
           hybrid_record_kinds_roundtrip;
         Alcotest.test_case "hybrid schema accepts" `Quick
-          report_validate_hybrid_accepts;
+          (gates_accept hybrid_gates);
         Alcotest.test_case "hybrid schema rejects" `Quick
-          report_validate_hybrid_rejects;
-      ] );
+          (gates_reject hybrid_gates);
+        Alcotest.test_case "gates: malformed documents rejected" `Quick
+          gates_reject_malformed;
+        Alcotest.test_case "gates: spread rule" `Quick gates_spread_rule;
+      ]
+      @ qsuite [ gates_verdict_property ] );
     ( "telemetry.burst",
       [
         Alcotest.test_case "observe matches Binned" `Quick burst_matches_binned;
