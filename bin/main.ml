@@ -112,8 +112,8 @@ let tele_term =
   in
   let trace_out =
     let doc =
-      "Write every simulation event (packet, TCP congestion decision, RED \
-       queue decision) as one NDJSON line to $(docv)."
+      "Write every simulation event (packet, TCP congestion decision, queue \
+       decision) as one NDJSON line to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
@@ -122,8 +122,8 @@ let tele_term =
       "Record every simulation event plus lifecycle records (congestion \
        phases, RTT samples, receiver reordering, run markers) in the binary \
        flight-recorder format to $(docv); query the file with the 'trace \
-       decode/stats/grep/spans' subcommands. Unlike --trace-out the recorder \
-       is allocation-free on the hot path and works with --jobs > 1."
+       decode/stats/grep/spans' subcommands. Composes with --jobs; --trace-out \
+       writes the parity part of the same records as NDJSON."
     in
     Arg.(
       value & opt (some string) None & info [ "record-out" ] ~docv:"FILE" ~doc)
@@ -161,25 +161,7 @@ let open_sink path =
     Format.eprintf "burstsim: cannot open %s@." msg;
     exit 1
 
-(* Decode the parity records of the accumulated flight-recorder segments
-   back into the NDJSON stream the live bus tracer would have produced —
-   the --trace-out path under --jobs > 1, where no single ordered bus
-   stream exists during the run. *)
-let decode_segments_to_ndjson probe oc =
-  List.iter
-    (fun r ->
-      let interns = Telemetry.Recorder.intern_array r in
-      let lookup i =
-        if i >= 0 && i < Array.length interns then interns.(i)
-        else Printf.sprintf "?%d" i
-      in
-      Telemetry.Recorder.iter_merged r (fun ~lane:_ ~seq:_ words off ->
-          match Telemetry.Record.event_of_record ~lookup words off with
-          | Some e -> Telemetry.Event_bus.ndjson_writer oc e
-          | None -> ()))
-    (Telemetry.Probe.segments probe)
-
-let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
+let with_telemetry ~label ?(total_runs = 0) opts f =
   (match (opts.record_out, opts.trace_out) with
   | Some r, Some t when r = t ->
       Format.eprintf
@@ -195,24 +177,15 @@ let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
     let probe = Telemetry.Probe.create () in
     if opts.burst_out <> None then
       Telemetry.Probe.set_burst probe (Some Telemetry.Burst.default_config);
-    (* --record-out captures the full lifecycle stream; --trace-out under
-       --jobs > 1 records parity events per domain instead of streaming
-       from the bus, then decodes them at the end so the file stays
-       byte-identical to a sequential run's. *)
-    (match opts.record_out with
-    | Some _ ->
-        Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config
-    | None ->
-        if opts.trace_out <> None && jobs > 1 then
-          Telemetry.Probe.set_recording probe
-            { Telemetry.Recorder.default_config with lifecycle = false });
+    if opts.record_out <> None then
+      Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config;
     let trace_oc = Option.map open_sink opts.trace_out in
-    (match trace_oc with
-    | Some oc when jobs <= 1 ->
+    Option.iter
+      (fun oc ->
         ignore
           (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus
-             (Telemetry.Event_bus.ndjson_writer oc))
-    | Some _ | None -> ());
+             (Telemetry.Event_bus.ndjson_writer oc)))
+      trace_oc;
     let reporter =
       if opts.want_progress && total_runs > 0 then
         Some (Telemetry.Progress.create ~total:total_runs ())
@@ -230,14 +203,8 @@ let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
       Fun.protect
         ~finally:(fun () -> Option.iter close_out trace_oc)
         (fun () ->
-          let result =
-            Telemetry.Probe.time (Some probe) "total" (fun () ->
-                f (Some probe) notify)
-          in
-          (match trace_oc with
-          | Some oc when jobs > 1 -> decode_segments_to_ndjson probe oc
-          | Some _ | None -> ());
-          result)
+          Telemetry.Probe.time (Some probe) "total" (fun () ->
+              f (Some probe) notify))
     in
     (match reporter with Some r -> Telemetry.Progress.finish r | None -> ());
     (match opts.record_out with
@@ -321,7 +288,7 @@ let fig_cmd =
     | 2 when replicates > 1 ->
         with_jobs ~jobs (fun pool ->
             with_telemetry ~label:"fig 2 (replicated)"
-              ~total_runs:(sweep_runs * replicates) ~jobs tele (fun probe notify ->
+              ~total_runs:(sweep_runs * replicates) tele (fun probe notify ->
                 Burstcore.Figures.fig2_replicated ?pool ?probe ~notify std cfg
                   counts ~replicates));
         write_burst_out tele []
@@ -330,7 +297,7 @@ let fig_cmd =
           with_jobs ~jobs (fun pool ->
               with_telemetry
                 ~label:(Printf.sprintf "fig %d" n)
-                ~total_runs:sweep_runs ~jobs tele
+                ~total_runs:sweep_runs tele
                 (fun probe notify ->
                   render_sweep_figure ?pool ?probe ~notify n cfg counts))
         in
@@ -376,7 +343,7 @@ let all_cmd =
     in
     let sweep =
       with_jobs ~jobs @@ fun pool ->
-      with_telemetry ~label:"all" ~total_runs ~jobs tele (fun probe notify ->
+      with_telemetry ~label:"all" ~total_runs tele (fun probe notify ->
         Burstcore.Figures.table1 std cfg;
         let sweep =
           Burstcore.Figures.run_sweep ?pool ?probe ~notify ~progress cfg counts
@@ -577,9 +544,9 @@ let trace_decode_cmd =
   Cmd.v
     (Cmd.info "decode"
        ~doc:
-         "Decode a flight recording to NDJSON, one event per line. For a \
-          recording made by --trace-out under --jobs > 1 semantics, parity \
-          events serialize byte-identically to the live tracer's output.")
+         "Decode a flight recording to NDJSON, one event per line. Parity \
+          events serialize byte-identically to what --trace-out writes for \
+          the same run.")
     Term.(const run $ recording_pos $ query_out)
 
 let trace_stats_cmd =
@@ -715,6 +682,26 @@ let trace_spans_cmd =
           phases) from a flight recording and print their distributions.")
     Term.(const run $ recording_pos $ prometheus)
 
+(* One ns-style line per bottleneck packet event, e.g.
+   "+ 12.345678 bottleneck flow=3 seq=127 1500B" ('+' arrival, 'd' drop,
+   'r' delivery; "ack" in place of the seq for ACKs). True when a line
+   was written. *)
+let ns_trace_line oc = function
+  | Telemetry.Event_bus.Packet p when String.equal p.link "bottleneck" ->
+      let kind =
+        match p.kind with
+        | Telemetry.Event_bus.Arrival -> '+'
+        | Telemetry.Event_bus.Drop -> 'd'
+        | Telemetry.Event_bus.Depart -> 'r'
+      in
+      let seq =
+        match p.seq with Some s -> Printf.sprintf "seq=%d" s | None -> "ack"
+      in
+      Printf.fprintf oc "%c %.6f %s flow=%d %s %dB\n" kind p.time p.link p.flow
+        seq p.size_bytes;
+      true
+  | _ -> false
+
 let trace_cmd =
   let scenario =
     let doc = "Scenario to trace." in
@@ -732,29 +719,31 @@ let trace_cmd =
     let cfg =
       Burstcore.Config.with_clients (base_config ~duration ~seed ~fast) clients
     in
-    let tracer = Netsim.Tracer.create () in
+    let oc = match out with Some path -> open_sink path | None -> stdout in
+    let lines = ref 0 in
     let m =
-      with_telemetry ~label:(Burstcore.Scenario.label scenario) ~total_runs:1
-        tele (fun probe notify ->
-          let m =
-            Burstcore.Run.run ?probe
-              ~prepare:(fun net ->
-                Netsim.Tracer.attach tracer (Burstcore.Dumbbell.pool net)
-                  (Burstcore.Dumbbell.bottleneck net))
-              cfg scenario
-          in
-          notify
-            (Printf.sprintf "%s n=%d" (Burstcore.Scenario.label scenario) clients);
-          m)
+      Fun.protect
+        ~finally:(fun () -> if out <> None then close_out oc)
+        (fun () ->
+          with_telemetry ~label:(Burstcore.Scenario.label scenario)
+            ~total_runs:1 tele (fun probe notify ->
+              (* The lines come from the bus replay of the run's records. *)
+              let probe =
+                match probe with Some p -> p | None -> Telemetry.Probe.create ()
+              in
+              ignore
+                (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus
+                   (fun e -> if ns_trace_line oc e then incr lines));
+              let m = Burstcore.Run.run ~probe cfg scenario in
+              notify
+                (Printf.sprintf "%s n=%d"
+                   (Burstcore.Scenario.label scenario)
+                   clients);
+              m))
     in
     (match out with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Netsim.Tracer.output tracer oc);
-        Format.eprintf "wrote %d events to %s@." (Netsim.Tracer.length tracer) path
-    | None -> Netsim.Tracer.output tracer stdout);
+    | Some path -> Format.eprintf "wrote %d events to %s@." !lines path
+    | None -> ());
     write_burst_out tele [ m ];
     Format.eprintf "%a@." Burstcore.Metrics.pp_row m
   in
@@ -1009,7 +998,7 @@ let export_cmd =
       with_jobs ~jobs @@ fun pool ->
       with_telemetry ~label:"export"
         ~total_runs:(n_paper_series * List.length counts)
-        ~jobs tele
+        tele
         (fun probe notify ->
           Burstcore.Figures.run_sweep ?pool ?probe ~notify ~progress cfg counts)
     in
@@ -1103,7 +1092,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.9.0"
+    (Cmd.info "burstsim" ~version:"1.10.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

@@ -1,11 +1,11 @@
 (* A results pipeline: run an experiment, inspect the packet trace, and
    export machine-readable output.
 
-   Demonstrates the instrumentation surface of the library: the [prepare]
-   hook for attaching an ns-style tracer to the bottleneck, trace
-   analysis (per-flow arrivals/drops, delivered bytes), and the JSON/CSV
-   exporters whose documents embed the full configuration for exact
-   reproduction.
+   Demonstrates the instrumentation surface of the library: a probe whose
+   event bus replays the run's recorded events after the run, trace
+   analysis over that stream (per-flow drops, delivered bytes), and the
+   JSON/CSV exporters whose documents embed the full configuration for
+   exact reproduction.
 
    Run with: dune exec examples/results_pipeline.exe *)
 
@@ -17,19 +17,27 @@ let () =
       warmup_s = 10.;
     }
   in
-  let tracer = Netsim.Tracer.create () in
-  let metrics =
-    Burstcore.Run.run
-      ~prepare:(fun net ->
-        Netsim.Tracer.attach tracer (Burstcore.Dumbbell.pool net)
-                  (Burstcore.Dumbbell.bottleneck net))
-      cfg Burstcore.Scenario.reno
-  in
+  let probe = Telemetry.Probe.create () in
+  let events = ref 0 and bytes = ref 0 in
+  let drops = Hashtbl.create 16 in
+  ignore
+    (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (function
+      | Telemetry.Event_bus.Packet p when String.equal p.link "bottleneck" -> (
+          incr events;
+          match p.kind with
+          | Telemetry.Event_bus.Drop ->
+              Hashtbl.replace drops p.flow
+                (1 + Option.value ~default:0 (Hashtbl.find_opt drops p.flow))
+          | Telemetry.Event_bus.Depart ->
+              if p.time >= 10. && p.time < cfg.Burstcore.Config.duration_s then
+                bytes := !bytes + p.size_bytes
+          | Telemetry.Event_bus.Arrival -> ())
+      | _ -> ()));
+  let metrics = Burstcore.Run.run ~probe cfg Burstcore.Scenario.reno in
   Format.printf "run: %a@.@." Burstcore.Metrics.pp_row metrics;
 
   (* --- trace analysis ------------------------------------------- *)
-  Format.printf "trace: %d events on the bottleneck@." (Netsim.Tracer.length tracer);
-  let drops = Netsim.Tracer.per_flow_counts tracer Netsim.Tracer.Drop in
+  Format.printf "trace: %d events on the bottleneck@." !events;
   let victims =
     Hashtbl.fold (fun flow n acc -> (flow, n) :: acc) drops []
     |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
@@ -40,12 +48,8 @@ let () =
     (fun i (flow, n) ->
       if i < 5 then Format.printf "  client %-3d lost %d packets@." (flow + 1) n)
     victims;
-  let bytes =
-    Netsim.Tracer.delivered_bytes_between tracer ~link:"bottleneck" 10.
-      cfg.Burstcore.Config.duration_s
-  in
   Format.printf "bytes through the bottleneck after warm-up: %.1f MB@.@."
-    (float_of_int bytes /. 1e6);
+    (float_of_int !bytes /. 1e6);
 
   (* --- machine-readable export ----------------------------------- *)
   let doc =

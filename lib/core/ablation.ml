@@ -64,7 +64,7 @@ let vegas_alpha_beta_sweep ppf cfg ~clients =
         let cfg =
           {
             (Config.with_clients cfg clients) with
-            Config.vegas = { Transport.Vegas.alpha; beta; gamma = 1. };
+            Config.vegas = { Transport.Cc.alpha; beta; gamma = 1. };
           }
         in
         let m = run_row cfg Scenario.vegas in

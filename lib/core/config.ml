@@ -15,7 +15,7 @@ type t = {
   red_max_th : float;
   red_max_p : float;
   red_w_q : float;
-  vegas : Transport.Vegas.params;
+  vegas : Transport.Cc.vegas_params;
   rto : Transport.Rto.params;
   cwnd_validation : bool;
   pacing : bool;
@@ -44,7 +44,7 @@ let default =
     red_max_th = 40.;
     red_max_p = 0.02;
     red_w_q = 0.002;
-    vegas = Transport.Vegas.default_params;
+    vegas = Transport.Cc.default_vegas;
     rto = Transport.Rto.default_params;
     cwnd_validation = false;
     pacing = false;
@@ -101,8 +101,8 @@ let pp ppf t =
   row "packet size                         %d bytes@," t.packet_bytes;
   row "avg packet intergeneration time     %.4g s@," t.mean_interarrival_s;
   row "total test time                     %.4g s@," t.duration_s;
-  row "TCP Vegas alpha / beta / gamma      %g / %g / %g@," t.vegas.Transport.Vegas.alpha
-    t.vegas.Transport.Vegas.beta t.vegas.Transport.Vegas.gamma;
+  row "TCP Vegas alpha / beta / gamma      %g / %g / %g@," t.vegas.Transport.Cc.alpha
+    t.vegas.Transport.Cc.beta t.vegas.Transport.Cc.gamma;
   row "RED min_th / max_th                 %g / %g packets@," t.red_min_th t.red_max_th;
   row "RED max_p / w_q                     %g / %g@," t.red_max_p t.red_w_q;
   row "@]"

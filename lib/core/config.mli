@@ -23,7 +23,7 @@ type t = {
   red_max_th : float;
   red_max_p : float;
   red_w_q : float;
-  vegas : Transport.Vegas.params;
+  vegas : Transport.Cc.vegas_params;
   rto : Transport.Rto.params;
   cwnd_validation : bool;
       (** RFC 2861 congestion-window validation on every sender; off (the

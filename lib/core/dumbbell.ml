@@ -60,32 +60,29 @@ let red_params cfg ~ecn_mark ~adaptive =
     adaptive;
   }
 
-let gateway_queue ?bus ?recorder cfg scenario rng pool =
+let gateway_queue ?recorder cfg scenario rng pool =
   let red ~ecn_mark ~adaptive =
-    Queue_disc.red ?bus ?recorder ~name:"gateway"
+    Queue_disc.red
       ~rng:(Rng.split_named rng "red-gateway")
       ~pool
       (red_params cfg ~ecn_mark ~adaptive)
   in
-  match scenario.Scenario.gateway with
-  | Scenario.Fifo -> Queue_disc.droptail ~capacity:cfg.Config.buffer_packets
-  | Scenario.Red -> red ~ecn_mark:false ~adaptive:false
-  | Scenario.Red_ecn -> red ~ecn_mark:true ~adaptive:false
-  | Scenario.Red_adaptive -> red ~ecn_mark:false ~adaptive:true
-  | Scenario.Sfq_gw -> Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets ()
-
-let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
-  Config.validate cfg;
-  (* Lifecycle-only recorder hooks (queue-discipline drops, router
-     retransmit forwards, receiver reordering) stay unwired in parity
-     mode so the binary stream decodes byte-identical to the live
-     tracer. TCP senders always get the recorder: their records are the
-     binary twins of the bus events. *)
-  let lifecycle_recorder =
-    match recorder with
-    | Some r when Telemetry.Recorder.lifecycle r -> Some r
-    | _ -> None
+  let q =
+    match scenario.Scenario.gateway with
+    | Scenario.Fifo -> Queue_disc.droptail ~capacity:cfg.Config.buffer_packets
+    | Scenario.Red -> red ~ecn_mark:false ~adaptive:false
+    | Scenario.Red_ecn -> red ~ecn_mark:true ~adaptive:false
+    | Scenario.Red_adaptive -> red ~ecn_mark:false ~adaptive:true
+    | Scenario.Sfq_gw ->
+        Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets ()
   in
+  Option.iter
+    (fun recorder -> Queue_disc.set_recorder q ~recorder ~pool ~name:"gateway")
+    recorder;
+  q
+
+let create ?recorder ?(trace_clients = []) cfg scenario =
+  Config.validate cfg;
   let n = cfg.Config.clients in
   (* Pre-size the event queue for the steady state: each client holds at
      most a window of data segments plus ACKs in flight (two events per
@@ -102,7 +99,7 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
       ~capacity:(64 + (n * ((2 * cfg.Config.adv_window) + 4)) + cfg.Config.buffer_packets)
       ()
   in
-  let router = Router.create ?recorder:lifecycle_recorder ~name:"gateway" ~pool () in
+  let router = Router.create ?recorder ~name:"gateway" ~pool () in
   let server = Node.create ~id:server_id ~pool in
   let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
   let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
@@ -123,13 +120,7 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
     end
   in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let gateway_queue =
-    gateway_queue ?bus ?recorder:lifecycle_recorder cfg scenario rng pool
-  in
-  (match lifecycle_recorder with
-  | Some recorder ->
-      Queue_disc.set_recorder gateway_queue ~recorder ~pool ~name:"gateway"
-  | None -> ());
+  let gateway_queue = gateway_queue ?recorder cfg scenario rng pool in
   let bottleneck =
     Link.create sched ~name:"bottleneck" ~bandwidth:bottleneck_bw
       ~delay:bottleneck_delay ~queue:gateway_queue ~pool
@@ -177,7 +168,7 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
         let sender_group =
           Transport.Tcp_sender.create_group ~ecn_capable ~sack
             ~cwnd_validation:cfg.Config.cwnd_validation
-            ~pacing:cfg.Config.pacing ?bus ?recorder ?vegas ~capacity:n sched
+            ~pacing:cfg.Config.pacing ?recorder ?vegas ~capacity:n sched
             ~pool ~cc:variant ~rto_params:cfg.Config.rto
             ~mss_bytes:cfg.Config.packet_bytes
             ~adv_window:cfg.Config.adv_window

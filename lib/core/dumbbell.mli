@@ -9,19 +9,16 @@
 type t
 
 val create :
-  ?bus:Telemetry.Event_bus.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?trace_clients:int list ->
   Config.t ->
   Scenario.t ->
   t
 (** Fresh scheduler, RNG streams, packet pool, topology and transports.
-    When [bus] is given it is wired into the RED gateway queue (as
-    ["gateway"]) and every TCP sender, so queue-discipline decisions and
-    congestion reactions publish there. When [recorder] is given, TCP
-    senders log congestion decisions to it; if the recorder is in
-    lifecycle mode, the gateway queue discipline, router and receivers
-    are wired too (drops, retransmit forwards, reordering).
+    When [recorder] is given, the gateway queue discipline (as
+    ["gateway"]) logs its drop and mark decisions to it and TCP senders
+    their congestion decisions; in lifecycle mode the router and
+    receivers are wired too (retransmit forwards, reordering).
     [trace_clients] (default none) lists client indices whose senders
     record a congestion-window trace; tracing costs boxed floats per
     ACK, so it is opt-in. *)
@@ -34,7 +31,6 @@ val make_cc :
     shared with the sharded {!Pdes} builder. *)
 
 val gateway_queue :
-  ?bus:Telemetry.Event_bus.t ->
   ?recorder:Telemetry.Recorder.t ->
   Config.t ->
   Scenario.t ->
@@ -42,7 +38,8 @@ val gateway_queue :
   Netsim.Packet_pool.t ->
   Netsim.Queue_disc.t
 (** Build the scenario's gateway queue discipline (RED splits
-    ["red-gateway"] off the given master RNG) — shared with {!Pdes}. *)
+    ["red-gateway"] off the given master RNG), its decisions logged to
+    [recorder] as ["gateway"] when one is given — shared with {!Pdes}. *)
 
 val scheduler : t -> Sim_engine.Scheduler.t
 

@@ -17,9 +17,9 @@ let config_to_json (c : Config.t) =
       ("red_max_th", Json.Float c.Config.red_max_th);
       ("red_max_p", Json.Float c.Config.red_max_p);
       ("red_w_q", Json.Float c.Config.red_w_q);
-      ("vegas_alpha", Json.Float c.Config.vegas.Transport.Vegas.alpha);
-      ("vegas_beta", Json.Float c.Config.vegas.Transport.Vegas.beta);
-      ("vegas_gamma", Json.Float c.Config.vegas.Transport.Vegas.gamma);
+      ("vegas_alpha", Json.Float c.Config.vegas.Transport.Cc.alpha);
+      ("vegas_beta", Json.Float c.Config.vegas.Transport.Cc.beta);
+      ("vegas_gamma", Json.Float c.Config.vegas.Transport.Cc.gamma);
       ("start_stagger_s", Json.Float c.Config.start_stagger_s);
       ("client_delay_spread_s", Json.Float c.Config.client_delay_spread_s);
       ("shards", Json.Int c.Config.shards);

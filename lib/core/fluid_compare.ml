@@ -105,8 +105,8 @@ let compare_vegas cfg ~flows =
       capacity_pps = capacity_pps cfg;
       base_rtt_s = Config.rtt_prop_s cfg;
       buffer_packets = float_of_int cfg.Config.buffer_packets;
-      alpha = cfg.Config.vegas.Transport.Vegas.alpha;
-      beta = cfg.Config.vegas.Transport.Vegas.beta;
+      alpha = cfg.Config.vegas.Transport.Cc.alpha;
+      beta = cfg.Config.vegas.Transport.Cc.beta;
     }
   in
   let eq = Fluidmodel.Vegas_fluid.equilibrium params in

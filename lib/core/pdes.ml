@@ -6,7 +6,6 @@ module Units = Netsim.Units
 module Queue_disc = Netsim.Queue_disc
 module Packet_pool = Netsim.Packet_pool
 module Team = Parallel.Pool.Team
-module EB = Telemetry.Event_bus
 
 (* Sharded conservative PDES over the paper's dumbbell.
 
@@ -36,8 +35,8 @@ module EB = Telemetry.Event_bus
    a total order independent of K. Uids come from per-flow counters
    ({!Packet_pool.set_uid_source}) so they do not leak cross-flow
    allocation interleaving, and every RNG stream is split by name from
-   the run seed exactly as the classic engine does. Event-bus traces are
-   buffered per domain and replayed in canonical (time, line) order. *)
+   the run seed exactly as the classic engine does. Traces are recorded
+   per domain and replayed in canonical (time, line) order. *)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain packet batches *)
@@ -153,7 +152,6 @@ type shard = {
   receivers : Transport.Tcp_receiver.t array;
   out : Msgs.t; (* to the hub; drained by rank 0 between windows *)
   mutable sources : Traffic.Source.t array;
-  events : EB.event list ref; (* tracing buffer, newest first *)
 }
 
 type hub = {
@@ -163,7 +161,6 @@ type hub = {
   reverse : Link.t; (* delay 0; deliver routes into [hout] *)
   gateway : Queue_disc.t;
   hout : Msgs.t array; (* one ring per destination shard *)
-  hevents : EB.event list ref;
 }
 
 (* A destination's import side: R rotating frozen batches (a message
@@ -267,11 +264,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   let n = cfg.Config.clients in
   let shards_n = Stdlib.min cfg.Config.shards n in
   let time name f = Telemetry.Probe.time probe name f in
-  let tracing =
-    match probe with
-    | Some p when EB.has_subscribers p.Telemetry.Probe.bus -> true
-    | Some _ | None -> false
-  in
   let run_label =
     Printf.sprintf "%s n=%d shards=%d" (Scenario.label scenario) n shards_n
   in
@@ -318,6 +310,11 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let server_id = 0 in
   let client_id i = i + 1 in
+  (* One parity recorder per domain (the hub, then each shard) while the
+     probe's bus has subscribers, replayed after the run. *)
+  let trace_recorder () = Option.bind probe Telemetry.Probe.trace_recorder in
+  let hrec = trace_recorder () in
+  let srecs = Array.init shards_n (fun _ -> trace_recorder ()) in
   let ( hub,
         shards,
         binner,
@@ -343,14 +340,9 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               + (n * (cfg.Config.adv_window + 2)))
             ()
         in
-        let hbus = if tracing then Some (EB.create ()) else None in
-        let hevents = ref [] in
-        (match hbus with
-        | Some b -> ignore (EB.subscribe b (fun e -> hevents := e :: !hevents))
-        | None -> ());
         let hrng = Rng.create ~seed:cfg.Config.seed in
         let gateway =
-          Dumbbell.gateway_queue ?bus:hbus cfg scenario hrng hpool
+          Dumbbell.gateway_queue ?recorder:hrec cfg scenario hrng hpool
         in
         let hout = Array.init shards_n (fun _ -> Msgs.create ()) in
         let bottleneck =
@@ -378,10 +370,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
             Msgs.ship hout.(shard_of.(flow)) hpool
               (Time.add arrival delays.(flow))
               h);
-        (match hbus with
-        | Some b -> Link.publish bottleneck b
-        | None -> ());
-        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout; hevents } in
+        Option.iter (Link.record bottleneck) hrec;
+        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout } in
         (* --- shards ---------------------------------------------- *)
         let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
         let sack = cc = Scenario.Sack in
@@ -402,12 +392,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                   ()
               in
               Packet_pool.set_uid_source pool (Some uid_source);
-              let bus = if tracing then Some (EB.create ()) else None in
-              let events = ref [] in
-              (match bus with
-              | Some b ->
-                  ignore (EB.subscribe b (fun e -> events := e :: !events))
-              | None -> ());
               let out = Msgs.create () in
               let up_links =
                 Array.init n_local (fun j ->
@@ -427,7 +411,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               let sender_group =
                 Transport.Tcp_sender.create_group ~ecn_capable ~sack
                   ~cwnd_validation:cfg.Config.cwnd_validation
-                  ~pacing:cfg.Config.pacing ?bus ?vegas ~capacity:n_local sched
+                  ~pacing:cfg.Config.pacing ?recorder:srecs.(s) ?vegas
+                  ~capacity:n_local sched
                   ~pool ~cc:variant ~rto_params:cfg.Config.rto
                   ~mss_bytes:cfg.Config.packet_bytes
                   ~adv_window:cfg.Config.adv_window
@@ -482,7 +467,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 receivers;
                 out;
                 sources = [||];
-                events;
               })
         in
         (* Poisson sources, per-client named streams as in the classic
@@ -724,29 +708,10 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     | None -> ());
     (dt, gc)
   in
-  (* Replay buffered domain traces into the probe bus in canonical
-     (time, serialized line) order — a total order over the run's event
-     multiset that no sharding can perturb. *)
-  (match probe with
-  | Some p when tracing ->
-      time "trace-merge" (fun () ->
-          let all =
-            Array.fold_left
-              (fun acc sh -> List.rev_append !(sh.events) acc)
-              (List.rev !(hub.hevents))
-              shards
-          in
-          let tagged =
-            Array.of_list (List.rev_map (fun e -> (EB.time e, EB.to_ndjson e, e)) all)
-          in
-          Array.sort
-            (fun (ta, la, _) (tb, lb, _) ->
-              if ta <> tb then compare ta tb else compare la lb)
-            tagged;
-          Array.iter
-            (fun (_, _, e) -> EB.publish p.Telemetry.Probe.bus e)
-            tagged)
-  | Some _ | None -> ());
+  (match (probe, List.filter_map Fun.id (hrec :: Array.to_list srecs)) with
+  | Some p, (_ :: _ as recs) ->
+      time "trace-merge" (fun () -> Telemetry.Probe.replay_canonical p recs)
+  | _ -> ());
   (* Reclaim and leak-check every pool: shard access links, then the hub
      links. Messages still sitting in cross-domain rings were freed when
      shipped, so a clean run drains to zero everywhere. *)

@@ -35,5 +35,7 @@ val run :
     the client count; rank 0 simulates shard 0 and the hub, so
     [cfg.shards = K] uses [K] domains in total). Restrictions: TCP
     scenarios only, and flight recording ([Probe.set_recording]) is not
-    supported — use the event-bus trace instead.
+    kept. The probe's bus still hears the run: each domain records
+    parity events while it has subscribers, replayed after the run in
+    canonical [(time, NDJSON line)] order.
     @raise Invalid_argument on [cfg.shards < 1] or a UDP scenario. *)

@@ -6,21 +6,14 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
     ?(measure_sync = false) ?(prepare = fun (_ : Dumbbell.t) -> ()) cfg scenario
     =
   let time name f = Telemetry.Probe.time probe name f in
-  (* Only hand the bus to producers when someone is listening: with no
-     subscribers the hot path must not pay for per-packet publishes. *)
-  let bus =
-    match probe with
-    | Some p when Telemetry.Event_bus.has_subscribers p.Telemetry.Probe.bus ->
-        Some p.Telemetry.Probe.bus
-    | Some _ | None -> None
-  in
   let run_label =
     Printf.sprintf "%s n=%d" (Scenario.label scenario) cfg.Config.clients
   in
-  (* One recorder = one segment per run; the probe accumulates them. *)
+  (* One recorder per run: a kept segment when the probe records, a
+     private parity recorder when only its bus listens. *)
   let recorder =
     match probe with
-    | Some p -> Telemetry.Probe.start_recorder p ~label:run_label
+    | Some p -> Telemetry.Probe.run_recorder p ~label:run_label
     | None -> None
   in
   let ( net,
@@ -37,17 +30,12 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
         queue_series,
         sources ) =
     time "setup" (fun () ->
-        let net = Dumbbell.create ?bus ?recorder ~trace_clients cfg scenario in
+        let net = Dumbbell.create ?recorder ~trace_clients cfg scenario in
         prepare net;
         let sched = Dumbbell.scheduler net in
         let pool = Dumbbell.pool net in
         let bottleneck = Dumbbell.bottleneck net in
-        (match bus with
-        | Some b -> Netsim.Link.publish bottleneck b
-        | None -> ());
-        (* Mirror the bus gating: only the bottleneck records per-packet
-           queue events, so the binary stream decodes byte-identical to
-           the live tracer. *)
+        (* Only the bottleneck records per-packet queue events. *)
         (match recorder with
         | Some r ->
             Netsim.Link.record bottleneck r;
@@ -77,8 +65,8 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
           Netsim.Monitor.arrival_binner pool bottleneck
             ~origin:cfg.Config.warmup_s ~width:(Config.rtt_prop_s cfg)
         in
-        (* Streaming burstiness telemetry, subscriber-gated like the
-           bus: only wired when the probe carries a burst config. The
+        (* Streaming burstiness telemetry, only wired when the probe
+           carries a burst config. The
            aggregator's base bin is the paper's RTT timescale, so its
            level-0 c.o.v. reproduces [Metrics.cov] from the same event
            stream without storing it. *)
@@ -379,6 +367,10 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
   | Some p, Some r when Telemetry.Recorder.lifecycle r ->
       time "spans" (fun () ->
           Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
+  | _ -> ());
+  (* The bus hears the run only now, from its recorded parity records. *)
+  (match (probe, recorder) with
+  | Some p, Some r -> Telemetry.Probe.replay p r
   | _ -> ());
   (match probe with
   | Some p ->

@@ -13,15 +13,15 @@ val run :
 (** [probe] (default absent) instruments the run: the setup/run/collect
     phases are timed, scheduler and gateway counters are folded into the
     probe's registry after the run, a [packet_delay_seconds] histogram is
-    observed, and — only while the probe's bus has subscribers — the
-    bottleneck link, RED gateway and TCP senders publish their events
-    there. [trace_clients] selects client indices whose congestion-window
+    observed, and — when the probe records or its bus has subscribers —
+    the bottleneck link, gateway queue and TCP senders log their events
+    to a flight recorder ({!Telemetry.Probe.run_recorder}) whose parity
+    records are replayed to the bus after the run. [trace_clients] selects client indices whose congestion-window
     evolution is recorded (ignored for UDP); [sample_queue] (default
     false) additionally samples the gateway queue length every 10 ms;
     [measure_sync] (default false) computes {!Metrics.t.sync_index} from
     per-flow gateway arrival counts. [prepare] runs after the topology is
-    built but before any traffic flows — attach tracers or extra monitors
-    there.
+    built but before any traffic flows — attach extra monitors there.
 
     [cfg.shards] selects the engine: 0 (the default) runs the classic
     single-domain scheduler; [K >= 1] dispatches to the sharded

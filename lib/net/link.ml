@@ -121,7 +121,7 @@ let create sched ~name ~bandwidth ~delay ~queue ~pool ~deliver =
   t
 
 (* The link owns every drop: the packet is freed here, after the drop
-   listeners have seen it, so monitors and tracers read live fields. *)
+   listeners have seen it, so monitors and the recorder read live fields. *)
 let send t h =
   let now = Scheduler.now t.sched in
   t.arrivals <- t.arrivals + 1;
@@ -184,28 +184,8 @@ let reclaim t =
   done;
   t.busy <- false
 
-let publish t bus =
-  let packet_event kind now h =
-    Telemetry.Event_bus.publish bus
-      (Telemetry.Event_bus.Packet
-         {
-           time = Time.to_sec now;
-           kind;
-           link = t.name;
-           flow = Packet_pool.flow t.pool h;
-           seq = Packet_pool.seq_opt t.pool h;
-           size_bytes = Packet_pool.size_bytes t.pool h;
-           uid = Packet_pool.uid t.pool h;
-         })
-  in
-  on_arrival t (packet_event Telemetry.Event_bus.Arrival);
-  on_drop t (packet_event Telemetry.Event_bus.Drop);
-  on_depart t (packet_event Telemetry.Event_bus.Depart)
-
-(* The binary twin of [publish]: the same three hook sites writing
-   fixed-width records instead of bus events, so a recorded stream
-   decodes to exactly the NDJSON the tracer would have produced. The
-   listeners only do integer loads and stores. *)
+(* One fixed-width record per arrival, drop and departure; the listeners
+   only do integer loads and stores. *)
 let record t recorder =
   let lane = Telemetry.Recorder.lane recorder 0 in
   let sid = Telemetry.Recorder.intern recorder t.name in

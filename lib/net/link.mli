@@ -80,11 +80,8 @@ val bytes_delivered : t -> int
 
 val name : t -> string
 
-val publish : t -> Telemetry.Event_bus.t -> unit
-(** Mirror this link's arrival/drop/departure events onto the bus as
-    [Packet] events tagged with the link's name. *)
-
 val record : t -> Telemetry.Recorder.t -> unit
-(** The binary twin of {!publish}: write a fixed-width flight-recorder
-    record (with the instantaneous queue depth) at the same three hook
-    sites. Allocation-free per event. *)
+(** Write a fixed-width flight-recorder record (with the instantaneous
+    queue depth) at every arrival, drop and departure; the records
+    decode to [Packet] events tagged with the link's name.
+    Allocation-free per event. *)

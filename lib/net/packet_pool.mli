@@ -151,7 +151,7 @@ val ack : t -> handle -> int
 (** Synonym for {!seq}, read on ACKs. *)
 
 val seq_opt : t -> handle -> int option
-(** [Some] data sequence number, [None] for ACKs — the tracer/telemetry
+(** [Some] data sequence number, [None] for ACKs — the telemetry
     convention inherited from the record representation. *)
 
 val ece : t -> handle -> bool

@@ -2,18 +2,15 @@ type t = Droptail of Droptail.t | Red of Red.t | Sfq of Sfq.t
 
 let droptail ~capacity = Droptail (Droptail.create ~capacity)
 
-let red ?bus ?recorder ?name ~rng ~pool params =
-  Red (Red.create ?bus ?recorder ?name ~rng ~pool params)
+let red ~rng ~pool params = Red (Red.create ~rng ~pool params)
 
 let sfq ?buckets ~pool ~capacity () = Sfq (Sfq.create ?buckets ~pool ~capacity ())
 
-(* Wire the flight recorder to the discipline's own decision points
-   (RED takes its recorder at construction). *)
 let set_recorder t ~recorder ~pool ~name =
   match t with
   | Droptail q -> Droptail.set_recorder q ~recorder ~pool ~name
+  | Red q -> Red.set_recorder q ~recorder ~name
   | Sfq q -> Sfq.set_recorder q ~recorder ~name
-  | Red _ -> ()
 
 let enqueue t ~now h =
   match t with

@@ -9,22 +9,15 @@ type t = Droptail of Droptail.t | Red of Red.t | Sfq of Sfq.t
 
 val droptail : capacity:int -> t
 
-val red :
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
-  ?name:string ->
-  rng:Sim_engine.Rng.t ->
-  pool:Packet_pool.t ->
-  Red.params ->
-  t
+val red : rng:Sim_engine.Rng.t -> pool:Packet_pool.t -> Red.params -> t
 
 val sfq : ?buckets:int -> pool:Packet_pool.t -> capacity:int -> unit -> t
 
 val set_recorder :
   t -> recorder:Telemetry.Recorder.t -> pool:Packet_pool.t -> name:string -> unit
-(** Wire the flight recorder to the discipline's own drop decisions
-    (drop-tail and SFQ; RED takes its recorder at construction and this
-    is a no-op for it). *)
+(** Wire the flight recorder to the discipline's own decisions, tagged
+    with [name]: RED's early drops, forced drops and ECN marks, and the
+    forced drops of drop-tail and SFQ (push-out victims included). *)
 
 val enqueue :
   t ->

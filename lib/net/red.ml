@@ -26,10 +26,10 @@ type t = {
   q : Packet_pool.handle Ring.t;
   pool : Packet_pool.t;
   rng : Sim_engine.Rng.t;
-  bus : Telemetry.Event_bus.t option;
-  rlane : Telemetry.Recorder.lane option;
-  rsid : int;
-  name : string;
+  (* Optional flight-recorder wiring (set post-construction), as for
+     drop-tail and SFQ. *)
+  mutable rlane : Telemetry.Recorder.lane option;
+  mutable rsid : int;
   mutable avg : float;
   mutable count : int; (* arrivals since the last early drop; -1 = below min_th *)
   mutable idle_since : float; (* when the queue last went empty; nan = busy *)
@@ -40,26 +40,18 @@ type t = {
   mutable vq : float; (* virtual background backlog (hybrid engine), packets *)
 }
 
-let create ?bus ?recorder ?(name = "red") ~rng ~pool p =
+let create ~rng ~pool p =
   if p.min_th <= 0. || p.max_th <= p.min_th then invalid_arg "Red.create: bad thresholds";
   if p.max_p <= 0. || p.max_p > 1. then invalid_arg "Red.create: bad max_p";
   if p.w_q <= 0. || p.w_q > 1. then invalid_arg "Red.create: bad w_q";
   if p.capacity < 1 then invalid_arg "Red.create: bad capacity";
-  let rlane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
-  let rsid =
-    match recorder with
-    | None -> 0
-    | Some r -> Telemetry.Recorder.intern r name
-  in
   {
     p;
     q = Ring.create ();
     pool;
     rng;
-    bus;
-    rlane;
-    rsid;
-    name;
+    rlane = None;
+    rsid = 0;
     avg = 0.;
     count = -1;
     idle_since = 0.;
@@ -69,6 +61,10 @@ let create ?bus ?recorder ?(name = "red") ~rng ~pool p =
     hwm = 0;
     vq = 0.;
   }
+
+let set_recorder t ~recorder ~name =
+  t.rlane <- Some (Telemetry.Recorder.lane recorder 0);
+  t.rsid <- Telemetry.Recorder.intern recorder name
 
 let update_avg t now =
   let qlen = float_of_int (Ring.length t.q) in
@@ -105,25 +101,13 @@ let accept t h =
 
 (* Narrate the drop/mark decision: link-level drop counts cannot tell a
    forced drop from an early one, or see marks at all. *)
-let emit t now tick kind rkind h =
-  (match t.bus with
-  | None -> ()
-  | Some bus ->
-      Telemetry.Event_bus.publish bus
-        (Telemetry.Event_bus.Queue
-           {
-             time = now;
-             kind;
-             queue = t.name;
-             flow = Packet_pool.flow t.pool h;
-             avg = t.avg;
-           }));
+let emit t tick kind h =
   match t.rlane with
   | None -> ()
   | Some lane ->
-      (* The average rides as exact IEEE-754 bits so decoding reproduces
-         the bus event byte for byte. *)
-      Telemetry.Recorder.record lane ~tick ~kind:rkind
+      (* The average rides as exact IEEE-754 bits so the decoded event
+         carries it unrounded. *)
+      Telemetry.Recorder.record lane ~tick ~kind
         ~flow:(Packet_pool.flow t.pool h)
         ~a:(Packet_pool.uid t.pool h)
         ~b:(Telemetry.Record.float_hi t.avg)
@@ -138,8 +122,7 @@ let enqueue t ~now h =
   if Ring.length t.q >= t.p.capacity then begin
     (* Physical overflow: forced drop. *)
     t.count <- 0;
-    emit t now tick Telemetry.Event_bus.Forced_drop
-      Telemetry.Record.queue_forced_drop h;
+    emit t tick Telemetry.Record.queue_forced_drop h;
     `Dropped
   end
   else if t.avg < t.p.min_th then begin
@@ -148,8 +131,7 @@ let enqueue t ~now h =
   end
   else if t.avg >= t.p.max_th then begin
     t.count <- 0;
-    emit t now tick Telemetry.Event_bus.Forced_drop
-      Telemetry.Record.queue_forced_drop h;
+    emit t tick Telemetry.Record.queue_forced_drop h;
     `Dropped
   end
   else begin
@@ -163,13 +145,11 @@ let enqueue t ~now h =
         (* Signal congestion without losing the packet. *)
         Packet_pool.set_ecn_ce t.pool h;
         t.marks <- t.marks + 1;
-        emit t now tick Telemetry.Event_bus.Ecn_mark
-          Telemetry.Record.queue_ecn_mark h;
+        emit t tick Telemetry.Record.queue_ecn_mark h;
         accept t h
       end
       else begin
-        emit t now tick Telemetry.Event_bus.Early_drop
-          Telemetry.Record.queue_early_drop h;
+        emit t tick Telemetry.Record.queue_early_drop h;
         `Dropped
       end
     end

@@ -34,21 +34,14 @@ val default_params : capacity:int -> min_th:float -> max_th:float -> params
 
 type t
 
-val create :
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
-  ?name:string ->
-  rng:Sim_engine.Rng.t ->
-  pool:Packet_pool.t ->
-  params ->
-  t
-(** Packets are handles into [pool]. When [bus] is given, every internal
-    decision — early drop, forced drop (overflow or [avg >= max_th]),
-    ECN mark — publishes a [Queue] event tagged with [name] (default
-    ["red"]) carrying the average-queue estimate at the decision. When
-    [recorder] is given, the same decisions also write binary
-    flight-recorder records (with the average as exact IEEE-754 bits, so
-    decoding reproduces the bus event byte for byte). *)
+val create : rng:Sim_engine.Rng.t -> pool:Packet_pool.t -> params -> t
+(** Packets are handles into [pool]. *)
+
+val set_recorder : t -> recorder:Telemetry.Recorder.t -> name:string -> unit
+(** Wire a flight recorder: every internal decision — early drop, forced
+    drop (overflow or [avg >= max_th]), ECN mark — writes a [queue_*]
+    record tagged with [name], carrying the average-queue estimate at
+    the decision as exact IEEE-754 bits. *)
 
 val enqueue :
   t -> now:Sim_engine.Time.t -> Packet_pool.handle -> [ `Enqueued | `Dropped ]

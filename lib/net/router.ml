@@ -12,6 +12,11 @@ type t = {
 }
 
 let create ?recorder ~name ~pool () =
+  let recorder =
+    match recorder with
+    | Some r when Telemetry.Recorder.lifecycle r -> Some r
+    | Some _ | None -> None
+  in
   let rlane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
   let rsid =
     match recorder with None -> 0 | Some r -> Telemetry.Recorder.intern r name

@@ -9,9 +9,10 @@ type t
 
 val create :
   ?recorder:Telemetry.Recorder.t -> name:string -> pool:Packet_pool.t -> unit -> t
-(** When [recorder] is given, retransmitted data segments forwarded by
-    the router write a [router_rtx_forward] lifecycle record stamped
-    with the segment's send time. *)
+(** When [recorder] is given in lifecycle mode, retransmitted data
+    segments forwarded by the router write a [router_rtx_forward]
+    lifecycle record stamped with the segment's send time; a parity-only
+    recorder leaves the router unwired. *)
 
 val add_route : t -> dst:int -> Link.t -> unit
 (** Packets addressed to node [dst] are forwarded on the given link.

@@ -1,13 +1,10 @@
 (** The simulation event bus: one typed publish/subscribe channel.
 
-    Generalises the hard-wired [Link.on_arrival/on_drop/on_depart] +
-    [Tracer] pattern: producers (links, queue disciplines, TCP senders)
-    publish typed events; any number of subscribers (tracers, NDJSON
-    sinks, ad-hoc analysis closures) observe them in subscription order.
-    Publishing with no subscribers is a counter bump and an iteration
-    over an empty array — producers hold a [t option] and simply skip
-    publishing when telemetry is off, so the simulation hot path pays
-    nothing in the default configuration.
+    Any number of subscribers (NDJSON sinks, ad-hoc analysis closures)
+    observe typed events in subscription order. No simulation code
+    publishes here: the flight recorder is the only event hook, and
+    {!Probe} replays each run's recorded parity records onto the bus
+    after the run, so the simulation hot path never pays for it.
 
     Every event serialises to one JSON object (NDJSON when
     newline-separated) and parses back exactly: for any event [e],
@@ -25,7 +22,7 @@ type event =
       kind : packet_kind;
       link : string;
       flow : int;
-      seq : int option;  (** [None] for ACKs, like the tracer *)
+      seq : int option;  (** [None] for ACKs *)
       size_bytes : int;
       uid : int;
     }  (** A link-level packet event (queue arrival, drop, delivery). *)
@@ -37,10 +34,12 @@ type event =
       kind : queue_kind;
       queue : string;
       flow : int;
-      avg : float;  (** RED's average-queue estimate at the decision *)
-    }  (** A queue-discipline decision RED makes internally (an early or
-          forced drop, or a CE mark) that plain link drop counts cannot
-          distinguish. *)
+      avg : float;
+          (** the discipline's queue estimate at the decision: RED's
+              average, the instantaneous occupancy for drop-tail and SFQ *)
+    }  (** A gateway queue-discipline decision (RED's early or forced
+          drop or CE mark, a drop-tail or SFQ forced drop) that plain
+          link drop counts cannot attribute. *)
   | Custom of { time : float; name : string; value : float }
       (** Escape hatch for experiment-specific instrumentation. *)
 

@@ -29,26 +29,57 @@ let set_burst t config = t.burst <- config
 
 let burst_config t = t.burst
 
+(* The bus hears a run only through the replay of its recorded parity
+   records, so a run whose bus has subscribers records even when the
+   probe keeps no recording: into a private parity recorder, dropped
+   after the replay. *)
+let trace_config = { Recorder.default_config with lifecycle = false }
+
+let trace_recorder t =
+  if Event_bus.has_subscribers t.bus then Some (Recorder.create trace_config)
+  else None
+
 (* Worker probes for parallel sweeps: fresh facilities, same recording
    and burst configuration. Workers always buffer ([Grow]) — their
-   segments are carried back through {!merge} and written by the main
-   probe. *)
+   segments are carried back through {!merge}, which replays them into
+   the main probe's bus; a main probe whose bus alone listens gives its
+   workers a parity recording for that replay. *)
 let create_like src =
   let t = create () in
   (match src.recording with
-  | None -> ()
   | Some r ->
-      set_recording t { r.config with Recorder.overflow = Recorder.Grow });
+      set_recording t { r.config with Recorder.overflow = Recorder.Grow }
+  | None -> if Event_bus.has_subscribers src.bus then set_recording t trace_config);
   t.burst <- src.burst;
   t
 
-let start_recorder t ~label =
+let run_recorder t ~label =
   match t.recording with
-  | None -> None
+  | None -> trace_recorder t
   | Some r ->
       let rec_ = Recorder.create ~label r.config in
       r.segments_rev <- rec_ :: r.segments_rev;
       Some rec_
+
+let replay t r =
+  if Event_bus.has_subscribers t.bus then
+    Recorder.iter_events r (Event_bus.publish t.bus)
+
+let replay_canonical t rs =
+  if Event_bus.has_subscribers t.bus then begin
+    let tagged = ref [] in
+    List.iter
+      (fun r ->
+        Recorder.iter_events r (fun e ->
+            tagged := (Event_bus.time e, Event_bus.to_ndjson e, e) :: !tagged))
+      rs;
+    let tagged = Array.of_list !tagged in
+    Array.sort
+      (fun (ta, la, _) (tb, lb, _) ->
+        if ta <> tb then Float.compare ta tb else String.compare la lb)
+      tagged;
+    Array.iter (fun (_, _, e) -> Event_bus.publish t.bus e) tagged
+  end
 
 let segments t =
   match t.recording with None -> [] | Some r -> List.rev r.segments_rev
@@ -158,13 +189,17 @@ let gauge_merge_rule ~name ~labels:_ =
 let merge ~into src =
   Registry.merge ~gauge_rule:gauge_merge_rule ~into:into.registry src.registry;
   Perf.merge_into ~into:into.phases src.phases;
-  (* Worker recorder segments ride along: appended in merge order, which
-     the sweep drives in input order, so the merged record file is
-     deterministic and identical to a sequential run's. *)
-  (match (into.recording, src.recording) with
-  | Some d, Some s -> d.segments_rev <- s.segments_rev @ d.segments_rev
-  | None, Some s -> into.recording <- Some s
-  | _, None -> ());
+  (* Worker segments ride along in merge order, which the sweep drives
+     in input order, so the merged record file and the bus stream are
+     deterministic and identical to a sequential run's. A worker
+     recording made only to feed the bus is replayed, never adopted. *)
+  (match src.recording with
+  | None -> ()
+  | Some s -> (
+      List.iter (replay into) (List.rev s.segments_rev);
+      match into.recording with
+      | Some d -> d.segments_rev <- s.segments_rev @ d.segments_rev
+      | None -> ()));
   (* The per-event ratio is not mergeable (last-write would keep one
      worker's value); rebuild it from the merged totals. *)
   refresh_words_per_event into

@@ -1,7 +1,12 @@
-(** A probe bundles the three telemetry facilities — metric registry,
-    event bus, phase timers — into the single handle that threads through
-    the simulator as a [Probe.t option]. [None] means telemetry is off
-    and every helper below degrades to a no-op.
+(** A probe bundles the telemetry facilities — metric registry, event
+    bus, phase timers, flight recording — into the single handle that
+    threads through the simulator as a [Probe.t option]. [None] means
+    telemetry is off and every helper below degrades to a no-op.
+
+    The flight recorder is the simulator's only event hook. The bus is a
+    post-run decode: after each run the probe replays the run's recorded
+    parity records to its subscribers, so every consumer sees one
+    stream whatever the recording mode, pool or shard count.
 
     Metric names used by {!note_run} are exposed as [m_*] constants so
     reporters and tests never spell them twice. *)
@@ -23,20 +28,24 @@ val create : unit -> t
 
 (** {2 Flight recording}
 
-    When a recording configuration is set, each run starts its own
-    {!Recorder.t} (one segment per run); segments accumulate on the
-    probe in run order and parallel workers' segments are carried back
-    by {!merge} in input order, so the final record file is
-    deterministic and identical to a sequential run's. *)
+    A run records its events when the probe keeps a recording, or when
+    the bus has subscribers — then into a private parity recorder that
+    is not kept. Kept recordings start one {!Recorder.t} per run (one
+    segment per run); segments accumulate on the probe in run order and
+    parallel workers' segments are carried back by {!merge} in input
+    order, so the final record file is deterministic and identical to a
+    sequential run's. *)
 
 val set_recording : t -> Recorder.config -> unit
 
 val recording_config : t -> Recorder.config option
 
 val create_like : t -> t
-(** A fresh probe inheriting only the recording and burst
-    configurations (workers always buffer with [Grow]; their segments
-    travel via {!merge}). *)
+(** A fresh probe for a pool worker, inheriting the recording and burst
+    configurations. Workers always buffer with [Grow]; their segments
+    travel via {!merge}. When the source has no recording but its bus
+    has subscribers, the worker gets a parity recording so {!merge} can
+    replay the worker's runs onto that bus. *)
 
 val set_burst : t -> Burst.config option -> unit
 (** Ask runs driven through this probe to maintain streaming burstiness
@@ -46,8 +55,25 @@ val set_burst : t -> Burst.config option -> unit
 
 val burst_config : t -> Burst.config option
 
-val start_recorder : t -> label:string -> Recorder.t option
-(** Begin a new segment for one run; [None] when recording is off. *)
+val run_recorder : t -> label:string -> Recorder.t option
+(** The recorder one run writes into: a new kept segment when the probe
+    records, a private parity recorder when only the bus listens, [None]
+    otherwise. Pass it to {!replay} after the run. *)
+
+val trace_recorder : t -> Recorder.t option
+(** A private parity recorder when the bus has subscribers, else [None]
+    — one per domain for engines that replay with
+    {!replay_canonical}. *)
+
+val replay : t -> Recorder.t -> unit
+(** Publish the recorder's parity records to the bus in record order
+    (a ring-mode recorder replays only what it retained). A no-op
+    without subscribers. *)
+
+val replay_canonical : t -> Recorder.t list -> unit
+(** Publish the parity records of several recorders sorted by
+    [(time, NDJSON line)] — a total order over the events that no
+    partition of the run across recorders can perturb. *)
 
 val segments : t -> Recorder.t list
 (** Accumulated segments in run order. *)
@@ -115,9 +141,10 @@ val merge : into:t -> t -> unit
 (** Fold a worker probe into the main one after a parallel sweep:
     registry series merge with run-aware gauge rules (high-water marks
     take the max, seconds totals sum, other gauges keep last-write) and
-    phase timers accumulate. Event-bus subscriptions are deliberately
-    not transferred — workers publish to their own bus while they run.
-    [src] is left untouched. *)
+    phase timers accumulate. The worker's recorded segments are replayed
+    onto [into]'s bus and, when [into] keeps a recording, appended to it;
+    a recording made only to feed the bus is not adopted. [src] is left
+    untouched. *)
 
 val runs_total : t -> int
 

@@ -13,10 +13,9 @@
    - [sid]   interned-string id (link/queue/label name), 0 = none;
    - [depth] instantaneous queue depth at the recording site, or 0.
 
-   Kinds 0..10 mirror {!Event_bus.event} one-to-one ("parity" kinds): a
-   recorded stream decodes to byte-identical NDJSON to what the live
-   tracer would have written. Kinds >= 11 are lifecycle extensions that
-   only exist in the binary stream. *)
+   Kinds 0..10 mirror {!Event_bus.event} one-to-one ("parity" kinds): the
+   bus and its NDJSON are exactly their decode. Kinds >= 11 are lifecycle
+   extensions that only exist in the binary stream. *)
 
 let words = 8
 
@@ -110,7 +109,7 @@ let phase_label = function
   | p -> Printf.sprintf "phase_%d" p
 
 (* Sentinel for "no sequence number" in the [c] word of packet records
-   (ACKs and UDP datagrams publish [seq = null]). *)
+   (ACKs decode to [seq = null]). *)
 let no_seq = min_int
 
 (* ------------------------------------------------------------------ *)

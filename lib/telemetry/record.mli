@@ -11,8 +11,8 @@
     bits in [b]/[c].
 
     Kinds [0..10] ("parity" kinds) mirror {!Event_bus.event}
-    one-to-one, so a recorded stream decodes to NDJSON byte-identical
-    to the live tracer's output. Kinds [>= 11] are lifecycle
+    one-to-one: the bus and [--trace-out] are exactly their decode.
+    Kinds [>= 11] are lifecycle
     extensions (phases, RTT samples, receiver reordering, router
     retransmit forwards, run markers) that exist only in the binary
     stream. *)
@@ -144,6 +144,6 @@ val event_of_record :
 val json_of_record : lookup:(int -> string) -> int array -> int -> Json.t
 (** JSON for any kind; parity kinds go through
     {!Event_bus.to_json} so serialization is byte-identical to the
-    live tracer. *)
+    bus's NDJSON. *)
 
 val ndjson_of_record : lookup:(int -> string) -> int array -> int -> string

@@ -4,9 +4,9 @@
    - [Drop_oldest]: a true ring — the newest records win, overwritten
      oldest ones are counted in [dropped]. Always-on mode: bounded
      memory, zero allocation per record.
-   - [Grow]: the buffer doubles when full; nothing is ever lost.
-     Used when a complete trace must be reconstructed (e.g. rerouted
-     [--trace-out] under [-j]).
+   - [Grow]: a full buffer gets a fresh one of the same size after it;
+     nothing is ever lost or copied. Used when a complete trace must be
+     reconstructed (e.g. a [--trace-out] replay).
    - spill: when a sink channel is given at creation, full buffers
      flush to disk as binary chunks and the buffer is reused.
 
@@ -52,7 +52,8 @@ and lane = {
   id : int;
   mode : int; (* 0 = ring (drop oldest), 1 = grow, 2 = spill *)
   mutable buf : Bytes.t; (* [cap * rbytes] bytes, native-endian words *)
-  mutable cap : int; (* records *)
+  cap : int; (* records per buffer *)
+  mutable chunks : Bytes.t array; (* grow mode: every buffer, [buf] last *)
   mutable total : int; (* records ever offered *)
   mutable flushed : int; (* records already spilled to disk *)
   mutable dropped : int; (* records overwritten in ring mode *)
@@ -120,14 +121,16 @@ let lane t id =
         else match t.config.overflow with Drop_oldest -> 0 | Grow -> 1
       in
       let cap = t.config.capacity in
+      (* Uninitialized on purpose: only written slots are read. *)
+      let buf = Bytes.create (cap * rbytes) in
       let l =
         {
           owner = t;
           id;
           mode;
-          (* Uninitialized on purpose: only written slots are read. *)
-          buf = Bytes.create (cap * rbytes);
+          buf;
           cap;
+          chunks = [| buf |];
           total = 0;
           flushed = 0;
           dropped = 0;
@@ -142,11 +145,11 @@ let recorded l = l.total
 
 let lane_dropped l = l.dropped
 
-(* Logical record index -> buffer slot ([cap] is a power of two). *)
-let slot_of l k =
-  if l.mode = 0 then k land (l.cap - 1)
-  else if l.mode = 1 then k
-  else k - l.flushed
+(* Logical record index -> its buffer and slot there ([cap] is a power
+   of two). *)
+let slot_of l k = if l.mode = 2 then k - l.flushed else k land (l.cap - 1)
+
+let buf_of l k = if l.mode = 1 then l.chunks.(k / l.cap) else l.buf
 
 (* First logical index still held in memory. *)
 let retained_first l =
@@ -201,7 +204,8 @@ let write_records t oc l ~first ~count =
       let src = slot_of l (!k + i) * rbytes in
       let dst = i * rbytes in
       for w = 0 to Record.words - 1 do
-        Record.put64 scratch (dst + (8 * w)) (Record.get_word l.buf (src + (8 * w)))
+        Record.put64 scratch (dst + (8 * w))
+          (Record.get_word (buf_of l (!k + i)) (src + (8 * w)))
       done
     done;
     output oc scratch 0 (batch * rbytes);
@@ -231,13 +235,12 @@ let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
       n land (l.cap - 1)
     end
     else if l.mode = 1 then begin
-      if n = l.cap then begin
-        let nbuf = Bytes.create (l.cap * 2 * rbytes) in
-        Bytes.blit l.buf 0 nbuf 0 (l.cap * rbytes);
-        l.buf <- nbuf;
-        l.cap <- l.cap * 2
+      let slot = n land (l.cap - 1) in
+      if slot = 0 && n > 0 then begin
+        l.buf <- Bytes.create (l.cap * rbytes);
+        l.chunks <- Array.append l.chunks [| l.buf |]
       end;
-      n
+      slot
     end
     else begin
       if n - l.flushed = l.cap then flush_lane l;
@@ -269,7 +272,7 @@ let load_record buf boff scratch =
 let iter_lane l f =
   let scratch = Array.make Record.words 0 in
   for k = retained_first l to l.total - 1 do
-    load_record l.buf (slot_of l k * rbytes) scratch;
+    load_record (buf_of l k) (slot_of l k * rbytes) scratch;
     f ~seq:k scratch 0
   done
 
@@ -286,7 +289,8 @@ let iter_merged t f =
        for i = 0 to n - 1 do
          let l = ls.(i) in
          if cursor.(i) < l.total then begin
-           let tick = Int64.to_int (unsafe_get64 l.buf (slot_of l cursor.(i) * rbytes)) in
+           let k = cursor.(i) in
+           let tick = Int64.to_int (unsafe_get64 (buf_of l k) (slot_of l k * rbytes)) in
            (* Strict [<] keeps the earliest lane on ties: lanes are
               scanned in ascending id order. *)
            if !best < 0 || tick < !best_tick then begin
@@ -300,10 +304,21 @@ let iter_merged t f =
        let l = ls.(i) in
        let seq = cursor.(i) in
        cursor.(i) <- seq + 1;
-       load_record l.buf (slot_of l seq * rbytes) scratch;
+       load_record (buf_of l seq) (slot_of l seq * rbytes) scratch;
        f ~lane:l.id ~seq scratch 0
      done
    with Done -> ())
+
+let iter_events t f =
+  let interns = intern_array t in
+  let lookup i =
+    if i >= 0 && i < Array.length interns then interns.(i)
+    else Printf.sprintf "?%d" i
+  in
+  iter_merged t (fun ~lane:_ ~seq:_ words off ->
+      match Record.event_of_record ~lookup words off with
+      | Some e -> f e
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Segment completion.                                                *)

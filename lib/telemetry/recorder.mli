@@ -9,8 +9,9 @@
     adds nothing to major-collection work.
 
     Overflow policies: [Drop_oldest] keeps the newest [capacity]
-    records (always-on mode, bounded memory); [Grow] doubles the
-    buffer and never loses a record; creating the recorder with
+    records (always-on mode, bounded memory); [Grow] adds another
+    [capacity]-record buffer when one fills, copying nothing and
+    losing no record; creating the recorder with
     [?spill] flushes full buffers to the sink as binary chunks
     instead.
 
@@ -92,6 +93,10 @@ val iter_lane : lane -> (seq:int -> int array -> int -> unit) -> unit
 
 val iter_merged : t -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
 (** All lanes' in-memory records merged by [(tick, lane, seq)]. *)
+
+val iter_events : t -> (Event_bus.event -> unit) -> unit
+(** The parity records of {!iter_merged}, decoded to bus events;
+    lifecycle records are skipped. *)
 
 val write_segment : out_channel -> t -> unit
 (** Writes remaining records, lane summaries and the end marker, then

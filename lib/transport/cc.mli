@@ -31,7 +31,29 @@ val make_ack_info : unit -> ack_info
 
 (** {2 Variants} *)
 
-type variant = Reno | Newreno | Tahoe | Vegas | Sack
+type variant =
+  | Reno
+      (** Tahoe plus fast recovery: on the third duplicate ACK [ssthresh]
+          and [cwnd] drop to half the flight, the window inflates by one
+          per further duplicate ACK and deflates to [ssthresh] on the
+          first new ACK; a timeout restarts slow start from [cwnd = 1].
+          The paper's primary protagonist (§2.1, §3.2). *)
+  | Newreno
+      (** Reno, but a partial ACK retransmits the next hole, deflates the
+          window by the amount acknowledged and stays in fast recovery
+          (RFC 2582). *)
+  | Tahoe
+      (** [Jac88], no fast recovery: any loss indication halves
+          [ssthresh] and restarts slow start from [cwnd = 1]. *)
+  | Vegas
+      (** Brakmo & Peterson 1995: once per RTT epoch steers the queued
+          estimate [cwnd * (1 - baseRTT/RTT)] into [\[alpha, beta\]];
+          slow start doubles every other RTT and ends above [gamma];
+          losses cut by 3/4 and a timeout restarts from 2. *)
+  | Sack
+      (** Reno's multiplicative decrease without window inflation: the
+          engine's pipe estimate governs sending in recovery, and partial
+          ACKs stay in recovery (RFC 3517 style). *)
 
 type vegas_params = { alpha : float; beta : float; gamma : float }
 (** Vegas's queue-occupancy band and slow-start exit threshold,
@@ -103,7 +125,7 @@ val on_ecn : ctx -> float array -> int -> flight:int -> now:float -> unit
 
     The pre-flow-table view: one heap record of closures over a private
     single-row float array, driven by exactly the table operations
-    above. Constructed by the variant modules ({!Reno.handle} etc.). *)
+    above. Constructed by {!handle_of}. *)
 
 type handle = {
   name : string;

@@ -24,8 +24,8 @@ type group = {
   row_ints : int;
   transmit : flow:int -> Pool.handle -> unit;
   (* Lifecycle-only flight-recorder lane: out-of-order buffering and
-     duplicate discards. [None] in parity mode so the binary stream
-     stays byte-identical to the live NDJSON tracer. *)
+     duplicate discards. [None] in parity mode, which records only
+     the kinds the event bus carries. *)
   rlane : Telemetry.Recorder.lane option;
   (* Preallocated keyed 200 ms timer action: arming per flight of
      segments builds no closure. *)

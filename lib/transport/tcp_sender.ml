@@ -42,7 +42,6 @@ type group = {
   cwnd_validation : bool;
   limited_transmit : bool;
   pacing : bool;
-  bus : Telemetry.Event_bus.t option;
   rlane : Telemetry.Recorder.lane option;
   r_lifecycle : bool;
   transmit : flow:int -> Pool.handle -> unit;
@@ -108,27 +107,17 @@ let record_cwnd g slot =
       (now_sec g)
       (Ft.floats g.table).((slot * g.row_floats) + L.f_cwnd)
 
-(* Publish a congestion decision; [cwnd] is read after the reaction.
-   [rkind] is the flight-recorder twin of [kind]: keeping both writes in
-   one helper guarantees the binary stream and the bus agree on event
-   order, which the byte-parity decode relies on. *)
-let publish_tcp g slot kind rkind =
-  let flow = (Ft.ints g.table).((slot * g.row_ints) + L.si_flow) in
-  let fv = Ft.floats g.table in
-  let fb = slot * g.row_floats in
-  (match g.bus with
-  | None -> ()
-  | Some bus ->
-      Telemetry.Event_bus.publish bus
-        (Telemetry.Event_bus.Tcp
-           { time = now_sec g; kind; flow; cwnd = fv.(fb + L.f_cwnd) }));
+(* Record a congestion decision; [cwnd] is read after the reaction. *)
+let record_tcp g slot kind =
   match g.rlane with
   | None -> ()
   | Some lane ->
-      let cwnd = fv.(fb + L.f_cwnd) in
+      let cwnd = (Ft.floats g.table).((slot * g.row_floats) + L.f_cwnd) in
       Telemetry.Recorder.record lane
         ~tick:(Time.to_ns (Scheduler.now g.sched))
-        ~kind:rkind ~flow ~a:0
+        ~kind
+        ~flow:(Ft.ints g.table).((slot * g.row_ints) + L.si_flow)
+        ~a:0
         ~b:(Telemetry.Record.float_hi cwnd)
         ~c:(Telemetry.Record.float_lo cwnd)
         ~sid:0 ~depth:0
@@ -357,8 +346,8 @@ and on_rto_fire g slot =
     iv.(b + L.si_timeouts) <- iv.(b + L.si_timeouts) + 1;
     Rto.backoff_at fv fb;
     Cc.on_timeout g.ctx fv fb ~flight:(gflight iv b) ~now:(now_sec g);
-    publish_tcp g slot Telemetry.Event_bus.Timeout Telemetry.Record.tcp_timeout;
-    publish_tcp g slot Telemetry.Event_bus.Cwnd_cut Telemetry.Record.tcp_cwnd_cut;
+    record_tcp g slot Telemetry.Record.tcp_timeout;
+    record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
     iv.(b + L.si_flags) <-
       (iv.(b + L.si_flags) lor L.fl_timed_out) land lnot L.fl_in_recovery;
     iv.(b + L.si_dup_acks) <- 0;
@@ -513,10 +502,8 @@ let on_dup_ack g slot =
     if iv.(b + L.si_dup_acks) = 3 then begin
       iv.(b + L.si_fast_retransmits) <- iv.(b + L.si_fast_retransmits) + 1;
       Cc.enter_recovery g.ctx fv fb ~flight:(gflight iv b) ~now:(now_sec g);
-      publish_tcp g slot Telemetry.Event_bus.Fast_retransmit
-        Telemetry.Record.tcp_fast_retransmit;
-      publish_tcp g slot Telemetry.Event_bus.Cwnd_cut
-        Telemetry.Record.tcp_cwnd_cut;
+      record_tcp g slot Telemetry.Record.tcp_fast_retransmit;
+      record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
       if g.uses_fast_recovery then begin
         iv.(b + L.si_flags) <- iv.(b + L.si_flags) lor L.fl_in_recovery;
         iv.(b + L.si_recover) <- iv.(b + L.si_max_sent) - 1
@@ -559,10 +546,8 @@ let on_ece g slot =
   then begin
     iv.(b + L.si_ecn_reactions) <- iv.(b + L.si_ecn_reactions) + 1;
     Cc.on_ecn g.ctx fv fb ~flight:(gflight iv b) ~now;
-    publish_tcp g slot Telemetry.Event_bus.Ecn_reaction
-      Telemetry.Record.tcp_ecn_reaction;
-    publish_tcp g slot Telemetry.Event_bus.Cwnd_cut
-      Telemetry.Record.tcp_cwnd_cut;
+    record_tcp g slot Telemetry.Record.tcp_ecn_reaction;
+    record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
     let rtt =
       if iv.(b + L.si_flags) land L.fl_have_rtt <> 0 then fv.(fb + L.f_srtt)
       else 1.0
@@ -592,7 +577,7 @@ let handle_packet_slot g slot h =
 
 let create_group ?(ecn_capable = false) ?(sack = false)
     ?(cwnd_validation = false) ?(limited_transmit = false) ?(pacing = false)
-    ?bus ?recorder ?vegas ?initial_ssthresh ?max_window ?(capacity = 16) sched
+    ?recorder ?vegas ?initial_ssthresh ?max_window ?(capacity = 16) sched
     ~pool ~cc ~rto_params ~mss_bytes ~adv_window ~transmit =
   if adv_window < 1 then invalid_arg "Tcp_sender.create_group: adv_window < 1";
   if mss_bytes < 1 then invalid_arg "Tcp_sender.create_group: mss_bytes < 1";
@@ -640,7 +625,6 @@ let create_group ?(ecn_capable = false) ?(sack = false)
       cwnd_validation;
       limited_transmit;
       pacing;
-      bus;
       rlane;
       r_lifecycle;
       transmit;
@@ -700,12 +684,12 @@ let group t = t.g
 (* Single-flow view *)
 
 let create ?(ecn_capable = false) ?(sack = false) ?(cwnd_validation = false)
-    ?(limited_transmit = false) ?(pacing = false) ?(trace_cwnd = false) ?bus
+    ?(limited_transmit = false) ?(pacing = false) ?(trace_cwnd = false)
     ?recorder ?vegas ?initial_ssthresh ?max_window sched ~pool ~cc ~rto_params
     ~flow ~src ~dst ~mss_bytes ~adv_window ~transmit =
   let g =
     create_group ~ecn_capable ~sack ~cwnd_validation ~limited_transmit ~pacing
-      ?bus ?recorder ?vegas ?initial_ssthresh ?max_window ~capacity:1 sched
+      ?recorder ?vegas ?initial_ssthresh ?max_window ~capacity:1 sched
       ~pool ~cc ~rto_params ~mss_bytes ~adv_window
       ~transmit:(fun ~flow:_ p -> transmit p)
   in

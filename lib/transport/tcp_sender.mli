@@ -31,7 +31,6 @@ val create_group :
   ?cwnd_validation:bool ->
   ?limited_transmit:bool ->
   ?pacing:bool ->
-  ?bus:Telemetry.Event_bus.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?vegas:Cc.vegas_params ->
   ?initial_ssthresh:float ->
@@ -65,9 +64,11 @@ val create_group :
     at srtt/cwnd intervals instead of ACK-clocked bursts
     (Aggarwal–Savage–Anderson); retransmissions are never paced.
 
-    [bus] (default absent) publishes a [Tcp] event for every congestion
-    decision: [Timeout], [Fast_retransmit] and [Ecn_reaction], each
-    followed by a [Cwnd_cut] carrying the post-reaction window.
+    [recorder] (default absent) logs a [tcp_*] flight-recorder record for
+    every congestion decision: timeout, fast retransmit and ECN
+    reaction, each followed by a cwnd cut carrying the post-reaction
+    window; in lifecycle mode it also logs phase transitions and RTT
+    samples.
     @raise Invalid_argument on [adv_window < 1] or [mss_bytes < 1]. *)
 
 val attach :
@@ -95,7 +96,6 @@ val create :
   ?limited_transmit:bool ->
   ?pacing:bool ->
   ?trace_cwnd:bool ->
-  ?bus:Telemetry.Event_bus.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?vegas:Cc.vegas_params ->
   ?initial_ssthresh:float ->

@@ -349,50 +349,62 @@ let run_trace_digest_pinned_sharded () =
     [ 1; 2; 4 ]
 
 let run_recorder_parity_with_live_tracer () =
-  (* The flight recorder's parity promise, pinned end to end: run once
-     with both the live NDJSON tracer and a parity-only recorder
-     attached, push the recording through the same segment write /
-     read / decode pipeline the [trace decode] CLI uses, and require
-     the two byte streams to be identical. *)
-  let cfg = tiny ~clients:4 ~duration:5. ~warmup:1. () in
-  let probe = Telemetry.Probe.create () in
-  Telemetry.Probe.set_recording probe
-    {
-      Telemetry.Recorder.capacity = 1 lsl 12;
-      overflow = Telemetry.Recorder.Grow;
-      lifecycle = false;
-    };
-  let live = Buffer.create (1 lsl 15) in
-  ignore
-    (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
-         Buffer.add_string live (Telemetry.Event_bus.to_ndjson ev);
-         Buffer.add_char live '\n'));
-  ignore (Run.run ~probe cfg Scenario.reno);
-  let path = Filename.temp_file "burstsim_parity" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Telemetry.Probe.write_segments probe oc;
-      close_out oc;
-      let ic = open_in_bin path in
-      let segments =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> Telemetry.Recorder.read_segments ic)
-      in
-      let decoded = Buffer.create (1 lsl 15) in
-      List.iter
-        (fun seg ->
-          let lookup = Telemetry.Recorder.seg_lookup seg in
-          Telemetry.Recorder.iter_segment seg (fun ~lane:_ ~seq:_ words off ->
-              Buffer.add_string decoded
-                (Telemetry.Record.ndjson_of_record ~lookup words off);
-              Buffer.add_char decoded '\n'))
-        segments;
-      Alcotest.(check bool) "live trace non-empty" true (Buffer.length live > 0);
-      Alcotest.(check string) "recorder decodes byte-identically"
-        (Buffer.contents live) (Buffer.contents decoded))
+  (* One observation path, pinned end to end: the bus hears a run only
+     as the replay of its recorded parity records, and the same
+     recording pushed through the segment write / read / decode pipeline
+     the [trace decode] CLI uses must give the same bytes — on a FIFO run
+     without drops, a RED run (queue decisions) and a FIFO run that drops
+     (drop-tail forced drops). *)
+  let check label ~clients scenario ~queue_events =
+    let cfg = tiny ~clients ~duration:5. ~warmup:1. () in
+    let probe = Telemetry.Probe.create () in
+    Telemetry.Probe.set_recording probe
+      {
+        Telemetry.Recorder.capacity = 1 lsl 12;
+        overflow = Telemetry.Recorder.Grow;
+        lifecycle = false;
+      };
+    let live = Buffer.create (1 lsl 15) in
+    ignore
+      (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
+           Buffer.add_string live (Telemetry.Event_bus.to_ndjson ev);
+           Buffer.add_char live '\n'));
+    ignore (Run.run ~probe cfg scenario);
+    let path = Filename.temp_file "burstsim_parity" ".bin" in
+    let decoded = Buffer.create (1 lsl 15) in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        Telemetry.Probe.write_segments probe oc;
+        close_out oc;
+        let ic = open_in_bin path in
+        let segments =
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> Telemetry.Recorder.read_segments ic)
+        in
+        List.iter
+          (fun seg ->
+            let lookup = Telemetry.Recorder.seg_lookup seg in
+            Telemetry.Recorder.iter_segment seg (fun ~lane:_ ~seq:_ words off ->
+                Buffer.add_string decoded
+                  (Telemetry.Record.ndjson_of_record ~lookup words off);
+                Buffer.add_char decoded '\n'))
+          segments);
+    let live = Buffer.contents live in
+    Alcotest.(check bool) (label ^ ": bus replay non-empty") true (live <> "");
+    Alcotest.(check bool)
+      (label ^ ": queue decisions present")
+      queue_events
+      (Astring_like.contains live "\"event\":\"queue\"");
+    Alcotest.(check string)
+      (label ^ ": segment decode equals bus replay")
+      live (Buffer.contents decoded)
+  in
+  check "reno" ~clients:4 Scenario.reno ~queue_events:false;
+  check "reno/red" ~clients:20 Scenario.reno_red ~queue_events:true;
+  check "reno, dropping" ~clients:20 Scenario.reno ~queue_events:true
 
 let run_releases_every_pooled_packet () =
   (* Run.run drains the network at the horizon and fails loudly if any

@@ -671,103 +671,34 @@ let monitor_queue_sampler () =
   Alcotest.(check bool) "saw queue of 2" true (Array.exists (fun v -> v = 2.) values);
   Alcotest.(check bool) "saw empty queue" true (Array.exists (fun v -> v = 0.) values)
 
-(* ------------------------------------------------------------------ *)
-(* Tracer *)
-
-let tracer_records_lifecycle () =
+let link_record_decodes_lifecycle () =
   let sched = Scheduler.create () in
   let pool = Pool.create () in
-  let tracer = Tracer.create () in
   let link =
     mk_link ~capacity:1 sched pool ~bandwidth:(Units.kbps 8.) (* 1 s per 1000 B *)
       ~delay:(Time.of_ms 1.)
       ~deliver:(Pool.free pool)
   in
-  Tracer.attach tracer pool link;
+  let recorder = Telemetry.Recorder.create Telemetry.Recorder.default_config in
+  Link.record link recorder;
   (* First transmits, second queues, third drops. *)
   List.iter (fun i -> Link.send link (mk_packet ~flow:i ~seq:i pool)) [ 0; 1; 2 ];
   Scheduler.run sched;
-  let evs = Tracer.events tracer in
-  let kinds = Array.to_list (Array.map (fun e -> e.Tracer.kind) evs) in
-  Alcotest.(check int) "6 events" 6 (List.length kinds);
-  Alcotest.(check int) "3 arrivals" 3
-    (List.length (List.filter (( = ) Tracer.Arrive) kinds));
-  Alcotest.(check int) "1 drop" 1 (List.length (List.filter (( = ) Tracer.Drop) kinds));
-  Alcotest.(check int) "2 deliveries" 2
-    (List.length (List.filter (( = ) Tracer.Deliver) kinds));
-  (* Drops are attributed to the right flow. *)
-  Alcotest.(check int) "flow 2 dropped" 1 (List.length (Tracer.drops_of_flow tracer 2));
-  Alcotest.(check int) "flow 0 clean" 0 (List.length (Tracer.drops_of_flow tracer 0))
-
-let tracer_per_flow_and_bytes () =
-  let sched = Scheduler.create () in
-  let pool = Pool.create () in
-  let tracer = Tracer.create () in
-  let link =
-    mk_link sched pool ~bandwidth:(Units.mbps 10.) ~delay:(Time.of_ms 1.)
-      ~deliver:(Pool.free pool)
-  in
-  Tracer.attach tracer pool link;
-  List.iter (fun fl -> Link.send link (mk_packet ~flow:fl pool)) [ 0; 0; 1 ];
-  Scheduler.run sched;
-  let arrivals = Tracer.per_flow_counts tracer Tracer.Arrive in
-  Alcotest.(check (option int)) "flow 0 twice" (Some 2) (Hashtbl.find_opt arrivals 0);
-  Alcotest.(check (option int)) "flow 1 once" (Some 1) (Hashtbl.find_opt arrivals 1);
-  let bytes = Tracer.delivered_bytes_between tracer ~link:"l" 0. 10. in
-  Alcotest.(check int) "all bytes delivered" 3000 bytes
-
-let tracer_text_format () =
-  let sched = Scheduler.create () in
-  let pool = Pool.create () in
-  let tracer = Tracer.create () in
-  let link =
-    Link.create sched ~name:"bottleneck" ~bandwidth:(Units.mbps 10.)
-      ~delay:(Time.of_ms 1.)
-      ~queue:(Queue_disc.droptail ~capacity:10)
-      ~pool
-      ~deliver:(Pool.free pool)
-  in
-  Tracer.attach tracer pool link;
-  Link.send link (mk_packet ~flow:7 ~seq:42 pool);
-  Scheduler.run sched;
-  let line = Format.asprintf "%a" Tracer.pp_event (Tracer.events tracer).(0) in
-  Alcotest.(check bool) "has link name" true (Astring_like.contains line "bottleneck");
-  Alcotest.(check bool) "has flow" true (Astring_like.contains line "flow=7");
-  Alcotest.(check bool) "has seq" true (Astring_like.contains line "seq=42");
-  Alcotest.(check bool) "arrive marker" true (String.length line > 0 && line.[0] = '+')
-
-let tracer_attach_bus_matches_attach () =
-  (* Two identical links: one watched directly, one through the bus. The
-     tracer must record the same trace either way. *)
-  let record via =
-    let sched = Scheduler.create () in
-    let pool = Pool.create () in
-    let tracer = Tracer.create () in
-    let link =
-      mk_link ~capacity:1 sched pool ~bandwidth:(Units.kbps 8.) ~delay:(Time.of_ms 1.)
-        ~deliver:(Pool.free pool)
-    in
-    via tracer pool link;
-    List.iter (fun i -> Link.send link (mk_packet ~flow:i ~seq:i pool)) [ 0; 1; 2 ];
-    Scheduler.run sched;
-    Array.to_list
-      (Array.map
-         (fun e -> (e.Tracer.kind, e.Tracer.flow, e.Tracer.seq, e.Tracer.time))
-         (Tracer.events tracer))
-  in
-  let direct = record Tracer.attach in
-  let bused =
-    record (fun tracer _pool link ->
-        let bus = Telemetry.Event_bus.create () in
-        Tracer.attach_bus tracer bus;
-        Link.publish link bus;
-        (* Non-packet traffic on the bus is ignored by the tracer. *)
-        Telemetry.Event_bus.publish bus
-          (Telemetry.Event_bus.Tcp
-             { time = 0.; kind = Telemetry.Event_bus.Timeout; flow = 0; cwnd = 1. }))
-  in
-  Alcotest.(check int) "same event count" (List.length direct) (List.length bused);
-  Alcotest.(check bool) "identical traces" true (direct = bused)
+  let events = ref [] in
+  Telemetry.Recorder.iter_events recorder (fun e ->
+      match e with
+      | Telemetry.Event_bus.Packet p -> events := (p.kind, p.flow, p.seq, p.link) :: !events
+      | _ -> Alcotest.fail "only packet events expected");
+  let count kind = List.length (List.filter (fun (k, _, _, _) -> k = kind) !events) in
+  Alcotest.(check int) "3 arrivals" 3 (count Telemetry.Event_bus.Arrival);
+  Alcotest.(check int) "1 drop" 1 (count Telemetry.Event_bus.Drop);
+  Alcotest.(check int) "2 departures" 2 (count Telemetry.Event_bus.Depart);
+  Alcotest.(check bool) "flow 2 dropped, with its seq" true
+    (List.mem (Telemetry.Event_bus.Drop, 2, Some 2, "l") !events);
+  Alcotest.(check bool) "flow 0 departed, with its seq" true
+    (List.mem (Telemetry.Event_bus.Depart, 0, Some 0, "l") !events);
+  Alcotest.(check bool) "every event names the link" true
+    (List.for_all (fun (_, _, _, link) -> String.equal link "l") !events)
 
 let link_queue_high_water_mark () =
   let sched = Scheduler.create () in
@@ -1002,6 +933,8 @@ let suite =
         Alcotest.test_case "listeners" `Quick link_listeners_fire;
         Alcotest.test_case "queue high-water mark" `Quick link_queue_high_water_mark;
         Alcotest.test_case "reclaim drains pool" `Quick link_reclaim_drains_pool;
+        Alcotest.test_case "record decodes lifecycle" `Quick
+          link_record_decodes_lifecycle;
       ] );
     ( "net.router",
       [
@@ -1011,14 +944,6 @@ let suite =
       ] );
     ( "net.node",
       [ Alcotest.test_case "handler dispatch" `Quick node_handler_dispatch ] );
-    ( "net.tracer",
-      [
-        Alcotest.test_case "records packet lifecycle" `Quick tracer_records_lifecycle;
-        Alcotest.test_case "per-flow counts and bytes" `Quick tracer_per_flow_and_bytes;
-        Alcotest.test_case "text format" `Quick tracer_text_format;
-        Alcotest.test_case "bus attachment matches direct" `Quick
-          tracer_attach_bus_matches_attach;
-      ] );
     ( "net.properties",
       [
         QCheck_alcotest.to_alcotest sfq_conservation_property;

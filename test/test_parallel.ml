@@ -137,6 +137,29 @@ let parallel_probe_totals_match_sequential () =
   Alcotest.(check int) "runs merge to same total" seq_runs par_runs;
   Alcotest.(check int) "event counts merge to same total" seq_events par_events
 
+let grid_bus_stream_matches_sequential () =
+  (* A pooled sweep's bus hears every point through Probe.merge's replay
+     of the workers' parity recordings: the same stream, in the same
+     order, as the sequential sweep's per-run replays. *)
+  let scenarios = [ Burstcore.Scenario.reno; Burstcore.Scenario.reno_red ] in
+  let stream pool =
+    let probe = Telemetry.Probe.create () in
+    let buf = Buffer.create (1 lsl 16) in
+    ignore
+      (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun e ->
+           Buffer.add_string buf (Telemetry.Event_bus.to_ndjson e);
+           Buffer.add_char buf '\n'));
+    ignore (Burstcore.Sweep.grid ?pool ~probe tiny_config scenarios [ 4; 20 ]);
+    Alcotest.(check bool) "trace-only worker recordings not adopted" true
+      (Telemetry.Probe.segments probe = []);
+    Buffer.contents buf
+  in
+  let seq = stream None in
+  let par = Pool.with_pool ~domains:2 (fun pool -> stream (Some pool)) in
+  Alcotest.(check bool) "queue decisions on the bus" true
+    (Astring_like.contains seq "\"event\":\"queue\"");
+  Alcotest.(check string) "2-domain stream equals sequential" seq par
+
 let parallel_notify_counts_match () =
   let count domains =
     let seen = Atomic.make 0 in
@@ -319,6 +342,8 @@ let suite =
         Alcotest.test_case "probe totals merge" `Quick
           parallel_probe_totals_match_sequential;
         Alcotest.test_case "notify count" `Quick parallel_notify_counts_match;
+        Alcotest.test_case "grid bus stream 2 domains" `Quick
+          grid_bus_stream_matches_sequential;
       ] );
     ( "parallel.team",
       [

@@ -710,7 +710,7 @@ let probe_instruments_a_run () =
 
 let probe_bus_sees_packet_and_tcp_events () =
   let probe = Probe.create () in
-  let packets = ref 0 and tcp = ref 0 and last_time = ref 0. in
+  let packets = ref 0 and tcp = ref 0 and queue = ref 0 and last_time = ref 0. in
   let monotone = ref true in
   ignore
     (Event_bus.subscribe probe.Probe.bus (fun e ->
@@ -720,14 +720,16 @@ let probe_bus_sees_packet_and_tcp_events () =
          match e with
          | Event_bus.Packet _ -> incr packets
          | Event_bus.Tcp _ -> incr tcp
-         | _ -> ()));
+         | Event_bus.Queue _ -> incr queue
+         | Event_bus.Custom _ -> ()));
   (* 20 clients against Table 1's 10-packet buffer forces loss events. *)
   ignore (Burstcore.Run.run ~probe (small_config 20) Burstcore.Scenario.reno);
   Alcotest.(check bool) "packet events flow" true (!packets > 0);
   Alcotest.(check bool) "congestion produces tcp events" true (!tcp > 0);
+  Alcotest.(check bool) "drop-tail forced drops reach the bus" true (!queue > 0);
   Alcotest.(check bool) "timestamps non-decreasing" true !monotone;
   Alcotest.(check int) "published matches deliveries"
-    (!packets + !tcp)
+    (!packets + !tcp + !queue)
     (Event_bus.published probe.Probe.bus)
 
 let probe_run_deterministic_under_telemetry () =

@@ -97,7 +97,7 @@ let info ?(ack = 1) ?(newly = 1) ?rtt ?(flight = 1) () =
   }
 
 let reno_slow_start_then_avoidance () =
-  let h = Reno.handle ~initial_ssthresh:4. ~max_window:100. in
+  let h = Cc.handle_of ~initial_ssthresh:4. ~max_window:100. Cc.Reno in
   check_float "initial cwnd" 1. (h.Cc.cwnd ());
   h.Cc.on_new_ack (info ());
   check_float "ss +1" 2. (h.Cc.cwnd ());
@@ -108,12 +108,12 @@ let reno_slow_start_then_avoidance () =
   check_float "ca increment" 4.25 (h.Cc.cwnd ())
 
 let reno_caps_at_max_window () =
-  let h = Reno.handle ~initial_ssthresh:100. ~max_window:8. in
+  let h = Cc.handle_of ~initial_ssthresh:100. ~max_window:8. Cc.Reno in
   h.Cc.on_new_ack (info ~newly:20 ());
   check_float "capped" 8. (h.Cc.cwnd ())
 
 let reno_fast_recovery_cycle () =
-  let h = Reno.handle ~initial_ssthresh:64. ~max_window:64. in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
   h.Cc.on_new_ack (info ~newly:15 ());
   check_float "grown" 16. (h.Cc.cwnd ());
   h.Cc.enter_recovery ~flight:16 ~now:0.;
@@ -125,19 +125,19 @@ let reno_fast_recovery_cycle () =
   check_float "deflated to ssthresh" 8. (h.Cc.cwnd ())
 
 let reno_timeout_resets () =
-  let h = Reno.handle ~initial_ssthresh:64. ~max_window:64. in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
   h.Cc.on_new_ack (info ~newly:15 ());
   h.Cc.on_timeout ~flight:16 ~now:0.;
   check_float "cwnd 1" 1. (h.Cc.cwnd ());
   check_float "ssthresh halved" 8. (h.Cc.ssthresh ())
 
 let reno_halving_floor () =
-  let h = Reno.handle ~initial_ssthresh:64. ~max_window:64. in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
   h.Cc.on_timeout ~flight:1 ~now:0.;
   check_float "ssthresh floor 2" 2. (h.Cc.ssthresh ())
 
 let tahoe_loss_restarts_slow_start () =
-  let h = Tahoe.handle ~initial_ssthresh:64. ~max_window:64. in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Tahoe in
   Alcotest.(check bool) "no fast recovery" false h.Cc.uses_fast_recovery;
   h.Cc.on_new_ack (info ~newly:15 ());
   h.Cc.enter_recovery ~flight:16 ~now:0.;
@@ -145,7 +145,7 @@ let tahoe_loss_restarts_slow_start () =
   check_float "ssthresh halved" 8. (h.Cc.ssthresh ())
 
 let newreno_partial_ack () =
-  let h = Newreno.handle ~initial_ssthresh:64. ~max_window:64. in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Newreno in
   Alcotest.(check bool) "partial stays" true h.Cc.partial_ack_stays;
   h.Cc.on_new_ack (info ~newly:15 ());
   h.Cc.enter_recovery ~flight:16 ~now:0.;
@@ -154,8 +154,8 @@ let newreno_partial_ack () =
   check_float "deflate by acked minus one" (before -. 3.) (h.Cc.cwnd ())
 
 let vegas_epoch_adjustments () =
-  let params = { Vegas.alpha = 1.; beta = 3.; gamma = 1. } in
-  let h = Vegas.handle ~params ~initial_ssthresh:64. ~max_window:64. () in
+  let params = { Cc.alpha = 1.; beta = 3.; gamma = 1. } in
+  let h = Cc.handle_of ~vegas:params ~initial_ssthresh:64. ~max_window:64. Cc.Vegas in
   check_float "vegas starts at 2" 2. (h.Cc.cwnd ());
   (* End slow start: epoch with diff > gamma. baseRTT=1.0, rtt=2.0,
      cwnd=2 -> diff = 2*(1-0.5) = 1.0; need > 1, use rtt 3: diff=1.33. *)
@@ -177,7 +177,7 @@ let vegas_epoch_adjustments () =
   check_float "ca linear decrease" w (h.Cc.cwnd ())
 
 let vegas_gentler_recovery () =
-  let h = Vegas.handle ~initial_ssthresh:64. ~max_window:64. () in
+  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Vegas in
   (* Grow a bit in slow start. *)
   h.Cc.on_new_ack (info ~ack:1 ~newly:6 ~rtt:1.0 ());
   let w = h.Cc.cwnd () in
@@ -190,9 +190,9 @@ let vegas_rejects_bad_params () =
   Alcotest.check_raises "beta < alpha"
     (Invalid_argument "Cc.make_ctx: bad alpha/beta/gamma") (fun () ->
       ignore
-        (Vegas.handle
-           ~params:{ Vegas.alpha = 3.; beta = 1.; gamma = 1. }
-           ~initial_ssthresh:1. ~max_window:1. ()))
+        (Cc.handle_of
+           ~vegas:{ Cc.alpha = 3.; beta = 1.; gamma = 1. }
+           ~initial_ssthresh:1. ~max_window:1. Cc.Vegas))
 
 (* ------------------------------------------------------------------ *)
 (* Tcp_sender driven by hand-crafted ACKs *)
