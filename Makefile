@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-alloc bench-flows bench-burst bench-pdes bench-hybrid figures fast check clean
+.PHONY: all build test bench benchmark bench-alloc bench-flows bench-burst bench-pdes bench-hybrid figures fast check clean
 
 all: build
 
@@ -14,6 +14,12 @@ test:
 # extension (~3 minutes), captured to bench_output.txt.
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
+
+# The repository benchmark (BENCHMARK.json): every workload in its own
+# process, untraced then traced, results under benchmark/out/. Compare
+# two sets with `bash benchmark/run.sh compare A.json B.json`.
+benchmark:
+	bash benchmark/run.sh run --seed 1
 
 # Each gated bench section writes one BENCH_*.json file: a "gates" list
 # of {name, measured, op, bound, spread?, skip?} plus the section's

@@ -37,12 +37,48 @@ let base_config ~duration ~seed ~fast =
   (* Keep the warm-up inside short custom durations. *)
   { cfg with warmup_s = Stdlib.min cfg.warmup_s (cfg.duration_s /. 4.) }
 
-let sweep_counts ~fast ~clients_list =
-  match clients_list with
-  | Some ns -> ns
-  | None ->
-      if fast then [ 5; 15; 25; 30; 36; 39; 42; 50; 60 ]
-      else Burstcore.Figures.default_client_counts
+(* Reject a bad configuration before any run starts: one
+   [Config.validate] of every config the command will run, the field it
+   names mapped back to the flag that set it, plus the one rule the
+   config cannot see — UDP runs only on the classic engine. *)
+let check_configs ?(scenarios = []) cfgs =
+  let fail msg =
+    Format.eprintf "burstsim: %s@." msg;
+    exit 1
+  in
+  List.iter
+    (fun (cfg : Burstcore.Config.t) ->
+      (try Burstcore.Config.validate cfg
+       with Invalid_argument msg ->
+         let flag, bound, got =
+           match msg with
+           | "Config.validate: clients" -> ("--clients", ">= 1", float cfg.clients)
+           | "Config.validate: duration_s" -> ("--duration", "> 0", cfg.duration_s)
+           | "Config.validate: shards" -> ("--shards", ">= 0", float cfg.shards)
+           | "Config.validate: background" ->
+               ("--background", ">= 0", float cfg.background)
+           | _ -> fail msg
+         in
+         fail (Printf.sprintf "%s must be %s (got %g)" flag bound got));
+      if
+        cfg.shards >= 1
+        && not (List.for_all Burstcore.Scenario.is_tcp scenarios)
+      then
+        fail
+          "--shards needs a TCP scenario: UDP runs only on the classic engine \
+           (drop --shards)")
+    cfgs
+
+let sweep_counts (cfg : Burstcore.Config.t) ~fast ~clients_list =
+  let counts =
+    match clients_list with
+    | Some ns -> ns
+    | None ->
+        if fast then [ 5; 15; 25; 30; 36; 39; 42; 50; 60 ]
+        else Burstcore.Figures.default_client_counts
+  in
+  check_configs (List.map (fun clients -> { cfg with clients }) counts);
+  counts
 
 let scenario_conv =
   let parse s =
@@ -282,7 +318,7 @@ let replicates_opt =
 let fig_cmd =
   let run n duration seed fast clients_list replicates jobs tele =
     let cfg = base_config ~duration ~seed ~fast in
-    let counts = sweep_counts ~fast ~clients_list in
+    let counts = sweep_counts cfg ~fast ~clients_list in
     let sweep_runs = n_paper_series * List.length counts in
     match n with
     | 2 when replicates > 1 ->
@@ -336,7 +372,7 @@ let fig_cmd =
 let all_cmd =
   let run duration seed fast clients_list jobs tele =
     let cfg = base_config ~duration ~seed ~fast in
-    let counts = sweep_counts ~fast ~clients_list in
+    let counts = sweep_counts cfg ~fast ~clients_list in
     let total_runs =
       (n_paper_series * List.length counts)
       + List.length Burstcore.Figures.cwnd_figures
@@ -426,10 +462,10 @@ let run_cmd =
   let run scenario clients duration seed fast json shards background foreground
       tele =
     let clients = Option.value ~default:clients foreground in
-    if shards < 0 then begin
-      Format.eprintf "burstsim: --shards must be >= 0 (got %d)@." shards;
-      exit 1
-    end;
+    let cfg =
+      { (base_config ~duration ~seed ~fast) with clients; shards; background }
+    in
+    check_configs ~scenarios:[ scenario ] [ cfg ];
     if shards > 0 && tele.record_out <> None then begin
       Format.eprintf
         "burstsim: --record-out needs the classic single-domain engine and \
@@ -438,20 +474,6 @@ let run_cmd =
          domains)@.";
       exit 1
     end;
-    if background < 0 then begin
-      Format.eprintf "burstsim: --background must be >= 0 (got %d)@."
-        background;
-      exit 1
-    end;
-    let cfg =
-      {
-        (Burstcore.Config.with_clients (base_config ~duration ~seed ~fast)
-           clients)
-        with
-        shards;
-        background;
-      }
-    in
     let m =
       with_telemetry ~label:(Burstcore.Scenario.label scenario)
         ~total_runs:1 tele (fun probe notify ->
@@ -716,9 +738,8 @@ let trace_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let run scenario clients out duration seed fast tele =
-    let cfg =
-      Burstcore.Config.with_clients (base_config ~duration ~seed ~fast) clients
-    in
+    let cfg = { (base_config ~duration ~seed ~fast) with clients } in
+    check_configs [ cfg ];
     let oc = match out with Some path -> open_sink path | None -> stdout in
     let lines = ref 0 in
     let m =
@@ -993,7 +1014,7 @@ let export_cmd =
   in
   let run format out duration seed fast clients_list jobs tele =
     let cfg = base_config ~duration ~seed ~fast in
-    let counts = sweep_counts ~fast ~clients_list in
+    let counts = sweep_counts cfg ~fast ~clients_list in
     let sweep =
       with_jobs ~jobs @@ fun pool ->
       with_telemetry ~label:"export"
@@ -1092,7 +1113,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.10.0"
+    (Cmd.info "burstsim" ~version:"1.11.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

@@ -174,30 +174,22 @@ let cwnd_validation ppf cfg ns =
   Render.table ppf ~header:(("clients" :: "protocol" :: "rfc2861" :: metrics_header)) ~rows
 
 (* c.o.v. of gateway arrivals at an arbitrary bin width (the paper's
-   metric fixes the bin to one RTT; pacing's effect is scale-dependent). *)
+   metric fixes the bin to one RTT; pacing's effect is scale-dependent):
+   an ordinary classic-engine run with one extra binner on the
+   bottleneck. *)
 let cov_at_bin cfg scenario width =
-  let module Time = Sim_engine.Time in
-  let net = Dumbbell.create cfg scenario in
-  let sched = Dumbbell.scheduler net in
-  let binner =
-    Netsim.Monitor.arrival_binner (Dumbbell.pool net) (Dumbbell.bottleneck net)
-      ~origin:cfg.Config.warmup_s ~width
+  let binner = ref None in
+  let prepare net =
+    binner :=
+      Some
+        (Netsim.Monitor.arrival_binner (Dumbbell.pool net)
+           (Dumbbell.bottleneck net) ~origin:cfg.Config.warmup_s ~width)
   in
-  List.iter
-    (fun i ->
-      let rng =
-        Sim_engine.Rng.split_named (Dumbbell.rng net) (Printf.sprintf "client-%d" i)
-      in
-      ignore
-        (Traffic.Poisson.start sched ~rng
-           ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
-           ~until:(Time.of_sec cfg.Config.duration_s)
-           ~sink:(Dumbbell.sink net i)))
-    (List.init cfg.Config.clients Fun.id);
-  Sim_engine.Scheduler.run ~until:(Time.of_sec cfg.Config.duration_s) sched;
-  (Netstats.Summary.of_array
-     (Netstats.Binned.counts binner ~upto:cfg.Config.duration_s))
-    .Netstats.Summary.cov
+  ignore (Run.run ~prepare cfg scenario);
+  let counts =
+    Netstats.Binned.counts (Option.get !binner) ~upto:cfg.Config.duration_s
+  in
+  (Netstats.Summary.of_array counts).Netstats.Summary.cov
 
 let pacing ppf cfg ns =
   Format.fprintf ppf "Ablation: TCP pacing (what-if)@.@.";

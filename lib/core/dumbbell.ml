@@ -20,7 +20,6 @@ type t = {
   reverse_bottleneck : Link.t;
   up_links : Link.t array;
   down_links : Link.t array;
-  gateway_queue : Queue_disc.t;
   endpoints : endpoint array;
   (* The flow-table groups behind the TCP endpoints ([None] for UDP):
      all N senders share one struct-of-arrays slab, all N receivers
@@ -81,6 +80,33 @@ let gateway_queue ?recorder cfg scenario rng pool =
     recorder;
   q
 
+(* Per-client propagation delays: homogeneous by default, optionally
+   spread uniformly around tau_c to break RTT synchronization. *)
+let client_delays cfg =
+  let n = cfg.Config.clients in
+  let spread = cfg.Config.client_delay_spread_s in
+  if spread = 0. then Array.make n (Time.of_sec cfg.Config.client_delay_s)
+  else begin
+    let delay_rng =
+      Rng.split_named (Rng.create ~seed:cfg.Config.seed) "client-delays"
+    in
+    Array.init n (fun _ ->
+        let jitter = (Rng.float delay_rng -. 0.5) *. spread in
+        Time.of_sec (Stdlib.max 1e-4 (cfg.Config.client_delay_s +. jitter)))
+  end
+
+let poisson_source cfg ~master sched i ~sink =
+  let rng = Rng.split_named master (Printf.sprintf "client-%d" i) in
+  let start =
+    if cfg.Config.start_stagger_s > 0. then
+      Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
+    else Time.zero
+  in
+  Traffic.Poisson.start sched ~rng
+    ~mean_interarrival:cfg.Config.mean_interarrival_s ~start
+    ~until:(Time.of_sec cfg.Config.duration_s)
+    ~sink
+
 let create ?recorder ?(trace_clients = []) cfg scenario =
   Config.validate cfg;
   let n = cfg.Config.clients in
@@ -104,26 +130,12 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
   let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
   let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  (* Per-client propagation delays: homogeneous by default, optionally
-     spread uniformly around tau_c to break RTT synchronization. *)
-  let client_delay =
-    let spread = cfg.Config.client_delay_spread_s in
-    if spread = 0. then fun _ -> Time.of_sec cfg.Config.client_delay_s
-    else begin
-      let delay_rng = Rng.split_named rng "client-delays" in
-      let delays =
-        Array.init n (fun _ ->
-            let jitter = (Rng.float delay_rng -. 0.5) *. spread in
-            Time.of_sec (Stdlib.max 1e-4 (cfg.Config.client_delay_s +. jitter)))
-      in
-      fun i -> delays.(i)
-    end
-  in
+  let delays = client_delays cfg in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let gateway_queue = gateway_queue ?recorder cfg scenario rng pool in
+  let gateway = gateway_queue ?recorder cfg scenario rng pool in
   let bottleneck =
     Link.create sched ~name:"bottleneck" ~bandwidth:bottleneck_bw
-      ~delay:bottleneck_delay ~queue:gateway_queue ~pool
+      ~delay:bottleneck_delay ~queue:gateway ~pool
       ~deliver:(Node.receive server)
   in
   let reverse_bottleneck =
@@ -138,7 +150,7 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
     Array.init n (fun i ->
         Link.create sched
           ~name:(Printf.sprintf "up-%d" i)
-          ~bandwidth:client_bw ~delay:(client_delay i)
+          ~bandwidth:client_bw ~delay:delays.(i)
           ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
           ~pool
           ~deliver:(Router.receive router))
@@ -147,7 +159,7 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
     Array.init n (fun i ->
         Link.create sched
           ~name:(Printf.sprintf "down-%d" i)
-          ~bandwidth:client_bw ~delay:(client_delay i)
+          ~bandwidth:client_bw ~delay:delays.(i)
           ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
           ~pool
           ~deliver:(Node.receive client_nodes.(i)))
@@ -225,7 +237,6 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
     reverse_bottleneck;
     up_links;
     down_links;
-    gateway_queue;
     endpoints;
     flows;
   }
@@ -238,15 +249,11 @@ let pool t = t.pool
 
 let bottleneck t = t.bottleneck
 
-let reverse_bottleneck t = t.reverse_bottleneck
-
 let reclaim t =
   Link.reclaim t.bottleneck;
   Link.reclaim t.reverse_bottleneck;
   Array.iter Link.reclaim t.up_links;
   Array.iter Link.reclaim t.down_links
-
-let clients t = Array.length t.endpoints
 
 let sink t i n =
   match t.endpoints.(i) with
@@ -275,13 +282,6 @@ let tcp_stats_total t =
           Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats sender)
       | Udp_end _ -> acc)
     (Transport.Tcp_stats.create ()) t.endpoints
-
-let gateway_queue_high_water_mark t = Queue_disc.high_water_mark t.gateway_queue
-
-let gateway_marks t =
-  match t.gateway_queue with
-  | Queue_disc.Red red -> Netsim.Red.marks red
-  | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
 
 let ecn_reactions_total t =
   Array.fold_left

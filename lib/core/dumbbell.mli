@@ -4,7 +4,10 @@
     Building a dumbbell wires nodes, links, the gateway router, the queue
     discipline under test and one transport connection per client; traffic
     sources are attached separately through {!sink}, so the same topology
-    serves the paper's Poisson workload and the bulk-transfer examples. *)
+    serves the paper's Poisson workload and the bulk-transfer examples.
+    The sharded {!Pdes} engine builds its own split topology from the
+    same {!gateway_queue}, {!make_cc}, {!client_delays} and
+    {!poisson_source}. *)
 
 type t
 
@@ -23,12 +26,28 @@ val create :
     record a congestion-window trace; tracing costs boxed floats per
     ACK, so it is opt-in. *)
 
+val client_delays : Config.t -> Sim_engine.Time.t array
+(** Each client's access-link delay: [client_delay_s], or with a spread
+    a uniform draw from [client_delay_s +/- spread/2] (floored at
+    0.1 ms), in client order from the seed's ["client-delays"] stream. *)
+
+val poisson_source :
+  Config.t ->
+  master:Sim_engine.Rng.t ->
+  Sim_engine.Scheduler.t ->
+  int ->
+  sink:(int -> unit) ->
+  Traffic.Source.t
+(** Client [i]'s Poisson application on [sched] until [cfg.duration_s],
+    drawing from [master]'s ["client-%d"] stream without advancing
+    [master], from a uniform offset in [\[0, start_stagger_s\]]. *)
+
 val make_cc :
   Config.t ->
   Scenario.cc_kind ->
   Transport.Cc.variant * Transport.Cc.vegas_params option
 (** The congestion-control variant tag plus its parameters, if any —
-    shared with the sharded {!Pdes} builder. *)
+    shared with the sharded {!Pdes} builder and {!Twoway}. *)
 
 val gateway_queue :
   ?recorder:Telemetry.Recorder.t ->
@@ -56,15 +75,12 @@ val reclaim : t -> unit
     leak-free run. *)
 
 val bottleneck : t -> Netsim.Link.t
-(** The gateway → server link whose queue is the discipline under test. *)
-
-val reverse_bottleneck : t -> Netsim.Link.t
+(** The gateway → server link whose queue is the discipline under test
+    ({!Netsim.Link.queue_disc}); {!Meter} reads every metric off it. *)
 
 val sink : t -> int -> int -> unit
 (** [sink t i n] submits [n] application packets on client [i]'s
     transport. *)
-
-val clients : t -> int
 
 val tcp_sender : t -> int -> Transport.Tcp_sender.t option
 (** [None] for UDP scenarios. *)
@@ -80,12 +96,6 @@ val tcp_stats_total : t -> Transport.Tcp_stats.t
 val segments_sent_total : t -> int
 (** Data packets put on the wire by all clients (TCP: includes
     retransmissions; UDP: datagrams). *)
-
-val gateway_queue_high_water_mark : t -> int
-(** Peak gateway queue occupancy (packets) seen so far. *)
-
-val gateway_marks : t -> int
-(** ECN CE marks applied by the gateway queue (0 for FIFO / non-ECN RED). *)
 
 val ecn_reactions_total : t -> int
 (** Window reductions the senders performed in response to ECE echoes. *)

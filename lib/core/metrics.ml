@@ -50,10 +50,14 @@ let cov_inflation_pct t =
   if t.analytic_cov = 0. then 0.
   else 100. *. (t.cov -. t.analytic_cov) /. t.analytic_cov
 
+(* The sign has its own column, so rows align whatever the sign. *)
 let pp_row ppf t =
+  let inflation = cov_inflation_pct t in
   Format.fprintf ppf
-    "%-14s n=%-3d cov=%.4f (poisson %.4f, +%5.1f%%) delivered=%-6d loss=%5.2f%% \
+    "%-14s n=%-3d cov=%.4f (poisson %.4f, %c%5.1f%%) delivered=%-6d loss=%5.2f%% \
      timeouts=%-4d dupacks=%-5d jain=%.3f"
     (Scenario.label t.scenario)
-    t.clients t.cov t.analytic_cov (cov_inflation_pct t) t.delivered t.loss_pct
-    t.timeouts t.dup_acks t.jain_fairness
+    t.clients t.cov t.analytic_cov
+    (if inflation < 0. then '-' else '+')
+    (Float.abs inflation) t.delivered t.loss_pct t.timeouts t.dup_acks
+    t.jain_fairness

@@ -151,7 +151,7 @@ type shard = {
   senders : Transport.Tcp_sender.t array;
   receivers : Transport.Tcp_receiver.t array;
   out : Msgs.t; (* to the hub; drained by rank 0 between windows *)
-  mutable sources : Traffic.Source.t array;
+  sources : Traffic.Source.t array;
 }
 
 type hub = {
@@ -159,7 +159,6 @@ type hub = {
   hpool : Packet_pool.t;
   bottleneck : Link.t; (* handoff *)
   reverse : Link.t; (* delay 0; deliver routes into [hout] *)
-  gateway : Queue_disc.t;
   hout : Msgs.t array; (* one ring per destination shard *)
 }
 
@@ -280,22 +279,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
       shard_of.(i) <- s
     done
   done;
-  (* Per-client propagation delays, drawn in client order from the same
-     named stream as the classic engine — one global pass so the draws
-     are independent of the sharding. *)
-  let delays =
-    let spread = cfg.Config.client_delay_spread_s in
-    if spread = 0. then
-      Array.make n (Time.of_sec cfg.Config.client_delay_s)
-    else begin
-      let delay_rng =
-        Rng.split_named (Rng.create ~seed:cfg.Config.seed) "client-delays"
-      in
-      Array.init n (fun _ ->
-          let jitter = (Rng.float delay_rng -. 0.5) *. spread in
-          Time.of_sec (Stdlib.max 1e-4 (cfg.Config.client_delay_s +. jitter)))
-    end
-  in
+  (* One global draw, as the classic engine's, so sharding cannot move it. *)
+  let delays = Dumbbell.client_delays cfg in
   (* Per-flow uid counters: uids become a pure function of per-flow
      history, so they cannot leak cross-flow allocation interleaving
      (which is the one thing that differs between shardings). *)
@@ -315,17 +300,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   let trace_recorder () = Option.bind probe Telemetry.Probe.trace_recorder in
   let hrec = trace_recorder () in
   let srecs = Array.init shards_n (fun _ -> trace_recorder ()) in
-  let ( hub,
-        shards,
-        binner,
-        burst_state,
-        hybrid,
-        per_flow_binners,
-        drop_run_list,
-        delay_stats,
-        delay_p99,
-        queue_series,
-        inboxes ) =
+  let hub, shards, meter, hub_inbox, shard_inboxes =
     time "setup" (fun () ->
         (* --- hub ------------------------------------------------- *)
         let hsched =
@@ -371,7 +346,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               (Time.add arrival delays.(flow))
               h);
         Option.iter (Link.record bottleneck) hrec;
-        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout } in
+        let hub = { hsched; hpool; bottleneck; reverse; hout } in
         (* --- shards ---------------------------------------------- *)
         let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
         let sack = cc = Scenario.Sack in
@@ -454,6 +429,13 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                         Transport.Tcp_sender.handle_packet senders.(j) h;
                         Packet_pool.free pool h))
               in
+              (* Per-client named streams, as in the classic engine. *)
+              let master = Rng.create ~seed:cfg.Config.seed in
+              let sources =
+                Array.init n_local (fun j ->
+                    Dumbbell.poisson_source cfg ~master sched (lo + j)
+                      ~sink:(Transport.Tcp_sender.write senders.(j)))
+              in
               {
                 lo;
                 n_local;
@@ -466,140 +448,15 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 senders;
                 receivers;
                 out;
-                sources = [||];
+                sources;
               })
         in
-        (* Poisson sources, per-client named streams as in the classic
-           engine; attached after construction like [Run.run]. *)
-        Array.iter
-          (fun sh ->
-            let master = Rng.create ~seed:cfg.Config.seed in
-            sh.sources <-
-              Array.init sh.n_local (fun j ->
-                  let i = sh.lo + j in
-                  let rng =
-                    Rng.split_named master (Printf.sprintf "client-%d" i)
-                  in
-                  let start =
-                    if cfg.Config.start_stagger_s > 0. then
-                      Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
-                    else Time.zero
-                  in
-                  let sender = sh.senders.(j) in
-                  Traffic.Poisson.start sh.sched ~rng
-                    ~mean_interarrival:cfg.Config.mean_interarrival_s ~start
-                    ~until:horizon
-                    ~sink:(fun k -> Transport.Tcp_sender.write sender k)))
-          shards;
-        (* --- bottleneck-anchored measurement (all hub-side) ------- *)
-        (* Hybrid engine: the quantum tick lives on the hub scheduler and
-           reads only hub-local state (bottleneck counters, gateway
-           average), so the fluid coupling is invariant under the shard
-           count — the K-invariance guarantee extends to hybrid runs. *)
-        let hybrid =
-          if cfg.Config.background >= 1 then
-            Some (Hybrid.attach ~sched:hsched ~bottleneck cfg)
-          else None
-        in
-        let binner =
-          Netsim.Monitor.arrival_binner hpool bottleneck
-            ~origin:cfg.Config.warmup_s ~width:(Config.rtt_prop_s cfg)
-        in
-        let burst_state =
-          match probe with
-          | Some p -> (
-              match Telemetry.Probe.burst_config p with
-              | Some bc ->
-                  let burst =
-                    Telemetry.Burst.create ~levels:bc.Telemetry.Burst.levels
-                      ~origin:cfg.Config.warmup_s
-                      ~width:(Config.rtt_prop_s cfg) ()
-                  in
-                  Netsim.Monitor.arrival_burst hpool bottleneck burst;
-                  let osc =
-                    if bc.Telemetry.Burst.osc_enabled then begin
-                      let osc = Telemetry.Burst.Osc.create () in
-                      let qdisc = Link.queue_disc bottleneck in
-                      (match Queue_disc.avg_queue qdisc with
-                      | None ->
-                          Queue_disc.enable_avg qdisc ~w_q:cfg.Config.red_w_q
-                      | Some _ -> ());
-                      let base =
-                        match Queue_disc.avg_queue qdisc with
-                        | Some _ ->
-                            fun () ->
-                              Option.value ~default:0.
-                                (Queue_disc.avg_queue qdisc)
-                        | None ->
-                            fun () -> float_of_int (Link.queue_length bottleneck)
-                      in
-                      let signal =
-                        match (hybrid, qdisc) with
-                        | Some h, (Queue_disc.Droptail _ | Queue_disc.Sfq _) ->
-                            fun () -> base () +. Hybrid.bg_queue h
-                        | _ -> base
-                      in
-                      Netsim.Monitor.osc_sampler ~signal hsched bottleneck osc
-                        ~every:(Time.of_ms 20.) ~from:cfg.Config.warmup_s
-                        ~until:horizon;
-                      Some osc
-                    end
-                    else None
-                  in
-                  Some (burst, osc)
-              | None -> None)
-          | None -> None
-        in
-        let per_flow_binners =
-          if measure_sync && n >= 2 then begin
-            let binners =
-              Array.init n (fun _ ->
-                  Netstats.Binned.create ~origin:cfg.Config.warmup_s
-                    ~width:(Config.rtt_prop_s cfg) ())
-            in
-            Link.on_arrival bottleneck (fun now h ->
-                let flow = Packet_pool.flow hpool h in
-                if
-                  Packet_pool.is_data hpool h
-                  && flow >= 0
-                  && flow < Array.length binners
-                then Netstats.Binned.record binners.(flow) (Time.to_sec now));
-            Some binners
-          end
-          else None
-        in
-        let drop_run_list = Netsim.Monitor.drop_run_recorder bottleneck in
-        let delay_stats = Netstats.Welford.create () in
-        let delay_p99 = Netstats.P2_quantile.create ~q:0.99 in
-        let delay_hist =
-          match probe with
-          | Some p ->
-              Some
-                (Telemetry.Registry.histogram p.Telemetry.Probe.registry
-                   ~help:"Bottleneck one-way delay of data packets" ~lo:0.
-                   ~hi:5. ~bins:50 "packet_delay_seconds")
-          | None -> None
-        in
-        Link.on_depart bottleneck (fun now h ->
-            if
-              Packet_pool.is_data hpool h
-              && Time.to_sec now >= cfg.Config.warmup_s
-            then begin
-              let delay =
-                Time.to_sec now -. Time.to_sec (Packet_pool.sent_at hpool h)
-              in
-              Netstats.Welford.add delay_stats delay;
-              Netstats.P2_quantile.add delay_p99 delay;
-              match delay_hist with
-              | Some hist -> Telemetry.Registry.observe hist delay
-              | None -> ()
-            end);
-        let queue_series =
-          if sample_queue then
-            Some
-              (Netsim.Monitor.queue_sampler hsched bottleneck
-                 ~every:(Time.of_ms 10.) ~until:horizon)
-          else None
+        (* Every bottleneck monitor lives on the hub, the hybrid quantum
+           tick included: it reads only hub-local state, so hybrid runs
+           stay K-invariant too. *)
+        let meter =
+          Meter.attach ?probe ~sample_queue ~measure_sync ~sched:hsched
+            ~pool:hpool bottleneck cfg
         in
         (* --- inboxes: one import side per destination domain ------ *)
         let hub_inbox =
@@ -642,19 +499,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               })
             shards
         in
-        ( hub,
-          shards,
-          binner,
-          burst_state,
-          hybrid,
-          per_flow_binners,
-          drop_run_list,
-          delay_stats,
-          delay_p99,
-          queue_series,
-          (hub_inbox, shard_inboxes) ))
+        (hub, shards, meter, hub_inbox, shard_inboxes))
   in
-  let hub_inbox, shard_inboxes = inboxes in
   (* Per-rank worker probes: shard phase timers and counters travel back
      through the same {!Telemetry.Probe.merge} path parallel sweeps use. *)
   let worker_probes =
@@ -728,145 +574,37 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   in
   if live <> 0 then
     failwith (Printf.sprintf "Pdes.run: %d packet(s) leaked from the pools" live);
-  let sender_of i = shards.(shard_of.(i)).senders.(i - shards.(shard_of.(i)).lo) in
-  let receiver_of i =
-    shards.(shard_of.(i)).receivers.(i - shards.(shard_of.(i)).lo)
-  in
+  (* Flow [i] is row [i] of the shards' endpoint arrays laid end to end. *)
+  let all f = Array.concat (List.map f (Array.to_list shards)) in
+  let senders = all (fun sh -> sh.senders) in
   let metrics =
     time "collect" (fun () ->
-        let counts = Netstats.Binned.counts binner ~upto:cfg.Config.duration_s in
-        let cov, mean_per_bin =
-          if Array.length counts < 2 then (0., 0.)
-          else begin
-            let summary = Netstats.Summary.of_array counts in
-            (summary.Netstats.Summary.cov, summary.Netstats.Summary.mean)
-          end
+        let tcp_stats =
+          Array.fold_left Transport.Tcp_stats.add (Transport.Tcp_stats.create ())
+            (Array.map Transport.Tcp_sender.stats senders)
         in
-        let cov_ci95 =
-          if Array.length counts >= 20 then
-            (Netstats.Batch_means.cov_interval counts)
-              .Netstats.Batch_means.half_width_95
-          else 0.
-        in
-        let offered =
-          let acc = ref 0 in
-          Array.iter
-            (fun sh ->
-              Array.iter
-                (fun s -> acc := !acc + s.Traffic.Source.generated ())
-                sh.sources)
-            shards;
-          !acc
-        in
-        let per_client =
-          Array.init n (fun i -> Transport.Tcp_receiver.delivered (receiver_of i))
-        in
-        let stats =
-          let acc = ref (Transport.Tcp_stats.create ()) in
-          for i = 0 to n - 1 do
-            acc :=
-              Transport.Tcp_stats.add !acc
-                (Transport.Tcp_sender.stats (sender_of i))
-          done;
-          !acc
-        in
-        let arrivals = Link.arrivals hub.bottleneck in
-        let drops = Link.drops hub.bottleneck in
-        let loss_pct =
-          if arrivals = 0 then 0.
-          else 100. *. float_of_int drops /. float_of_int arrivals
-        in
-        let sync_index =
-          match per_flow_binners with
-          | None -> None
-          | Some binners ->
-              let rows =
-                Array.map
-                  (fun b -> Netstats.Binned.counts b ~upto:cfg.Config.duration_s)
-                  binners
-              in
-              if Array.length rows.(0) < 2 then None
-              else Some (Netstats.Correlation.mean_pairwise rows)
-        in
-        let cwnd_traces =
-          List.filter_map
-            (fun i ->
-              if i >= 0 && i < n then
-                Some (i, Transport.Tcp_sender.cwnd_trace (sender_of i))
-              else None)
-            trace_clients
-        in
-        let burst_summary =
-          match burst_state with
-          | None -> None
-          | Some (burst, osc) ->
-              Telemetry.Burst.advance burst ~upto:cfg.Config.duration_s;
-              Some (Telemetry.Burst.summary ?osc burst)
-        in
-        let drop_runs = drop_run_list () in
-        let drop_max, drop_sum, drop_count =
-          List.fold_left
-            (fun (mx, sum, k) len -> (Stdlib.max mx len, sum + len, k + 1))
-            (0, 0, 0) drop_runs
-        in
-        let delivered_total = Array.fold_left ( + ) 0 per_client in
-        let ecn_reactions =
-          let acc = ref 0 in
-          for i = 0 to n - 1 do
-            acc := !acc + Transport.Tcp_sender.ecn_reactions (sender_of i)
-          done;
-          !acc
-        in
-        let gateway_marks =
-          match hub.gateway with
-          | Queue_disc.Red red -> Netsim.Red.marks red
-          | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
-        in
-        {
-          Metrics.scenario;
-          clients = n;
-          cov;
-          cov_ci95;
-          analytic_cov = Analytic.poisson_cov cfg;
-          mean_per_bin;
-          offered;
-          delivered = delivered_total;
-          segments_sent = stats.Transport.Tcp_stats.segments_sent;
-          gateway_arrivals = arrivals;
-          gateway_drops = drops;
-          loss_pct;
-          timeouts = stats.Transport.Tcp_stats.timeouts;
-          fast_retransmits = stats.Transport.Tcp_stats.fast_retransmits;
-          retransmits = stats.Transport.Tcp_stats.retransmits;
-          dup_acks = stats.Transport.Tcp_stats.dup_acks;
-          timeout_dupack_ratio = Transport.Tcp_stats.timeout_dupack_ratio stats;
-          per_client_delivered = per_client;
-          jain_fairness = Fairness.jain (Array.map float_of_int per_client);
-          sync_index;
-          ecn_marks = gateway_marks;
-          ecn_reactions;
-          delay_mean_s = Netstats.Welford.mean delay_stats;
-          delay_p99_s =
-            (if Netstats.P2_quantile.count delay_p99 = 0 then 0.
-             else Netstats.P2_quantile.quantile delay_p99);
-          drop_run_max = drop_max;
-          drop_run_mean =
-            (if drop_count = 0 then 0.
-             else float_of_int drop_sum /. float_of_int drop_count);
-          cwnd_traces;
-          queue_series;
-          burst = burst_summary;
-          hybrid = Option.map Hybrid.summary hybrid;
-        })
+        Meter.metrics meter scenario
+          {
+            Meter.offered =
+              Array.fold_left
+                (fun acc s -> acc + s.Traffic.Source.generated ())
+                0
+                (all (fun sh -> sh.sources));
+            per_client_delivered =
+              Array.map Transport.Tcp_receiver.delivered
+                (all (fun sh -> sh.receivers));
+            tcp_stats;
+            segments_sent = tcp_stats.Transport.Tcp_stats.segments_sent;
+            ecn_reactions =
+              Array.fold_left ( + ) 0
+                (Array.map Transport.Tcp_sender.ecn_reactions senders);
+            cwnd_traces =
+              List.map
+                (fun i -> (i, Transport.Tcp_sender.cwnd_trace senders.(i)))
+                trace_clients;
+          })
   in
-  (match (probe, metrics.Metrics.burst) with
-  | Some p, Some s ->
-      Telemetry.Burst.export p.Telemetry.Probe.registry ~run:run_label s
-  | _ -> ());
-  (match (probe, metrics.Metrics.hybrid) with
-  | Some p, Some s ->
-      Hybrid.export p.Telemetry.Probe.registry ~run:run_label s
-  | _ -> ());
+  Option.iter (fun p -> Meter.export meter p ~label:run_label metrics) probe;
   (match probe with
   | Some p ->
       (* Shard-side telemetry rides worker probes through the sweep-
@@ -897,12 +635,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
           (Scheduler.queue_high_water_mark hub.hsched)
           shards
       in
-      Telemetry.Probe.note_run p ~label:run_label ~sim_s:cfg.Config.duration_s
-        ~wall_s:run_wall ~events ~event_queue_hwm:eq_hwm
-        ~gateway_queue_hwm:(Queue_disc.high_water_mark hub.gateway)
-        ~arrivals:(Link.arrivals hub.bottleneck)
-        ~drops:(Link.drops hub.bottleneck)
-        ~gc:run_gc ()
+      Meter.note_run meter p ~label:run_label ~wall_s:run_wall ~events
+        ~event_queue_hwm:eq_hwm ~gc:run_gc
   | None -> ());
   Array.iter
     (fun sh ->

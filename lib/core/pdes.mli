@@ -11,6 +11,10 @@
     width and exchange sorted packet batches at window boundaries — a
     conservative schedule with zero rollback.
 
+    Only the topology and the scheduling loop are this module's own: the
+    hub measures through the classic engine's {!Meter}, and the gateway,
+    delays and sources come from the same {!Dumbbell} definitions.
+
     A [K]-shard run is bit-identical to a 1-shard run of the same seed
     (both run the same windowed machinery; batches are merged in a
     canonical order independent of [K]). It is {e not} required to match
@@ -37,5 +41,6 @@ val run :
     scenarios only, and flight recording ([Probe.set_recording]) is not
     kept. The probe's bus still hears the run: each domain records
     parity events while it has subscribers, replayed after the run in
-    canonical [(time, NDJSON line)] order.
+    canonical [(time, NDJSON line)] order. Call it through {!Run.run},
+    which checks [trace_clients] against the client count first.
     @raise Invalid_argument on [cfg.shards < 1] or a UDP scenario. *)

@@ -40,18 +40,14 @@ let pareto_params cfg =
 let attach_sources cfg kind net sched horizon =
   List.iter
     (fun i ->
-      let rng = Rng.split_named (Dumbbell.rng net) (Printf.sprintf "client-%d" i) in
-      let sink = Dumbbell.sink net i in
+      let master = Dumbbell.rng net and sink = Dumbbell.sink net i in
       match kind with
-      | Poisson_src ->
-          ignore
-            (Traffic.Poisson.start sched ~rng
-               ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
-               ~until:horizon ~sink)
+      | Poisson_src -> ignore (Dumbbell.poisson_source cfg ~master sched i ~sink)
       | Pareto_src ->
           ignore
-            (Traffic.Onoff_pareto.start sched ~rng ~params:(pareto_params cfg)
-               ~start:Time.zero ~until:horizon ~sink))
+            (Traffic.Onoff_pareto.start sched
+               ~rng:(Rng.split_named master (Printf.sprintf "client-%d" i))
+               ~params:(pareto_params cfg) ~start:Time.zero ~until:horizon ~sink))
     (List.init cfg.Config.clients Fun.id)
 
 (* Everything streams: a fine-grained dyadic aggregator (10 ms base

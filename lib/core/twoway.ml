@@ -29,14 +29,6 @@ let rev_dst_id j = 400 + j
 
 let gateway_side id = (id >= 100 && id < 200) || id >= 400
 
-let make_cc cfg kind =
-  match kind with
-  | Scenario.Tahoe -> (Transport.Cc.Tahoe, None)
-  | Scenario.Reno -> (Transport.Cc.Reno, None)
-  | Scenario.Newreno -> (Transport.Cc.Newreno, None)
-  | Scenario.Vegas -> (Transport.Cc.Vegas, Some cfg.Config.vegas)
-  | Scenario.Sack -> (Transport.Cc.Sack, None)
-
 let run cfg ~cc ~reverse_clients =
   if reverse_clients < 0 then invalid_arg "Twoway.run: negative reverse_clients";
   let n = cfg.Config.clients in
@@ -99,7 +91,7 @@ let run cfg ~cc ~reverse_clients =
     Router.add_route router ~dst:id down;
     up
   in
-  let variant, vegas = make_cc cfg cc in
+  let variant, vegas = Dumbbell.make_cc cfg cc in
   let connect ~flow ~src_id ~dst_id =
     let src_up = attach src_id in
     let dst_up = attach dst_id in

@@ -253,6 +253,32 @@ let run_traces_requested_clients () =
       Alcotest.(check bool) "trace non-empty" true (Netstats.Series.length s > 0))
     m.Metrics.cwnd_traces
 
+let run_rejects_out_of_range_trace_clients () =
+  (* A cwnd-trace index outside the client population is the caller's
+     error on either engine, and is reported before any topology is
+     built (the classic engine never reaches [prepare]). *)
+  List.iter
+    (fun (shards, index) ->
+      let cfg =
+        { (tiny ~clients:4 ~duration:5. ~warmup:1. ()) with Config.shards }
+      in
+      let built = ref false in
+      let prepare =
+        if shards = 0 then Some (fun (_ : Dumbbell.t) -> built := true)
+        else None
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "index %d, shards %d" index shards)
+        (Invalid_argument
+           (Printf.sprintf
+              "Run.run: trace_clients index %d is out of range for 4 client(s)"
+              index))
+        (fun () ->
+          ignore
+            (Run.run ?prepare ~trace_clients:[ 0; index ] cfg Scenario.reno));
+      Alcotest.(check bool) "nothing built" false !built)
+    [ (0, 10); (0, -1); (1, 10); (2, 4) ]
+
 let run_cov_ci_present () =
   let cfg = tiny ~clients:10 ~duration:120. ~warmup:10. () in
   let m = Run.run cfg Scenario.udp in
@@ -347,6 +373,83 @@ let run_trace_digest_pinned_sharded () =
         "09da9bba46244c470fb87f871e2e72bd"
         (Digest.to_hex (Digest.string trace)))
     [ 1; 2; 4 ]
+
+(* Everything a run measured, in one digest: the JSON metrics document
+   plus the per-client and per-sample fields it omits. Floats enter as
+   [%h], so a one-ulp change shows. *)
+let metrics_digest (m : Metrics.t) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Json.to_string (Export.metrics_to_json m));
+  Array.iter (Printf.bprintf b " %d") m.Metrics.per_client_delivered;
+  let series s = Netstats.Series.iter (Printf.bprintf b " %h:%h") s in
+  List.iter
+    (fun (i, s) ->
+      Printf.bprintf b "\ncwnd %d" i;
+      series s)
+    m.Metrics.cwnd_traces;
+  Option.iter
+    (fun s ->
+      Buffer.add_string b "\nqueue";
+      series s)
+    m.Metrics.queue_series;
+  Option.iter (Printf.bprintf b "\nsync %h") m.Metrics.sync_index;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let run_metrics_digest_pinned () =
+  (* Metrics-equivalence gate for the bottleneck measurement both
+     engines share: the full metrics of a congested run (N = 50 is past
+     saturation, so drops, timeouts and drop runs are all non-zero) are
+     pinned by digest on the classic engine and on the sharded one, with
+     and without the fluid background, and with every optional monitor
+     on ("observed": burst aggregator and oscillation detector, per-flow
+     sync binners, the queue sampler and two cwnd traces). Shard counts
+     1 and 2 must agree, as the sharded engine promises. *)
+  let pin label ?(shards = [ 0 ]) ?(background = 0) ~observed scenario
+      expected =
+    List.iter
+      (fun shards ->
+        let cfg =
+          {
+            (tiny ~clients:50 ~duration:10. ~warmup:2. ()) with
+            Config.shards;
+            background;
+          }
+        in
+        let m =
+          if observed then begin
+            let probe = Telemetry.Probe.create () in
+            Telemetry.Probe.set_burst probe (Some Telemetry.Burst.default_config);
+            Run.run ~probe ~trace_clients:[ 0; 7 ] ~sample_queue:true
+              ~measure_sync:true cfg scenario
+          end
+          else Run.run cfg scenario
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s, shards %d" label shards)
+          expected (metrics_digest m))
+      shards
+  in
+  pin "reno" ~observed:true Scenario.reno "f5d8bd8e0a142cf128675f72a29b50f2";
+  pin "reno/red" ~observed:true Scenario.reno_red
+    "c856e27c848cce43015b0ff8cdf315b6";
+  pin "reno/red + background" ~observed:true ~background:30 Scenario.reno_red
+    "412c1f0586f25d914f8461b9a438de2c";
+  pin "vegas" ~observed:false Scenario.vegas "ff8414783c1ee7e8f65de5754f5d7acb";
+  pin "reno/ecn" ~observed:false Scenario.reno_ecn
+    "9a13d62f67709aef477cf79c70698620";
+  pin "reno/sfq" ~observed:true Scenario.reno_sfq
+    "ea3db64e99d2adf161a6982d8af0f442";
+  pin "udp" ~observed:true Scenario.udp "0039e8a21d4d2384e5e5172284789371";
+  pin "sharded reno/red" ~observed:true ~shards:[ 1; 2 ] Scenario.reno_red
+    "bb53f76984fed065446643471efb6719";
+  pin "sharded reno/red + background" ~observed:true ~shards:[ 1; 2 ]
+    ~background:30 Scenario.reno_red "012fa2fc3cc612b6b0276f176a27be92";
+  pin "sharded vegas" ~observed:false ~shards:[ 1; 2 ] Scenario.vegas
+    "9f5f4c0dba4a52666a2ed43b0446a476";
+  pin "sharded reno/ecn" ~observed:false ~shards:[ 1; 2 ] Scenario.reno_ecn
+    "5437e2538d5e8070bfa0b43349ab7424";
+  pin "sharded reno/sfq + background" ~observed:true ~shards:[ 1; 2 ]
+    ~background:30 Scenario.reno_sfq "1fb8780efdfd9e32e10e1df4d71b555b"
 
 let run_recorder_parity_with_live_tracer () =
   (* One observation path, pinned end to end: the bus hears a run only
@@ -927,63 +1030,103 @@ let mean_field_cfg n duration_s =
     warmup_s = duration_s /. 2.;
   }
 
-let hybrid_dt_halving_convergence =
-  (* The coupled step must converge as the quantum shrinks: with the
-     packet-side inputs frozen, halving dt moves the state markedly
-     closer to a fine-step reference. The projection clamps are
-     non-expansive, so this holds across the clamped corners too. *)
-  QCheck.Test.make ~name:"coupled step dt-halving convergence" ~count:100
-    QCheck.(
+(* One draw of the coupled step's inputs: (n_bg, capacity pkt/s, base
+   RTT ms, buffer), (max_window, q_pkt % of buffer, foreground rate % of
+   capacity, drop probability per mil). [err steps] is the state error
+   after two base RTTs from [w = 2, q_v = 0] at [steps] steps, against
+   a 4096-step reference; [scale] is the reference state's size. *)
+let coupling_errors ((n_bg, cap, rtt_ms, buf), (mw, qfrac, mufrac, pmil)) =
+  let p =
+    {
+      Hybrid.Coupling.n_bg = float_of_int n_bg;
+      capacity_pps = float_of_int cap;
+      base_rtt_s = float_of_int rtt_ms /. 1000.;
+      buffer_packets = float_of_int buf;
+      max_window = float_of_int mw;
+    }
+  in
+  let horizon = 2. *. p.Hybrid.Coupling.base_rtt_s in
+  let final steps =
+    let i =
+      {
+        Hybrid.Coupling.q_pkt = float_of_int buf *. float_of_int qfrac /. 100.;
+        mu_fg_pps = float_of_int cap *. float_of_int mufrac /. 100.;
+        p_drop = float_of_int pmil /. 1000.;
+      }
+    in
+    let s = Fluidmodel.Ode.stepper 2 in
+    let y = [| 2.; 0. |] in
+    let dt = horizon /. float_of_int steps in
+    for _ = 1 to steps do
+      Hybrid.Coupling.step s p i ~dt y
+    done;
+    y
+  in
+  let reference = final 4096 in
+  let err steps =
+    let y = final steps in
+    Float.max
+      (Float.abs (y.(0) -. reference.(0)))
+      (Float.abs (y.(1) -. reference.(1)))
+  in
+  (err, 1. +. Float.abs reference.(0) +. Float.abs reference.(1))
+
+(* The field switches the backlog's growth off where the virtual queue
+   empties or the buffer fills. RK4 is only first-order across such a
+   switch, and while a step is coarse its error depends on where inside
+   the step the switch falls, so it need not shrink as the step does:
+   one draw errs 4.4e-2, 4.7e-2, 3.4e-2 and 1.1e-2 in q_v at 8, 16, 32
+   and 64 steps. Convergence is therefore stated where the switch is
+   resolved — quartering dt from RTT/32 to RTT/128 at least halves the
+   error, up to a relative slack for the clamped corners — and the
+   engine's own quantum (RTT/20, 40 steps here) is held to a bound. *)
+let coupling_converges c =
+  let err, scale = coupling_errors c in
+  err 256 <= (0.5 *. err 64) +. (1e-3 *. scale)
+
+let coupling_quantum_bounded c =
+  let err, scale = coupling_errors c in
+  err 40 <= 0.05 *. scale
+
+let print_draw =
+  QCheck2.Print.(pair (quad int int int int) (quad int int int int))
+
+(* QCheck2's integrated shrinking keeps every shrunk draw inside the
+   generator's ranges. *)
+let coupling_test ~name prop =
+  QCheck2.Test.make ~name ~count:100 ~print:print_draw
+    QCheck2.Gen.(
       pair
         (quad (int_range 100 5_000) (int_range 2_000 50_000)
            (int_range 50 250) (int_range 500 20_000))
         (quad (int_range 12 64) (int_range 0 50) (int_range 0 50)
            (int_range 0 100)))
-    (fun ((n_bg, cap, rtt_ms, buf), (mw, qfrac, mufrac, pmil)) ->
-      let p =
-        {
-          Hybrid.Coupling.n_bg = float_of_int n_bg;
-          capacity_pps = float_of_int cap;
-          base_rtt_s = float_of_int rtt_ms /. 1000.;
-          buffer_packets = float_of_int buf;
-          max_window = float_of_int mw;
-        }
-      in
-      let inputs () =
-        {
-          Hybrid.Coupling.q_pkt =
-            float_of_int buf *. float_of_int qfrac /. 100.;
-          mu_fg_pps = float_of_int cap *. float_of_int mufrac /. 100.;
-          p_drop = float_of_int pmil /. 1000.;
-        }
-      in
-      let horizon = 2. *. p.Hybrid.Coupling.base_rtt_s in
-      let final steps =
-        let i = inputs () in
-        let s = Fluidmodel.Ode.stepper 2 in
-        let y = [| 2.; 0. |] in
-        let dt = horizon /. float_of_int steps in
-        for _ = 1 to steps do
-          Hybrid.Coupling.step s p i ~dt y
-        done;
-        y
-      in
-      let reference = final 64 in
-      let err steps =
-        let y = final steps in
-        Float.max
-          (Float.abs (y.(0) -. reference.(0)))
-          (Float.abs (y.(1) -. reference.(1)))
-      in
-      (* Quartering the quantum must at least halve the error, up to a
-         relative slack absorbing the clamp boundaries (where the
-         projected dynamics are only first-order accurate but the
-         absolute error is already a negligible fraction of the
-         state). *)
-      let scale =
-        1. +. Float.abs reference.(0) +. Float.abs reference.(1)
-      in
-      err 32 <= (0.5 *. err 8) +. (1e-3 *. scale))
+    prop
+
+let hybrid_dt_halving_convergence =
+  coupling_test ~name:"coupled step dt-halving convergence" coupling_converges
+
+let hybrid_quantum_error_bounded =
+  coupling_test ~name:"coupled step error at the engine quantum"
+    coupling_quantum_bounded
+
+let hybrid_coupling_pinned_draws () =
+  (* Draws whose error does not shrink from RTT/4 to RTT/16 steps: both
+     properties must hold on them. *)
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        ("converges " ^ print_draw c)
+        true (coupling_converges c);
+      Alcotest.(check bool)
+        ("bounded " ^ print_draw c)
+        true
+        (coupling_quantum_bounded c))
+    [
+      ((1176, 26990, 166, 936), (48, 29, 7, 6));
+      ((4294, 43392, 244, 17784), (29, 23, 3, 13));
+      ((1806, 46949, 156, 1185), (37, 42, 25, 84));
+    ]
 
 let hybrid_attach_validates () =
   let cfg = tiny () in
@@ -1127,6 +1270,8 @@ let suite =
         Alcotest.test_case "overload saturates throughput" `Slow
           run_overload_saturates_throughput;
         Alcotest.test_case "cwnd traces" `Quick run_traces_requested_clients;
+        Alcotest.test_case "out-of-range trace_clients rejected" `Quick
+          run_rejects_out_of_range_trace_clients;
         Alcotest.test_case "cov confidence interval" `Slow run_cov_ci_present;
         Alcotest.test_case "deterministic" `Quick run_deterministic;
         Alcotest.test_case "pinned trace digest" `Quick run_trace_digest_pinned;
@@ -1134,6 +1279,8 @@ let suite =
           run_trace_digest_pinned_flow_table;
         Alcotest.test_case "pinned trace digest (sharded, K-invariant)" `Quick
           run_trace_digest_pinned_sharded;
+        Alcotest.test_case "pinned metrics digest (both engines)" `Quick
+          run_metrics_digest_pinned;
         Alcotest.test_case "recorder parity with live tracer" `Quick
           run_recorder_parity_with_live_tracer;
         Alcotest.test_case "pool drained after runs" `Quick run_releases_every_pooled_packet;
@@ -1152,6 +1299,9 @@ let suite =
         Alcotest.test_case "matches packet at N=1e3 (short horizon)" `Slow
           hybrid_matches_packet_1e3;
         QCheck_alcotest.to_alcotest hybrid_dt_halving_convergence;
+        QCheck_alcotest.to_alcotest hybrid_quantum_error_bounded;
+        Alcotest.test_case "coupled step on pinned draws" `Quick
+          hybrid_coupling_pinned_draws;
       ] );
     ( "core.paper_shapes",
       [
