@@ -389,7 +389,13 @@ let drive (cfg : Burstcore.Config.t) k =
      words/event delta is the precise gate;
    - recorder minor words/event within 0.05 of the probed run (the hot
      path is integer stores into a preallocated ring, so the delta must
-     be ~0). *)
+     be ~0);
+   - the post-run NDJSON encode --trace-out pays, in ns per event: per
+     rep, one Grow-mode parity recording of the same run replayed
+     through [Probe.replay] into an [ndjson_writer] on /dev/null. On a
+     2-vCPU x86-64 host the printf-based encoder read 4100-5200 ns here
+     and the direct one 590-1140 ns, so the bound trips on a return to
+     per-number printf or a buffer per line. *)
 let run_telemetry_bench () =
   section "Telemetry overhead (events/sec)";
   let cfg =
@@ -438,6 +444,32 @@ let run_telemetry_bench () =
   let recorded_walls = List.map (fun (_, _, _, _, w) -> w) rows in
   let probed_runs = List.map (fun (_, p, _, _, _) -> run_phase_s p) rows in
   let recorded_runs = List.map (fun (_, _, _, r, _) -> run_phase_s r) rows in
+  let parity =
+    let probe = Telemetry.Probe.create () in
+    Telemetry.Probe.set_recording probe
+      { Telemetry.Recorder.default_config with lifecycle = false };
+    ignore (Burstcore.Run.run ~probe cfg scenario);
+    Telemetry.Probe.segments probe
+  in
+  let trace_events =
+    List.fold_left (fun acc r -> acc + Telemetry.Recorder.total_recorded r) 0 parity
+  in
+  let null = open_out_bin "/dev/null" in
+  let encode_ns () =
+    let probe = Telemetry.Probe.create () in
+    let bus = probe.Telemetry.Probe.bus in
+    ignore
+      (Telemetry.Event_bus.subscribe bus (Telemetry.Event_bus.ndjson_writer null));
+    Gc.full_major ();
+    let (), wall =
+      timed (fun () ->
+          List.iter (Telemetry.Probe.replay probe) parity;
+          flush null)
+    in
+    wall *. 1e9 /. float_of_int (Telemetry.Event_bus.published bus)
+  in
+  let encode_ns = List.init reps (fun _ -> encode_ns ()) in
+  close_out null;
   let _, probed, _, recorded, _ = List.nth rows (reps - 1) in
   let events = Telemetry.Probe.events_total probed in
   let segments = Telemetry.Probe.segments recorded in
@@ -461,6 +493,8 @@ let run_telemetry_bench () =
     (best probed_runs) (best recorded_runs);
   Format.fprintf std "recorder records      %12d  (%d dropped by ring)@." records
     dropped;
+  Format.fprintf std "ndjson encode         %12d events, %.0f ns/event (best)@."
+    trace_events (best encode_ns);
   emit ~file:"BENCH_telemetry.json"
     ~fields:
       [
@@ -480,6 +514,7 @@ let run_telemetry_bench () =
         ("probed_minor_words_per_event", Json.Float probed_words);
         ("recorded_minor_words_per_event", Json.Float recorded_words);
         ("recorder_dropped", Json.Int dropped);
+        ("trace_events", Json.Int trace_events);
       ]
     ~gates:
       [
@@ -490,6 +525,7 @@ let run_telemetry_bench () =
         gate "recorder_minor_words_per_event_delta" Report.Le 0.05
           (recorded_words -. probed_words);
         gate "recorder_records" Report.Ge 1. (float_of_int records);
+        timed_gate "trace_ndjson_ns_per_event" Report.Le 1500. encode_ns;
       ]
 
 (* ------------------------------------------------------------------ *)

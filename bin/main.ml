@@ -558,10 +558,9 @@ let trace_decode_cmd =
   let run file out =
     let segments = read_recording file in
     with_query_out out (fun oc ->
+        let write = Telemetry.Json.line_writer oc in
         iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
-            output_string oc
-              (Telemetry.Record.ndjson_of_record ~lookup words off);
-            output_char oc '\n'))
+            write (Telemetry.Record.json_of_record ~lookup words off)))
   in
   Cmd.v
     (Cmd.info "decode"
@@ -648,6 +647,7 @@ let trace_grep_cmd =
     in
     let segments = read_recording file in
     with_query_out out (fun oc ->
+        let write = Telemetry.Json.line_writer oc in
         iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
             let tick = words.(off) in
             let t = Telemetry.Record.time_of_tick tick in
@@ -659,11 +659,8 @@ let trace_grep_cmd =
               && (match tfrom with None -> true | Some s -> t >= s)
               && match tto with None -> true | Some s -> t <= s
             in
-            if keep then begin
-              output_string oc
-                (Telemetry.Record.ndjson_of_record ~lookup words off);
-              output_char oc '\n'
-            end))
+            if keep then
+              write (Telemetry.Record.json_of_record ~lookup words off)))
   in
   Cmd.v
     (Cmd.info "grep"
@@ -1113,7 +1110,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.11.0"
+    (Cmd.info "burstsim" ~version:"1.12.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

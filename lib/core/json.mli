@@ -1,36 +1,9 @@
 (** Minimal self-contained JSON, for exporting experiment results.
 
-    An alias of {!Telemetry.Json} (where the implementation lives, so the
-    telemetry library can serialise without depending on burstcore); the
-    type equality below makes values interchangeable between the two.
+    An alias of {!Telemetry.Json}, where the implementation lives so the
+    telemetry library can serialise without depending on burstcore; the
+    type equality makes values interchangeable between the two. *)
 
-    Encoder and parser for the JSON subset the exporter emits (all of
-    RFC 8259 except surrogate-pair escapes). Round-trip property:
-    [parse (to_string v) = Ok v] for every value built from these
-    constructors with finite floats. *)
-
-type t = Telemetry.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of t list
-  | Obj of (string * t) list
-
-val to_string : t -> string
-(** Compact rendering. @raise Invalid_argument on a non-finite float. *)
-
-val pp : Format.formatter -> t -> unit
-(** Indented rendering. *)
-
-val parse : string -> (t, string) result
-(** Parses a complete JSON document (numbers with a '.', 'e' or 'E'
-    become [Float], others [Int]). The error string includes the
-    position. *)
-
-val member : string -> t -> t option
-(** Field lookup in an [Obj]; [None] otherwise. *)
-
-val to_float : t -> float option
-(** Numeric accessor ([Int] widens). *)
+include module type of struct
+  include Telemetry.Json
+end

@@ -212,6 +212,6 @@ let of_ndjson_line line =
   let* j = Json.parse line in
   of_json j
 
-let ndjson_writer oc e =
-  output_string oc (to_ndjson e);
-  output_char oc '\n'
+let ndjson_writer oc =
+  let write = Json.line_writer oc in
+  fun e -> write (to_json e)

@@ -76,5 +76,7 @@ val to_ndjson : event -> string
 val of_ndjson_line : string -> (event, string) result
 
 val ndjson_writer : out_channel -> event -> unit
-(** A ready-made subscriber that appends one NDJSON line per event. The
-    caller owns (and flushes/closes) the channel. *)
+(** [ndjson_writer oc] is a ready-made subscriber that appends
+    [to_ndjson e ^ "\n"] to [oc] per event through one
+    {!Json.line_writer}. The caller owns (and flushes/closes) the
+    channel. *)

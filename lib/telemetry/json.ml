@@ -7,37 +7,118 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* ------------------------------------------------------------------ *)
+(* Encoder *)
+
+(* Every renderer appends to a caller-owned [Buffer.t]; the module keeps
+   no buffer or other state of its own, so encoders on different domains
+   share nothing. *)
+
+(* The primitive behind Printf's %g conversion. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escape buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* Runs of bytes with nothing to escape are appended whole, so a plain
+   key or label costs one blit. *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      add_escape buf c;
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
-let float_repr f =
+(* The digits of [n <= 0], without a sign: counting on the negative side
+   reaches [min_int]. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
+(* [n >= 0] in exactly [w] digits, zero-padded on the left. *)
+let rec add_padded buf n w =
+  if w > 1 then add_padded buf (n / 10) (w - 1);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* The [w]-digit fraction [n] as "%g" prints it: trailing zeros dropped,
+   but one "0" kept when nothing else is left. *)
+let rec add_fraction buf n w =
+  if n = 0 then Buffer.add_char buf '0'
+  else if n mod 10 = 0 then add_fraction buf (n / 10) (w - 1)
+  else add_padded buf n w
+
+(* The number contract: "%.12g" when that reads back as the same float,
+   else "%.17g"; ".0" appended when neither a '.' nor an exponent shows,
+   so the parser reads a Float back. *)
+let add_float_printf buf f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite float";
-  (* Shortest representation that still contains a decimal marker, so the
-     parser reads it back as a Float. *)
-  let s = Printf.sprintf "%.17g" f in
-  let shorter = Printf.sprintf "%.12g" f in
-  let s = if float_of_string shorter = f then shorter else s in
-  if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
-  else s ^ ".0"
+  let s = format_float "%.12g" f in
+  let s = if float_of_string s = f then s else format_float "%.17g" f in
+  Buffer.add_string buf s;
+  if not (String.contains s '.' || String.contains s 'e') then
+    Buffer.add_string buf ".0"
+
+(* The same contract without printf for |f| in [1e-4, 1e11), where "%g"
+   prints fixed notation. With [e] the decimal exponent of |f| and
+   p = 10^(11-e), the 12-digit integer m = round (|f| * p) is "%.12g"'s
+   digit string whenever m / p rounds back to |f|: that quotient is one
+   correctly rounded IEEE division of exact operands, the rounding strtod
+   applies to the printed decimal, and a double carries more than 15
+   digits, so no other 12-digit decimal can round to |f|. The search for
+   [e] rounds its products; a wrong [e] fails the range check on m and
+   the float takes the printf path. *)
+let add_float buf f =
+  let a = Float.abs f in
+  if a >= 1e-4 && a < 1e11 then begin
+    (* [w] = 11 - e fraction digits, p = 10^w *)
+    let p = ref 1_000_000_000_000_000 and w = ref 15 in
+    while !w > 1 && a *. Float.of_int !p >= 1e12 do
+      p := !p / 10;
+      decr w
+    done;
+    let p = !p in
+    let m = Float.to_int ((a *. Float.of_int p) +. 0.5) in
+    if
+      m >= 100_000_000_000
+      && m < 1_000_000_000_000
+      && Float.of_int m /. Float.of_int p = a
+    then begin
+      if f < 0. then Buffer.add_char buf '-';
+      add_neg_digits buf (-(m / p));
+      Buffer.add_char buf '.';
+      add_fraction buf (m mod p) !w
+    end
+    else add_float_printf buf f
+  end
+  else add_float_printf buf f
 
 let rec encode buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
   | String s -> escape_into buf s
   | List xs ->
       Buffer.add_char buf '[';
@@ -58,29 +139,34 @@ let rec encode buf = function
         fields;
       Buffer.add_char buf '}'
 
-let to_string v =
+let render add x =
   let buf = Buffer.create 256 in
-  encode buf v;
+  add buf x;
   Buffer.contents buf
+
+let to_string v = render encode v
+
+let line_writer oc =
+  let buf = Buffer.create 256 in
+  fun v ->
+    Buffer.clear buf;
+    encode buf v;
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf
 
 let rec pp ppf = function
   | Null -> Format.pp_print_string ppf "null"
   | Bool b -> Format.pp_print_bool ppf b
   | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.pp_print_string ppf (float_repr f)
-  | String s ->
-      let buf = Buffer.create (String.length s + 2) in
-      escape_into buf s;
-      Format.pp_print_string ppf (Buffer.contents buf)
+  | Float f -> Format.pp_print_string ppf (render add_float f)
+  | String s -> Format.pp_print_string ppf (render escape_into s)
   | List xs ->
       Format.fprintf ppf "[@[<v>%a@]]"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
         xs
   | Obj fields ->
       let field ppf (k, v) =
-        let buf = Buffer.create (String.length k + 2) in
-        escape_into buf k;
-        Format.fprintf ppf "%s: %a" (Buffer.contents buf) pp v
+        Format.fprintf ppf "%s: %a" (render escape_into k) pp v
       in
       Format.fprintf ppf "{@[<v>%a@]}"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") field)

@@ -15,7 +15,20 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact rendering. @raise Invalid_argument on a non-finite float. *)
+(** Compact rendering: no whitespace, object fields in list order.
+
+    A float prints as ["%.12g"] when that reads back as the same float,
+    else as ["%.17g"], with [".0"] appended when neither a ['.'] nor an
+    exponent shows (so [1.0] prints ["1.0"], [0.1] ["0.1"], [1e-07]
+    ["1e-07"]). Strings escape ['"'], ['\\'], newline, carriage return
+    and tab by name and every other byte below 0x20 as [\u00XX]; all
+    other bytes pass through. @raise Invalid_argument on a non-finite
+    float. *)
+
+val line_writer : out_channel -> t -> unit
+(** [line_writer oc] is a writer that appends [to_string v ^ "\n"] to
+    [oc] for each [v], rendered in one buffer the writer owns and reuses.
+    The caller owns (and flushes/closes) the channel. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering. *)

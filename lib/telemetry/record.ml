@@ -367,6 +367,3 @@ let json_of_record ~lookup buf off =
             ("sid", Json.Int sid);
             ("depth", Json.Int buf.(off + 7));
           ]
-
-let ndjson_of_record ~lookup buf off =
-  Json.to_string (json_of_record ~lookup buf off)

@@ -145,5 +145,3 @@ val json_of_record : lookup:(int -> string) -> int array -> int -> Json.t
 (** JSON for any kind; parity kinds go through
     {!Event_bus.to_json} so serialization is byte-identical to the
     bus's NDJSON. *)
-
-val ndjson_of_record : lookup:(int -> string) -> int array -> int -> string

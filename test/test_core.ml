@@ -492,7 +492,8 @@ let run_recorder_parity_with_live_tracer () =
             let lookup = Telemetry.Recorder.seg_lookup seg in
             Telemetry.Recorder.iter_segment seg (fun ~lane:_ ~seq:_ words off ->
                 Buffer.add_string decoded
-                  (Telemetry.Record.ndjson_of_record ~lookup words off);
+                  (Telemetry.Json.to_string
+                     (Telemetry.Record.json_of_record ~lookup words off));
                 Buffer.add_char decoded '\n'))
           segments);
     let live = Buffer.contents live in

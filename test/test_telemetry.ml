@@ -412,6 +412,159 @@ let progress_formatting () =
   Alcotest.(check string) "mega rate" "3.10M ev/s" (Progress.format_rate 3.1e6)
 
 (* ------------------------------------------------------------------ *)
+(* Json encoder against the Printf rendering it replaced *)
+
+(* The encoder before its printf-free fast paths, kept as the oracle:
+   floats by two sprintf calls and a float_of_string, strings escaped one
+   byte at a time, ints through string_of_int. *)
+let reference_float f =
+  let s = Printf.sprintf "%.17g" f in
+  let shorter = Printf.sprintf "%.12g" f in
+  let s = if float_of_string shorter = f then shorter else s in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'E'
+  then s
+  else s ^ ".0"
+
+let reference_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let float_gen =
+  let open QCheck.Gen in
+  let decimal m j = float_of_string (Printf.sprintf "%de%d" m j) in
+  let power k = decimal 1 k in
+  frequency
+    [
+      (* finite bit patterns of both signs: an all-ones exponent is
+         cleared to 0x7fe *)
+      ( 3,
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_finite f then f
+            else Int64.float_of_bits (Int64.logand b 0xffef_ffff_ffff_ffffL))
+          ui64 );
+      (* recorder timestamps, below 1 ms and below 1000 s *)
+      (2, map Record.time_of_tick (int_bound 999_999));
+      (3, map Record.time_of_tick (int_range 0 999_999_999_999));
+      (* decimals m * 10^j of 1 to 18 digits *)
+      ( 3,
+        map3
+          (fun m j neg -> if neg then -.decimal m j else decimal m j)
+          (oneof
+             [
+               int_bound 9;
+               int_bound 99_999;
+               int_bound 999_999_999_999;
+               int_bound 999_999_999_999_999_999;
+             ])
+          (int_range (-20) 20) bool );
+      (* 10^k and its neighbours, where the decimal exponent changes *)
+      ( 2,
+        map2
+          (fun k step -> step (power k))
+          (int_range (-6) 13)
+          (oneofl [ Float.pred; Fun.id; Float.succ ]) );
+      (* subnormals (exponent field 0), signed zeros and the extremes *)
+      (1, map (fun b -> Int64.float_of_bits (Int64.logand b 0x800f_ffff_ffff_ffffL)) ui64);
+      ( 1,
+        oneofl
+          [ 0.; -0.; max_float; -.max_float; min_float; -.min_float; 4.9e-324 ]
+      );
+    ]
+
+let json_float_matches_reference =
+  QCheck.Test.make ~name:"float rendering equals the printf oracle"
+    ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    (fun f ->
+      let s = Json.to_string (Json.Float f) in
+      s = reference_float f
+      &&
+      match Json.parse s with
+      | Ok (Json.Float g) -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      | _ -> false)
+
+let json_string_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:
+          (frequency
+             [
+               (3, char);
+               (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x1f'; '\x7f'; '\xff' ]);
+             ])
+        (int_bound 40))
+  in
+  QCheck.Test.make ~name:"string escaping equals the byte-wise oracle"
+    ~count:5_000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      let j = Json.to_string (Json.String s) in
+      j = reference_string s && Json.parse j = Ok (Json.String s))
+
+let json_int_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int);
+          (2, map (fun i -> -i) small_nat);
+          (1, oneofl [ min_int; max_int; 0; -1; 9; 10; -10 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"int rendering equals string_of_int" ~count:5_000
+    (QCheck.make ~print:string_of_int gen)
+    (fun i ->
+      let j = Json.to_string (Json.Int i) in
+      j = string_of_int i && Json.parse j = Ok (Json.Int i))
+
+(* [ndjson_writer] renders every line in one reused buffer: a short line
+   after a long one, and two writers taking turns, must still each write
+   exactly [to_ndjson e ^ "\n"] per event. *)
+let bus_ndjson_writer_reuses_buffer () =
+  let long =
+    Event_bus.Custom { time = 123.456; name = String.make 700 'x'; value = 0.1 }
+  in
+  let short = List.hd sample_events in
+  let expect es =
+    String.concat "" (List.map (fun e -> Event_bus.to_ndjson e ^ "\n") es)
+  in
+  let written =
+    with_buffer_channel (fun oc ->
+        List.iter (Event_bus.ndjson_writer oc) [ long; short ])
+  in
+  Alcotest.(check string) "long then short" (expect [ long; short ]) written;
+  let events = [ long; short; short; long ] @ sample_events in
+  let second = ref "" in
+  let first =
+    with_buffer_channel (fun oc1 ->
+        second :=
+          with_buffer_channel (fun oc2 ->
+              let bus = Event_bus.create () in
+              ignore (Event_bus.subscribe bus (Event_bus.ndjson_writer oc1));
+              ignore (Event_bus.subscribe bus (Event_bus.ndjson_writer oc2));
+              List.iter (Event_bus.publish bus) events))
+  in
+  Alcotest.(check string) "first of two writers" (expect events) first;
+  Alcotest.(check string) "second of two writers" (expect events) !second
+
+(* ------------------------------------------------------------------ *)
 (* Report *)
 
 let report_of_probe_validates () =
@@ -541,6 +694,8 @@ let telemetry_gates =
       ~spread:(spread 2.0 4.2 9.5);
     gate "recorder_minor_words_per_event_delta" Report.Le 0.05 (Some 0.036);
     gate "recorder_records" Report.Ge 1. (Some 30180.);
+    gate "trace_ndjson_ns_per_event" Report.Le 1500. (Some 1122.)
+      ~spread:(spread 1070. 1122. 1180.);
   ]
 
 let burst_gates =
@@ -1314,8 +1469,17 @@ let suite =
         Alcotest.test_case "ndjson round-trip" `Quick bus_ndjson_roundtrip;
         Alcotest.test_case "event field first" `Quick bus_ndjson_event_field_first;
         Alcotest.test_case "rejects garbage" `Quick bus_of_json_rejects_garbage;
+        Alcotest.test_case "ndjson writer reuses its buffer" `Quick
+          bus_ndjson_writer_reuses_buffer;
       ]
       @ qsuite [ bus_roundtrip_property ] );
+    ( "telemetry.json",
+      qsuite
+        [
+          json_float_matches_reference;
+          json_string_matches_reference;
+          json_int_matches_reference;
+        ] );
     ( "telemetry.perf",
       [ Alcotest.test_case "phases accumulate" `Quick perf_phases_accumulate ] );
     ( "telemetry.progress",
