@@ -3,8 +3,9 @@
    The studies the paper critiques characterize traffic by its Hurst
    parameter. This example aggregates 20 clients of either Poisson or
    heavy-tailed Pareto-on/off traffic over UDP and TCP Reno, estimates H
-   two ways (rescaled-range and variance-time) from 10 ms gateway arrival
-   counts, and prints the index of dispersion across timescales.
+   from the wavelet logscale diagram of 10 ms gateway arrival counts, and
+   prints the paper's c.o.v. at the RTT bin and the index of dispersion
+   across timescales.
 
    Expected shape:
      - Poisson over UDP:  H ~ 0.5, flat IDC (short-range dependent).
@@ -26,9 +27,11 @@ let () =
   in
   Burstcore.Selfsim.report Format.std_formatter cfg;
   Format.printf
-    "@.H (R/S) and H (var-time) are Hurst estimates: 0.5 = memoryless,@.";
+    "@.H (wavelet) is the Hurst estimate: 0.5 = memoryless, -> 1 =@.";
   Format.printf
-    "-> 1 = strongly self-similar. IDC m:v is the index of dispersion@.";
+    "strongly self-similar. cov@RTT is the paper's c.o.v. of arrivals@.";
+  Format.printf
+    "per round-trip time. IDC m:v is the index of dispersion@.";
   Format.printf
     "for counts over blocks of m bins (bin = 10 ms); Poisson stays near 1@.";
   Format.printf "at every scale, self-similar traffic grows with m.@."

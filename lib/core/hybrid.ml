@@ -295,8 +295,6 @@ let attach ?quantum_s ~sched ~bottleneck cfg =
 
 let bg_queue t = t.y.(1)
 
-let bg_window t = t.y.(0)
-
 let steps t = t.steps
 
 let summary t : Metrics.hybrid_summary =

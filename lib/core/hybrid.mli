@@ -92,9 +92,6 @@ val attach :
     @raise Invalid_argument if [cfg.background < 1] or
     [quantum_s <= 0]. *)
 
-val bg_window : t -> float
-(** Current per-flow background window (packets). *)
-
 val bg_queue : t -> float
 (** Current virtual background backlog (packets) — add this to a
     physical queue signal to get the combined backlog under

@@ -30,7 +30,7 @@ type endpoint = {
   receiver : Transport.Tcp_receiver.t option;
 }
 
-let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
+let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop =
   if hops < 1 then invalid_arg "Parking_lot.run: hops < 1";
   if cross_per_hop < 0 then invalid_arg "Parking_lot.run: negative cross_per_hop";
   let cfg = { cfg with Config.adv_window } in
@@ -103,49 +103,58 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
         else Router.add_route router ~dst:dst_id reverse.(k - 1))
       routers
   in
-  let adv = cfg.Config.adv_window in
-  let mk_connection ~flow ~src_id ~src_router ~dst_id ~dst_router =
-    let _, src_up, src_down = attach ~id:src_id ~router_idx:src_router in
-    let _, dst_up, dst_down = attach ~id:dst_id ~router_idx:dst_router in
-    route_all ~dst_id ~at_router:dst_router ~down:dst_down;
-    route_all ~dst_id:src_id ~at_router:src_router ~down:src_down;
-    let variant, vegas =
-      match cc with
-      | Scenario.Tahoe -> (Transport.Cc.Tahoe, None)
-      | Scenario.Reno -> (Transport.Cc.Reno, None)
-      | Scenario.Newreno -> (Transport.Cc.Newreno, None)
-      | Scenario.Vegas -> (Transport.Cc.Vegas, Some cfg.Config.vegas)
-      | Scenario.Sack -> (Transport.Cc.Sack, None)
-    in
-    let sack = cc = Scenario.Sack in
-    let sender =
-      Transport.Tcp_sender.create ~sack ?vegas sched ~pool ~cc:variant
-        ~rto_params:cfg.Config.rto ~flow ~src:src_id ~dst:dst_id
-        ~mss_bytes:cfg.Config.packet_bytes ~adv_window:adv
-        ~transmit:(Link.send src_up)
-    in
-    let receiver =
-      Transport.Tcp_receiver.create ~sack sched ~pool ~flow ~src:dst_id
-        ~dst:src_id ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false
-        ~adv_window:adv
-        ~transmit:(Link.send dst_up)
-    in
-    Hashtbl.replace endpoints src_id { sender = Some sender; receiver = None };
-    Hashtbl.replace endpoints dst_id { sender = None; receiver = Some receiver };
-    (sender, receiver)
+  (* Connections in flow order, as (src, src router, dst, dst router):
+     the long flow, then hop by hop its cross flows. *)
+  let conns =
+    Array.of_list
+      ((long_src_id, 0, long_dst_id, hops)
+      :: List.concat_map
+           (fun k ->
+             List.init cross_per_hop (fun j ->
+                 let idx = (k * cross_per_hop) + j in
+                 (cross_src_id idx, k, cross_dst_id idx, k + 1)))
+           (List.init hops Fun.id))
   in
-  let long = mk_connection ~flow:0 ~src_id:long_src_id ~src_router:0 ~dst_id:long_dst_id ~dst_router:hops in
-  let crosses =
-    List.concat_map
-      (fun k ->
-        List.map
-          (fun j ->
-            let idx = (k * cross_per_hop) + j in
-            mk_connection ~flow:(idx + 1)
-              ~src_id:(cross_src_id idx) ~src_router:k
-              ~dst_id:(cross_dst_id idx) ~dst_router:(k + 1))
-          (List.init cross_per_hop Fun.id))
-      (List.init hops Fun.id)
+  let access =
+    Array.map
+      (fun (src_id, src_router, dst_id, dst_router) ->
+        let _, src_up, src_down = attach ~id:src_id ~router_idx:src_router in
+        let _, dst_up, dst_down = attach ~id:dst_id ~router_idx:dst_router in
+        route_all ~dst_id ~at_router:dst_router ~down:dst_down;
+        route_all ~dst_id:src_id ~at_router:src_router ~down:src_down;
+        (src_up, dst_up))
+      conns
+  in
+  (* One sender group and one receiver group carry every connection, as
+     in {!Dumbbell}: [transmit ~flow] picks the flow's access link. *)
+  let variant, vegas = Dumbbell.make_cc cfg cc in
+  let sack = cc = Scenario.Sack in
+  let flows = Array.length conns in
+  let sender_group =
+    Transport.Tcp_sender.create_group ~sack ?vegas ~capacity:flows sched ~pool
+      ~cc:variant ~rto_params:cfg.Config.rto
+      ~mss_bytes:cfg.Config.packet_bytes ~adv_window
+      ~transmit:(fun ~flow p -> Link.send (fst access.(flow)) p)
+  in
+  let receiver_group =
+    Transport.Tcp_receiver.create_group ~sack ~capacity:flows sched ~pool
+      ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false ~adv_window
+      ~transmit:(fun ~flow p -> Link.send (snd access.(flow)) p)
+  in
+  let connections =
+    List.init flows (fun flow ->
+        let src_id, _, dst_id, _ = conns.(flow) in
+        let sender =
+          Transport.Tcp_sender.attach sender_group ~flow ~src:src_id
+            ~dst:dst_id ()
+        in
+        let receiver =
+          Transport.Tcp_receiver.attach receiver_group ~flow ~src:dst_id
+            ~dst:src_id ()
+        in
+        Hashtbl.replace endpoints src_id { sender = Some sender; receiver = None };
+        Hashtbl.replace endpoints dst_id { sender = None; receiver = Some receiver };
+        (sender, receiver))
   in
   (* Node handlers dispatch to the endpoint that lives there. *)
   Hashtbl.iter
@@ -160,7 +169,8 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
   (* Greedy sources everywhere. *)
   List.iter
     (fun (sender, _) -> Transport.Tcp_sender.write sender Traffic.Bulk.infinite_backlog_size)
-    (long :: crosses);
+    connections;
+  let duration_s = cfg.Config.duration_s in
   let half = duration_s /. 2. in
   let at_half = Hashtbl.create 16 in
   ignore
@@ -168,7 +178,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
          List.iteri
            (fun i (_, receiver) ->
              Hashtbl.replace at_half i (Transport.Tcp_receiver.delivered receiver))
-           (long :: crosses)));
+           connections));
   Scheduler.run ~until:(Time.of_sec duration_s) sched;
   let rates =
     List.mapi
@@ -176,7 +186,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
         let before = Option.value (Hashtbl.find_opt at_half i) ~default:0 in
         float_of_int (Transport.Tcp_receiver.delivered receiver - before)
         /. (duration_s -. half))
-      (long :: crosses)
+      connections
   in
   let long_rate, cross_rates =
     match rates with r :: rest -> (r, rest) | [] -> assert false
@@ -204,7 +214,7 @@ let report ppf cfg =
       (fun hops ->
         List.map
           (fun (label, cc) ->
-            let r = run cfg ~cc ~hops ~cross_per_hop:1 ~duration_s:120. in
+            let r = run cfg ~cc ~hops ~cross_per_hop:1 in
             [
               string_of_int hops;
               label;

@@ -30,14 +30,14 @@ val run :
   cc:Scenario.cc_kind ->
   hops:int ->
   cross_per_hop:int ->
-  duration_s:float ->
   result
-(** Bottleneck links reuse Table 1's bandwidth/delay/buffer per hop;
-    access links are 10x faster. The advertised window defaults to 600
+(** Runs for [cfg.duration_s] and measures throughput over its second
+    half. Bottleneck links reuse Table 1's bandwidth/delay/buffer per
+    hop; access links are 10x faster. The advertised window defaults to 600
     packets (well above the multi-hop bandwidth-delay product) so flows
     are congestion-limited, not receiver-limited.
     @raise Invalid_argument if [hops < 1] or [cross_per_hop < 0]. *)
 
 val report : Format.formatter -> Config.t -> unit
 (** Reno / NewReno / SACK / Vegas over 2-4 hops, one cross flow per
-    hop. *)
+    hop, each run for [cfg.duration_s]. *)

@@ -91,33 +91,49 @@ let run cfg ~cc ~reverse_clients =
     Router.add_route router ~dst:id down;
     up
   in
+  (* Flows 0..n-1 run forward, n.. in reverse; each gets its source's
+     access link and then its sink's, in flow order. *)
+  let flows = n + reverse_clients in
+  let ids flow =
+    if flow < n then (fwd_src_id flow, fwd_dst_id flow)
+    else (rev_src_id (flow - n), rev_dst_id (flow - n))
+  in
+  let access =
+    Array.init flows (fun flow ->
+        let src_id, dst_id = ids flow in
+        let src_up = attach src_id in
+        (src_up, attach dst_id))
+  in
+  (* One sender group and one receiver group carry every connection, as
+     in {!Dumbbell}: [transmit ~flow] picks the flow's access link. *)
   let variant, vegas = Dumbbell.make_cc cfg cc in
-  let connect ~flow ~src_id ~dst_id =
-    let src_up = attach src_id in
-    let dst_up = attach dst_id in
+  let sender_group =
+    Transport.Tcp_sender.create_group ?vegas ~capacity:flows sched ~pool
+      ~cc:variant ~rto_params:cfg.Config.rto
+      ~mss_bytes:cfg.Config.packet_bytes ~adv_window:cfg.Config.adv_window
+      ~transmit:(fun ~flow p -> Link.send (fst access.(flow)) p)
+  in
+  let receiver_group =
+    Transport.Tcp_receiver.create_group ~capacity:flows sched ~pool
+      ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false
+      ~adv_window:cfg.Config.adv_window
+      ~transmit:(fun ~flow p -> Link.send (snd access.(flow)) p)
+  in
+  let connect flow =
+    let src_id, dst_id = ids flow in
     let sender =
-      Transport.Tcp_sender.create ?vegas sched ~pool ~cc:variant
-        ~rto_params:cfg.Config.rto ~flow ~src:src_id ~dst:dst_id
-        ~mss_bytes:cfg.Config.packet_bytes ~adv_window:cfg.Config.adv_window
-        ~transmit:(Link.send src_up)
+      Transport.Tcp_sender.attach sender_group ~flow ~src:src_id ~dst:dst_id ()
     in
     let receiver =
-      Transport.Tcp_receiver.create sched ~pool ~flow ~src:dst_id ~dst:src_id
-        ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false
-        ~adv_window:cfg.Config.adv_window
-        ~transmit:(Link.send dst_up)
+      Transport.Tcp_receiver.attach receiver_group ~flow ~src:dst_id
+        ~dst:src_id ()
     in
     Hashtbl.replace handlers src_id (Transport.Tcp_sender.handle_packet sender);
     Hashtbl.replace handlers dst_id (Transport.Tcp_receiver.handle_packet receiver);
     (sender, receiver)
   in
-  let forward =
-    List.init n (fun i -> connect ~flow:i ~src_id:(fwd_src_id i) ~dst_id:(fwd_dst_id i))
-  in
-  let rev =
-    List.init reverse_clients (fun j ->
-        connect ~flow:(n + j) ~src_id:(rev_src_id j) ~dst_id:(rev_dst_id j))
-  in
+  let forward = List.init n connect in
+  let rev = List.init reverse_clients (fun j -> connect (n + j)) in
   (* Burstiness of the forward aggregate only: data packets on the forward
      bottleneck (ACKs of reverse flows also cross it but are not data). *)
   let binner =

@@ -14,8 +14,8 @@
    Cancellation stays lazy: a cancelled slot remains in the heap and is
    skipped (and only then recycled) when it surfaces. Slots popped by
    [pop_if_before] are recycled {e deferred} — at the next queue
-   operation — so the caller can still read [time_of]/[action_of]
-   without the slot being reused under it.
+   operation — so the caller can still read [time_of] and [fire] the
+   action without the slot being reused under it.
 
    Far-out events — timers, mostly: RTOs, pacing gaps, delayed ACKs —
    are parked in a hierarchical {!Timer_wheel} instead of the heap, so
@@ -335,11 +335,9 @@ let is_nil h = h < 0
 
 let time_of q h = q.at.(slot_of h)
 
-let action_of q h = q.act.(slot_of h)
-
 (* Run the popped event's action without materialising a closure for
    keyed slots. Must be called before the next queue operation (the
-   slot is recycled deferred, like [time_of]/[action_of]). *)
+   slot is recycled deferred, like [time_of]). *)
 let fire q h =
   let slot = slot_of h in
   let key = q.karg.(slot) in

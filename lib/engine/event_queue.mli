@@ -89,17 +89,12 @@ val pop_if_before : t -> Time.t -> handle
 (** [pop_if_before q horizon] removes and returns the earliest live
     event whose time is [<= horizon], or {!nil} when the queue is empty
     or the earliest event lies beyond the horizon (it stays queued).
-    The returned handle is readable via {!time_of}/{!action_of} only
+    The returned handle is readable via {!time_of} and {!fire} only
     until the next operation on [q] (its slot is then recycled); read
-    both before running the action. *)
+    the time before running the action. *)
 
 val time_of : t -> handle -> Time.t
 (** Scheduled time of a handle just returned by {!pop_if_before}. *)
-
-val action_of : t -> handle -> unit -> unit
-(** Action of a handle just returned by {!pop_if_before}. For a slot
-    scheduled with {!schedule_keyed} this returns a fresh closure; the
-    drain loop should use {!fire} instead. *)
 
 val fire : t -> handle -> unit
 (** Run the action of a handle just returned by {!pop_if_before},

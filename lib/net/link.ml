@@ -146,8 +146,6 @@ let set_bg_slowdown t f =
     invalid_arg "Link.set_bg_slowdown: factor < 1";
   t.bg_slowdown <- f
 
-let bg_slowdown t = t.bg_slowdown
-
 let queue_length t = Queue_disc.length t.queue
 
 let queue_disc t = t.queue

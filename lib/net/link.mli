@@ -46,10 +46,6 @@ val set_bg_slowdown : t -> float -> unit
     without the hook.
     @raise Invalid_argument if the factor is below 1 or not finite. *)
 
-val bg_slowdown : t -> float
-(** The current serialization-time multiplier (1. unless the hybrid
-    engine set one). *)
-
 val queue_length : t -> int
 
 val queue_disc : t -> Queue_disc.t

@@ -54,11 +54,6 @@ let queue_sampler sched link ~every ~until =
   ignore (Scheduler.after sched Time.zero tick);
   series
 
-let drop_times link =
-  let series = Netstats.Series.create () in
-  Link.on_drop link (fun now _ -> Netstats.Series.add series (Time.to_sec now) 1.);
-  series
-
 let drop_run_recorder link =
   let runs = ref [] and run = ref 0 and dropped_since_arrival = ref false in
   Link.on_arrival link (fun _ _ ->

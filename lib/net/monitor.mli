@@ -49,9 +49,6 @@ val queue_sampler :
   Netstats.Series.t
 (** Samples the link's queue length every [every] until [until]. *)
 
-val drop_times : Link.t -> Netstats.Series.t
-(** Records (time, 1.) for every drop at the link. *)
-
 val drop_run_recorder : Link.t -> unit -> int list
 (** Tracks maximal runs of consecutive (in arrival order) drops at the
     link — the "large sequences of packet losses" of the paper's §3.4.

@@ -9,18 +9,6 @@ type params = {
   adaptive : bool;
 }
 
-let default_params ~capacity ~min_th ~max_th =
-  {
-    min_th;
-    max_th;
-    max_p = 0.02;
-    w_q = 0.002;
-    capacity;
-    idle_packet_time = 1500. *. 8. /. 5e6;
-    ecn_mark = false;
-    adaptive = false;
-  }
-
 type t = {
   p : params;
   q : Packet_pool.handle Ring.t;

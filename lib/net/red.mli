@@ -27,11 +27,6 @@ type params = {
           [max_th], keeping the average inside the target band *)
 }
 
-val default_params : capacity:int -> min_th:float -> max_th:float -> params
-(** ns defaults for the remaining fields: [max_p = 0.02], [w_q = 0.002],
-    [idle_packet_time] for a 1500-byte packet at 5 Mbps, [ecn_mark] and
-    [adaptive] off. *)
-
 type t
 
 val create : rng:Sim_engine.Rng.t -> pool:Packet_pool.t -> params -> t

@@ -38,15 +38,3 @@ let pop_exn t =
   t.head <- (t.head + 1) mod Array.length t.buf;
   t.len <- t.len - 1;
   x
-
-let peek_exn t =
-  if t.len = 0 then invalid_arg "Ring.peek_exn: empty";
-  t.buf.(t.head)
-
-let pop_opt t = if t.len = 0 then None else Some (pop_exn t)
-
-let iter t f =
-  let cap = Array.length t.buf in
-  for i = 0 to t.len - 1 do
-    f t.buf.((t.head + i) mod cap)
-  done

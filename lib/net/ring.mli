@@ -23,13 +23,3 @@ val push : 'a t -> 'a -> unit
 val pop_exn : 'a t -> 'a
 (** Remove and return the head.
     @raise Invalid_argument when empty. *)
-
-val peek_exn : 'a t -> 'a
-(** Return the head without removing it.
-    @raise Invalid_argument when empty. *)
-
-val pop_opt : 'a t -> 'a option
-(** Allocating convenience for non-hot callers. *)
-
-val iter : 'a t -> ('a -> unit) -> unit
-(** Head-to-tail iteration, no removal. *)

@@ -19,15 +19,3 @@ let ols xs ys =
   let intercept = my -. (slope *. mx) in
   let r2 = if !syy = 0. then 1. else !sxy *. !sxy /. (!sxx *. !syy) in
   { slope; intercept; r2 }
-
-let ols_loglog xs ys =
-  let pts =
-    List.filter_map
-      (fun i ->
-        if xs.(i) > 0. && ys.(i) > 0. then Some (log10 xs.(i), log10 ys.(i))
-        else None)
-      (List.init (Array.length xs) Fun.id)
-  in
-  let lx = Array.of_list (List.map fst pts) in
-  let ly = Array.of_list (List.map snd pts) in
-  ols lx ly

@@ -1,13 +1,10 @@
 (** Ordinary least-squares line fitting.
 
-    Used by the Hurst estimators, which are slopes of log-log plots. *)
+    Used by [Telemetry.Burst.hurst_wavelet], whose Hurst estimate is
+    the slope of the wavelet logscale diagram. *)
 
 type fit = { slope : float; intercept : float; r2 : float }
 
 val ols : float array -> float array -> fit
 (** [ols xs ys] fits [y = slope*x + intercept].
     @raise Invalid_argument if lengths differ or fewer than 2 points. *)
-
-val ols_loglog : float array -> float array -> fit
-(** OLS on [(log10 x, log10 y)]; points with non-positive coordinates are
-    dropped. @raise Invalid_argument if fewer than 2 usable points. *)

@@ -139,8 +139,6 @@ let bins t = t.closed
 
 let total t = t.total
 
-let base_width t = t.width
-
 let check_level t j name =
   if j < 0 || j >= t.levels then invalid_arg ("Burst." ^ name ^ ": bad level")
 

@@ -6,9 +6,8 @@
     stream yields, in O(levels) state and amortized O(1) per event:
 
     - streaming Welford moments of the block sums at every scale
-      (c.o.v. and index-of-dispersion profiles that agree with the
-      offline {!Netstats.Summary} / {!Netstats.Dispersion} numbers
-      computed from a stored bin array);
+      (c.o.v. and index-of-dispersion profiles that agree with
+      {!Netstats.Summary} of the block sums of a stored bin array);
     - Haar-wavelet detail energies per octave — an Abry–Veitch-style
       logscale diagram and an online Hurst slope;
     - via {!Osc}, an EWMA-detrended zero-crossing oscillation detector
@@ -60,8 +59,6 @@ val bins : t -> int
 
 val total : t -> int
 (** Events counted since [origin]. *)
-
-val base_width : t -> float
 
 (** {2 Per-scale queries} — level [j] covers [2^j] base bins. *)
 

@@ -60,6 +60,3 @@ let duration_s t name =
 let durations_s t = List.map (fun (name, r) -> (name, !r)) t.items
 
 let total_s t = List.fold_left (fun acc (_, r) -> acc +. !r) 0. t.items
-
-let to_json t =
-  Json.Obj (List.map (fun (name, r) -> (name, Json.Float !r)) t.items)

@@ -55,6 +55,3 @@ val durations_s : phases -> (string * float) list
 
 val total_s : phases -> float
 (** Sum over all phases (note: nested phases count twice). *)
-
-val to_json : phases -> Json.t
-(** An object mapping phase name to seconds. *)

@@ -22,9 +22,6 @@ let create () =
 
 let set_recording t config = t.recording <- Some { config; segments_rev = [] }
 
-let recording_config t =
-  match t.recording with None -> None | Some r -> Some r.config
-
 let set_burst t config = t.burst <- config
 
 let burst_config t = t.burst

@@ -38,8 +38,6 @@ val create : unit -> t
 
 val set_recording : t -> Recorder.config -> unit
 
-val recording_config : t -> Recorder.config option
-
 val create_like : t -> t
 (** A fresh probe for a pool worker, inheriting the recording and burst
     configurations. Workers always buffer with [Grow]; their segments

@@ -183,11 +183,6 @@ let[@inline] set_word b pos v = unsafe_set_word64 b pos (Int64.of_int v)
 
 let[@inline] get_word b pos = Int64.to_int (unsafe_get_word64 b pos)
 
-let encode b ~pos buf ~off =
-  for i = 0 to words - 1 do
-    put64 b (pos + (8 * i)) (Array.unsafe_get buf (off + i))
-  done
-
 let decode b ~pos buf ~off =
   for i = 0 to words - 1 do
     Array.unsafe_set buf (off + i) (get64 b (pos + (8 * i)))

@@ -127,12 +127,10 @@ val set_word : Bytes.t -> int -> int -> unit
 val get_word : Bytes.t -> int -> int
 (** Native-endian unchecked load, twin of {!set_word}. *)
 
-val encode : Bytes.t -> pos:int -> int array -> off:int -> unit
-(** Writes the {!words}-word record at [buf.(off..)] as [8 * words]
-    bytes at [pos]. *)
-
 val decode : Bytes.t -> pos:int -> int array -> off:int -> unit
-(** Inverse of {!encode}. *)
+(** Reads the [8 * words] little-endian bytes at [pos] (as the recorder
+    writes them with {!put64}) into the {!words}-word record at
+    [buf.(off..)]. *)
 
 (** {1 Decoding to events / JSON} *)
 

@@ -139,8 +139,6 @@ let lane t id =
       t.lanes_rev <- l :: t.lanes_rev;
       l
 
-let lane_id l = l.id
-
 let recorded l = l.total
 
 let lane_dropped l = l.dropped

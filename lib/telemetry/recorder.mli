@@ -56,8 +56,6 @@ val intern_array : t -> string array
 val lane : t -> int -> lane
 (** Get-or-create the lane with the given domain id. *)
 
-val lane_id : lane -> int
-
 val record :
   lane ->
   tick:int ->

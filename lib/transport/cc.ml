@@ -242,17 +242,3 @@ let handle_of ?vegas ~initial_ssthresh ~max_window variant =
     uses_fast_recovery = uses_fast_recovery variant;
     partial_ack_stays = partial_ack_stays variant;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy helpers kept for standalone windows in tests *)
-
-type window = { mutable cwnd : float; mutable ssthresh : float }
-
-let window_in_slow_start w = w.cwnd < w.ssthresh
-
-let slow_start_and_avoidance w ~max_window newly_acked =
-  for _ = 1 to newly_acked do
-    if w.cwnd < w.ssthresh then w.cwnd <- w.cwnd +. 1.
-    else w.cwnd <- w.cwnd +. (1. /. w.cwnd)
-  done;
-  if w.cwnd > max_window then w.cwnd <- max_window

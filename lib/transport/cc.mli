@@ -154,13 +154,3 @@ val handle_of :
 
 val halve_flight : flight:int -> float
 (** [max (flight/2) 2] — the multiplicative-decrease target. *)
-
-type window = { mutable cwnd : float; mutable ssthresh : float }
-(** A standalone AIMD pair (flat all-float record), kept for tests that
-    poke window arithmetic directly. *)
-
-val window_in_slow_start : window -> bool
-
-val slow_start_and_avoidance : window -> max_window:float -> int -> unit
-(** Apply the standard per-ACK window growth for [newly_acked] segments:
-    +1 per segment below ssthresh, +1/cwnd per segment above. *)

@@ -238,26 +238,11 @@ let handle_packet_slot g slot h =
       end
   | Pool.Tcp_ack | Pool.Udp_data -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Single-flow view *)
-
-let create ?(sack = false) ?recorder sched ~pool ~flow ~src ~dst ~ack_bytes
-    ~delayed_ack ~adv_window ~transmit =
-  let g =
-    create_group ~sack ?recorder ~capacity:1 sched ~pool ~ack_bytes
-      ~delayed_ack ~adv_window
-      ~transmit:(fun ~flow:_ p -> transmit p)
-  in
-  attach g ~flow ~src ~dst ()
-
 let slot t = Ft.slot_of t.g.table t.h
 
 let handle_packet t h = handle_packet_slot t.g (slot t) h
 
 let delivered t =
-  (Ft.ints t.g.table).((slot t * t.g.row_ints) + L.ri_expected)
-
-let expected t =
   (Ft.ints t.g.table).((slot t * t.g.row_ints) + L.ri_expected)
 
 let acks_sent t =

@@ -52,31 +52,12 @@ val table : group -> Netsim.Flow_table.t
 
 val group : t -> group
 
-val create :
-  ?sack:bool ->
-  ?recorder:Telemetry.Recorder.t ->
-  Sim_engine.Scheduler.t ->
-  pool:Netsim.Packet_pool.t ->
-  flow:int ->
-  src:int ->
-  dst:int ->
-  ack_bytes:int ->
-  delayed_ack:bool ->
-  adv_window:int ->
-  transmit:(Netsim.Packet_pool.handle -> unit) ->
-  t
-(** A single-flow group plus {!attach}: the one-connection view used by
-    unit tests and small scenarios. *)
-
 val handle_packet : t -> Netsim.Packet_pool.handle -> unit
 (** Feed an incoming packet (TCP data; anything else is ignored). The
     caller keeps ownership: the handle is read, never freed. *)
 
 val delivered : t -> int
 (** Segments delivered to the application in order. *)
-
-val expected : t -> int
-(** Next in-order sequence number (= cumulative ACK value). *)
 
 val acks_sent : t -> int
 

@@ -24,7 +24,6 @@ type group = {
   pool : Pool.t;
   table : Ft.t;
   ctx : Cc.ctx;
-  name : string;
   uses_fast_recovery : bool;
   partial_ack_stays : bool;
   rto_p : Rto.params;
@@ -607,7 +606,6 @@ let create_group ?(ecn_capable = false) ?(sack = false)
       table = Ft.create ~capacity ~ints_per_flow:row_ints
           ~floats_per_flow:row_floats ();
       ctx;
-      name = Cc.name_of cc;
       uses_fast_recovery = Cc.uses_fast_recovery cc;
       partial_ack_stays = Cc.partial_ack_stays cc;
       rto_p = rto_params;
@@ -680,21 +678,6 @@ let table g = g.table
 
 let group t = t.g
 
-(* ------------------------------------------------------------------ *)
-(* Single-flow view *)
-
-let create ?(ecn_capable = false) ?(sack = false) ?(cwnd_validation = false)
-    ?(limited_transmit = false) ?(pacing = false) ?(trace_cwnd = false)
-    ?recorder ?vegas ?initial_ssthresh ?max_window sched ~pool ~cc ~rto_params
-    ~flow ~src ~dst ~mss_bytes ~adv_window ~transmit =
-  let g =
-    create_group ~ecn_capable ~sack ~cwnd_validation ~limited_transmit ~pacing
-      ?recorder ?vegas ?initial_ssthresh ?max_window ~capacity:1 sched
-      ~pool ~cc ~rto_params ~mss_bytes ~adv_window
-      ~transmit:(fun ~flow:_ p -> transmit p)
-  in
-  attach g ~flow ~src ~dst ~trace_cwnd ()
-
 let slot t = Ft.slot_of t.g.table t.h
 
 let write t n =
@@ -743,8 +726,6 @@ let in_recovery t =
   (Ft.ints t.g.table).((slot t * t.g.row_ints) + L.si_flags)
   land L.fl_in_recovery
   <> 0
-
-let cc_name t = t.g.name
 
 let ecn_reactions t =
   (Ft.ints t.g.table).((slot t * t.g.row_ints) + L.si_ecn_reactions)

@@ -89,31 +89,6 @@ val table : group -> Netsim.Flow_table.t
 
 val group : t -> group
 
-val create :
-  ?ecn_capable:bool ->
-  ?sack:bool ->
-  ?cwnd_validation:bool ->
-  ?limited_transmit:bool ->
-  ?pacing:bool ->
-  ?trace_cwnd:bool ->
-  ?recorder:Telemetry.Recorder.t ->
-  ?vegas:Cc.vegas_params ->
-  ?initial_ssthresh:float ->
-  ?max_window:float ->
-  Sim_engine.Scheduler.t ->
-  pool:Netsim.Packet_pool.t ->
-  cc:Cc.variant ->
-  rto_params:Rto.params ->
-  flow:int ->
-  src:int ->
-  dst:int ->
-  mss_bytes:int ->
-  adv_window:int ->
-  transmit:(Netsim.Packet_pool.handle -> unit) ->
-  t
-(** A single-flow group plus {!attach}: the one-connection view used by
-    unit tests and small scenarios. *)
-
 val write : t -> int -> unit
 (** Submit [n] more segments from the application. *)
 
@@ -142,8 +117,6 @@ val cwnd_trace : t -> Netstats.Series.t
     Empty unless the flow was attached with [trace_cwnd:true]. *)
 
 val in_recovery : t -> bool
-
-val cc_name : t -> string
 
 val ecn_reactions : t -> int
 (** How many times the sender reduced its window in response to ECE. *)

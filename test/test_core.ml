@@ -592,7 +592,7 @@ let run_md1_queue_validation () =
   let rho = lambda *. service in
   (* The sampler sees waiting packets only (the one in service has left
      the queue), so compare against L - rho. *)
-  let expected = Netstats.Queueing.md1_mean_queue ~rho -. rho in
+  let expected = Oracle.md1_mean_queue ~rho -. rho in
   let measured =
     (Netstats.Series.value_summary (Option.get m.Metrics.queue_series)).Netstats.Summary.mean
   in
@@ -798,8 +798,8 @@ let parking_lone_flow_fills_pipe () =
   (* No cross traffic: a lone Vegas flow approaches the utilization bound
      of a deeply underbuffered path (B = 50 << BDP = 433 packets). *)
   let r =
-    Parking_lot.run Config.default ~cc:Scenario.Vegas ~hops:2 ~cross_per_hop:0
-      ~duration_s:300.
+    Parking_lot.run { Config.default with Config.duration_s = 300. }
+      ~cc:Scenario.Vegas ~hops:2 ~cross_per_hop:0
   in
   Alcotest.(check bool)
     (Printf.sprintf "share %.2f > 0.5" r.Parking_lot.long_share)
@@ -809,8 +809,8 @@ let parking_lone_flow_fills_pipe () =
 
 let parking_long_flow_disadvantaged () =
   let r =
-    Parking_lot.run Config.default ~cc:Scenario.Reno ~hops:3 ~cross_per_hop:1
-      ~duration_s:120.
+    Parking_lot.run { Config.default with Config.duration_s = 120. }
+      ~cc:Scenario.Reno ~hops:3 ~cross_per_hop:1
   in
   Alcotest.(check bool) "long below fair share" true (r.Parking_lot.long_share < 0.9);
   Alcotest.(check bool) "cross beats long" true
@@ -820,8 +820,8 @@ let parking_long_flow_disadvantaged () =
 let parking_capacity_respected () =
   let cap = 416.67 in
   let r =
-    Parking_lot.run Config.default ~cc:Scenario.Vegas ~hops:2 ~cross_per_hop:2
-      ~duration_s:120.
+    Parking_lot.run { Config.default with Config.duration_s = 120. }
+      ~cc:Scenario.Vegas ~hops:2 ~cross_per_hop:2
   in
   (* Each hop carries the long flow plus its local cross flows. *)
   Alcotest.(check bool) "hop not oversubscribed" true
@@ -833,8 +833,8 @@ let parking_validates () =
   Alcotest.check_raises "hops" (Invalid_argument "Parking_lot.run: hops < 1")
     (fun () ->
       ignore
-        (Parking_lot.run Config.default ~cc:Scenario.Reno ~hops:0 ~cross_per_hop:1
-           ~duration_s:1.))
+        (Parking_lot.run { Config.default with Config.duration_s = 1. }
+           ~cc:Scenario.Reno ~hops:0 ~cross_per_hop:1))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep *)
@@ -929,7 +929,8 @@ let selfsim_pareto_raises_hurst () =
 (* Pin the streaming Selfsim estimators against the old offline path:
    rebuild the same Poisson/UDP run with a stored-array binner next to
    the streaming aggregators and compare c.o.v. (same adds, same order
-   — tight tolerance), the IDC profile and the Hurst estimates. *)
+   — tight tolerance) and the IDC profile against the offline oracle,
+   and check the wavelet Hurst estimate reads short memory. *)
 let selfsim_streaming_matches_offline () =
   let module Time = Sim_engine.Time in
   let module Scheduler = Sim_engine.Scheduler in
@@ -991,24 +992,21 @@ let selfsim_streaming_matches_offline () =
   List.iter
     (fun j ->
       let m = 1 lsl j in
-      match (Netstats.Dispersion.idc_profile counts [ m ],
-             Telemetry.Burst.idc fine j) with
-      | [ (_, Some offline) ], Some streaming ->
+      match (Oracle.idc counts m, Telemetry.Burst.idc fine j) with
+      | offline, Some streaming ->
           Alcotest.(check bool)
             (Printf.sprintf "idc m=%d streaming %.6f vs offline %.6f" m
                streaming offline)
             true
             (abs_float (streaming -. offline) <= 1e-6 *. (1. +. abs_float offline))
-      | _ -> Alcotest.fail (Printf.sprintf "idc missing at m=%d" m))
+      | _, None -> Alcotest.fail (Printf.sprintf "idc missing at m=%d" m))
     [ 0; 4; 7; 10 ];
-  (* Both Hurst estimators read short memory on Poisson/UDP. *)
-  let h_offline = Netstats.Hurst.estimate_variance_time counts in
+  (* The wavelet Hurst estimate reads short memory on Poisson/UDP. *)
   let h_streaming = Option.get (Telemetry.Burst.hurst_wavelet fine) in
   Alcotest.(check bool)
-    (Printf.sprintf "H wavelet %.2f and var-time %.2f both near 0.5"
-       h_streaming h_offline)
+    (Printf.sprintf "H wavelet %.2f near 0.5" h_streaming)
     true
-    (abs_float (h_streaming -. 0.5) < 0.2 && abs_float (h_offline -. 0.5) < 0.2)
+    (abs_float (h_streaming -. 0.5) < 0.2)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid fluid/packet engine *)

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine: Time, Heap, Event_queue, Scheduler,
+(* Tests for the discrete-event engine: Time, Event_queue, Scheduler,
    Rng. *)
 
 open Sim_engine
@@ -30,62 +30,6 @@ let time_invalid () =
     (fun () -> ignore (Time.of_sec Float.nan));
   Alcotest.check_raises "diff negative" (Invalid_argument "Time.diff: negative result")
     (fun () -> ignore (Time.diff (Time.of_sec 1.) (Time.of_sec 2.)))
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-module Int_heap = Heap.Make (Int)
-
-let heap_basic () =
-  let h = Int_heap.create () in
-  Alcotest.(check bool) "empty" true (Int_heap.is_empty h);
-  List.iter (Int_heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Int_heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Int_heap.peek h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 8; 9 ] (Int_heap.to_sorted_list h);
-  Alcotest.(check int) "non-destructive" 6 (Int_heap.length h);
-  Alcotest.(check (option int)) "pop" (Some 1) (Int_heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 2) (Int_heap.pop h);
-  Int_heap.clear h;
-  Alcotest.(check (option int)) "cleared" None (Int_heap.pop h)
-
-let heap_pop_exn_empty () =
-  let h = Int_heap.create () in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Int_heap.pop_exn h))
-
-let heap_sort_property =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.push h) xs;
-      Int_heap.to_sorted_list h = List.sort Int.compare xs)
-
-let heap_interleaved_property =
-  QCheck.Test.make ~name:"heap min under interleaved push/pop" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Int_heap.create () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Int_heap.push h v;
-            model := v :: !model;
-            true
-          end
-          else begin
-            let expected =
-              match List.sort Int.compare !model with
-              | [] -> None
-              | m :: _ ->
-                  model := List.tl (List.sort Int.compare !model);
-                  Some m
-            in
-            Int_heap.pop h = expected
-          end)
-        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
@@ -762,12 +706,6 @@ let suite =
         Alcotest.test_case "arithmetic" `Quick time_arithmetic;
         Alcotest.test_case "invalid inputs" `Quick time_invalid;
       ] );
-    ( "engine.heap",
-      [
-        Alcotest.test_case "basic operations" `Quick heap_basic;
-        Alcotest.test_case "pop_exn on empty" `Quick heap_pop_exn_empty;
-      ]
-      @ qsuite [ heap_sort_property; heap_interleaved_property ] );
     ( "engine.event_queue",
       [
         Alcotest.test_case "time order" `Quick eq_fires_in_time_order;

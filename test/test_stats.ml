@@ -177,13 +177,6 @@ let regression_exact_line () =
   check_close 1e-9 "intercept" 1. fit.Regression.intercept;
   check_close 1e-9 "r2" 1. fit.Regression.r2
 
-let regression_loglog () =
-  (* y = 3 x^0.5 -> slope 0.5 in log-log *)
-  let xs = Array.init 20 (fun i -> float_of_int (i + 1)) in
-  let ys = Array.map (fun x -> 3. *. sqrt x) xs in
-  let fit = Regression.ols_loglog xs ys in
-  check_close 1e-6 "slope" 0.5 fit.Regression.slope
-
 let regression_errors () =
   Alcotest.check_raises "length" (Invalid_argument "Regression.ols: length mismatch")
     (fun () -> ignore (Regression.ols [| 1. |] [| 1.; 2. |]));
@@ -191,28 +184,6 @@ let regression_errors () =
     (fun () -> ignore (Regression.ols [| 1. |] [| 1. |]));
   Alcotest.check_raises "degenerate x" (Invalid_argument "Regression.ols: all x equal")
     (fun () -> ignore (Regression.ols [| 1.; 1. |] [| 1.; 2. |]))
-
-(* ------------------------------------------------------------------ *)
-(* Autocorr *)
-
-let autocorr_constant () =
-  let acf = Autocorr.acf (Array.make 50 3.) 5 in
-  check_float "lag0" 1. acf.(0);
-  check_float "lag1" 0. acf.(1)
-
-let autocorr_alternating () =
-  (* x = +1,-1,+1,... has acf(1) ~ -1, acf(2) ~ +1 (biased estimator). *)
-  let xs = Array.init 200 (fun i -> if i mod 2 = 0 then 1. else -1.) in
-  let acf = Autocorr.acf xs 2 in
-  check_close 0.02 "lag1" (-1.) acf.(1);
-  check_close 0.02 "lag2" 1. acf.(2)
-
-let autocorr_iid_near_zero () =
-  let rng = Sim_engine.Rng.create ~seed:5L in
-  let xs = Array.init 5000 (fun _ -> Sim_engine.Rng.float rng) in
-  let acf = Autocorr.acf xs 3 in
-  Alcotest.(check bool) "lag1 small" true (Float.abs acf.(1) < 0.05);
-  Alcotest.(check bool) "lag3 small" true (Float.abs acf.(3) < 0.05)
 
 (* ------------------------------------------------------------------ *)
 (* Correlation *)
@@ -260,149 +231,6 @@ let cross_correlation_lag () =
   let cc = Correlation.cross_correlation xs ys 4 in
   Alcotest.(check bool) "peak at lag 2" true
     (cc.(2) > 0.9 && cc.(2) > cc.(0) && cc.(2) > cc.(1))
-
-(* ------------------------------------------------------------------ *)
-(* Hurst *)
-
-let hurst_iid_half () =
-  let rng = Sim_engine.Rng.create ~seed:21L in
-  let xs = Array.init 8192 (fun _ -> Sim_engine.Rng.float rng) in
-  let h_vt = Hurst.estimate_variance_time xs in
-  let h_rs = Hurst.estimate_rs xs in
-  Alcotest.(check bool) "variance-time ~ 0.5"
-    true
-    (h_vt > 0.35 && h_vt < 0.65);
-  Alcotest.(check bool) "R/S ~ 0.5-0.65 for iid" true (h_rs > 0.4 && h_rs < 0.7)
-
-let hurst_trending_high () =
-  (* A long-memory-ish series: cumulative random walk increments are
-     maximally persistent; estimators should report H near 1. *)
-  let rng = Sim_engine.Rng.create ~seed:22L in
-  let level = ref 0. in
-  let xs =
-    Array.init 8192 (fun _ ->
-        level := !level +. (Sim_engine.Rng.float rng -. 0.5);
-        !level)
-  in
-  let h_vt = Hurst.estimate_variance_time xs in
-  Alcotest.(check bool) "variance-time high" true (h_vt > 0.85)
-
-let hurst_too_short () =
-  Alcotest.check_raises "short"
-    (Invalid_argument "Hurst.aggregated_variance: series too short") (fun () ->
-      ignore (Hurst.aggregated_variance (Array.make 10 1.)))
-
-(* ------------------------------------------------------------------ *)
-(* FFT and periodogram *)
-
-let naive_dft xs =
-  let n = Array.length xs in
-  Array.init n (fun k ->
-      let re = ref 0. and im = ref 0. in
-      for t = 0 to n - 1 do
-        let ang = -2. *. Float.pi *. float_of_int (k * t) /. float_of_int n in
-        re := !re +. (xs.(t) *. cos ang);
-        im := !im +. (xs.(t) *. sin ang)
-      done;
-      { Complex.re = !re; im = !im })
-
-let fft_matches_naive_dft () =
-  let rng = Sim_engine.Rng.create ~seed:41L in
-  let xs = Array.init 64 (fun _ -> Sim_engine.Rng.float rng -. 0.5) in
-  let expected = naive_dft xs in
-  let got = Fft.of_real xs in
-  Fft.transform got;
-  Array.iteri
-    (fun k e ->
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "re[%d]" k) e.Complex.re
-        got.(k).Complex.re;
-      Alcotest.(check (float 1e-6)) (Printf.sprintf "im[%d]" k) e.Complex.im
-        got.(k).Complex.im)
-    expected
-
-let fft_roundtrip () =
-  let rng = Sim_engine.Rng.create ~seed:42L in
-  let xs = Array.init 128 (fun _ -> Sim_engine.Rng.float rng) in
-  let a = Fft.of_real xs in
-  Fft.transform a;
-  Fft.inverse a;
-  Array.iteri
-    (fun i x -> Alcotest.(check (float 1e-9)) "roundtrip" x a.(i).Complex.re)
-    xs
-
-let fft_pure_tone_peak () =
-  (* A k=5 cosine concentrates all one-sided power at bin 5. *)
-  let n = 256 in
-  let xs =
-    Array.init n (fun t -> cos (2. *. Float.pi *. 5. *. float_of_int t /. float_of_int n))
-  in
-  let spec = Fft.power_spectrum xs in
-  let peak = ref 0 in
-  Array.iteri (fun k p -> if p > spec.(!peak) then peak := k) spec;
-  Alcotest.(check int) "peak at bin 5" 5 !peak
-
-let fft_rejects_non_pow2 () =
-  Alcotest.check_raises "non pow2"
-    (Invalid_argument "Fft.transform: length not a power of two") (fun () ->
-      Fft.transform (Array.make 12 Complex.zero))
-
-let fft_next_pow2 () =
-  Alcotest.(check int) "1" 1 (Fft.next_pow2 1);
-  Alcotest.(check int) "5->8" 8 (Fft.next_pow2 5);
-  Alcotest.(check int) "8->8" 8 (Fft.next_pow2 8)
-
-let periodogram_iid_half () =
-  let rng = Sim_engine.Rng.create ~seed:43L in
-  let xs = Array.init 8192 (fun _ -> Sim_engine.Rng.float rng) in
-  let h = Hurst.estimate_periodogram xs in
-  Alcotest.(check bool) (Printf.sprintf "H=%.2f near 0.5" h) true (h > 0.3 && h < 0.7)
-
-let periodogram_persistent_high () =
-  let rng = Sim_engine.Rng.create ~seed:44L in
-  let level = ref 0. in
-  let xs =
-    Array.init 8192 (fun _ ->
-        level := !level +. (Sim_engine.Rng.float rng -. 0.5);
-        !level)
-  in
-  let h = Hurst.estimate_periodogram xs in
-  Alcotest.(check bool) (Printf.sprintf "H=%.2f high" h) true (h > 0.8)
-
-(* ------------------------------------------------------------------ *)
-(* Queueing theory *)
-
-let queueing_mm1 () =
-  check_close 1e-9 "L at rho=0.5" 1. (Queueing.mm1_mean_queue ~rho:0.5);
-  check_close 1e-9 "W at rho=0.5" 2. (Queueing.mm1_mean_wait ~rho:0.5 ~service_time:1.);
-  check_close 1e-9 "tail" 0.25 (Queueing.mm1_p_occupancy_exceeds ~rho:0.5 1)
-
-let queueing_md1_half_of_mm1_wait () =
-  (* Deterministic service halves the waiting (not sojourn) time. *)
-  let rho = 0.7 and service = 0.01 in
-  let mm1_waiting = Queueing.mm1_mean_wait ~rho ~service_time:service -. service in
-  let md1_waiting = Queueing.md1_mean_wait ~rho ~service_time:service -. service in
-  check_close 1e-9 "md1 = mm1/2" (mm1_waiting /. 2.) md1_waiting
-
-let queueing_mg1_interpolates () =
-  let rho = 0.6 in
-  check_close 1e-9 "cv2=1 is mm1"
-    (Queueing.mm1_mean_queue ~rho)
-    (Queueing.mg1_mean_queue ~rho ~service_cv2:1.);
-  check_close 1e-9 "cv2=0 is md1"
-    (Queueing.md1_mean_queue ~rho)
-    (Queueing.mg1_mean_queue ~rho ~service_cv2:0.)
-
-let queueing_erlang_b () =
-  (* Known value: 1 server, load 1 Erlang -> B = 0.5. *)
-  check_close 1e-9 "c=1 a=1" 0.5 (Queueing.erlang_b ~servers:1 ~offered_load:1.);
-  (* Monotone decreasing in servers. *)
-  Alcotest.(check bool) "more servers less blocking" true
-    (Queueing.erlang_b ~servers:5 ~offered_load:3.
-    > Queueing.erlang_b ~servers:8 ~offered_load:3.)
-
-let queueing_rejects_unstable () =
-  Alcotest.check_raises "rho >= 1" (Invalid_argument "Queueing: rho outside [0, 1)")
-    (fun () -> ignore (Queueing.mm1_mean_queue ~rho:1.))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
@@ -478,43 +306,6 @@ let p2_rejects_bad_q () =
   Alcotest.check_raises "q" (Invalid_argument "P2_quantile.create: q outside (0,1)")
     (fun () -> ignore (P2_quantile.create ~q:1.))
 
-(* ------------------------------------------------------------------ *)
-(* Dispersion *)
-
-let idc_poisson_near_one () =
-  let rng = Sim_engine.Rng.create ~seed:30L in
-  let b = Binned.create ~origin:0. ~width:0.1 () in
-  let t = ref 0. in
-  while !t < 1000. do
-    t := !t +. Sim_engine.Rng.exponential rng ~mean:0.01;
-    if !t < 1000. then Binned.record b !t
-  done;
-  let counts = Binned.counts b ~upto:1000. in
-  let idc1 = Dispersion.idc counts 1 in
-  let idc10 = Dispersion.idc counts 10 in
-  Alcotest.(check bool) "idc(1) ~ 1" true (idc1 > 0.8 && idc1 < 1.2);
-  Alcotest.(check bool) "idc(10) ~ 1" true (idc10 > 0.7 && idc10 < 1.3)
-
-let idc_deterministic_below_one () =
-  let counts = Array.make 100 5. in
-  let idc = Dispersion.idc counts 1 in
-  check_float "no variance" 0. idc
-
-let idc_profile_skips_bad () =
-  let counts = Array.make 8 1. in
-  let profile = Dispersion.idc_profile counts [ 1; 2; 100 ] in
-  (* One row per requested size: unsupported scales surface as [None]
-     instead of silently disappearing from the profile. *)
-  Alcotest.(check int) "one row per requested size" 3 (List.length profile);
-  (match profile with
-  | [ (1, Some a); (2, Some b); (100, None) ] ->
-      check_float "idc(1) computed" 0. a;
-      check_float "idc(2) computed" 0. b
-  | _ -> Alcotest.fail "unexpected profile shape");
-  let zero = Dispersion.idc_profile (Array.make 8 0.) [ 1; 2 ] in
-  Alcotest.(check bool) "zero-mean scales are None" true
-    (List.for_all (fun (_, v) -> v = None) zero)
-
 let binned_total_property =
   QCheck.Test.make ~name:"binned total = sum of all bins" ~count:200
     QCheck.(small_list (float_bound_inclusive 100.))
@@ -570,14 +361,7 @@ let suite =
     ( "stats.regression",
       [
         Alcotest.test_case "exact line" `Quick regression_exact_line;
-        Alcotest.test_case "log-log power law" `Quick regression_loglog;
         Alcotest.test_case "errors" `Quick regression_errors;
-      ] );
-    ( "stats.autocorr",
-      [
-        Alcotest.test_case "constant series" `Quick autocorr_constant;
-        Alcotest.test_case "alternating series" `Quick autocorr_alternating;
-        Alcotest.test_case "iid near zero" `Quick autocorr_iid_near_zero;
       ] );
     ( "stats.correlation",
       [
@@ -587,30 +371,6 @@ let suite =
         Alcotest.test_case "errors" `Quick pearson_errors;
         Alcotest.test_case "mean pairwise" `Quick mean_pairwise_sync;
         Alcotest.test_case "cross-correlation lag" `Quick cross_correlation_lag;
-      ] );
-    ( "stats.hurst",
-      [
-        Alcotest.test_case "iid noise ~ 0.5" `Slow hurst_iid_half;
-        Alcotest.test_case "persistent series high" `Slow hurst_trending_high;
-        Alcotest.test_case "too short rejected" `Quick hurst_too_short;
-      ] );
-    ( "stats.fft",
-      [
-        Alcotest.test_case "matches naive dft" `Quick fft_matches_naive_dft;
-        Alcotest.test_case "roundtrip" `Quick fft_roundtrip;
-        Alcotest.test_case "pure tone peak" `Quick fft_pure_tone_peak;
-        Alcotest.test_case "rejects non-power-of-two" `Quick fft_rejects_non_pow2;
-        Alcotest.test_case "next_pow2" `Quick fft_next_pow2;
-        Alcotest.test_case "periodogram iid ~ 0.5" `Slow periodogram_iid_half;
-        Alcotest.test_case "periodogram persistent high" `Slow periodogram_persistent_high;
-      ] );
-    ( "stats.queueing",
-      [
-        Alcotest.test_case "mm1 closed forms" `Quick queueing_mm1;
-        Alcotest.test_case "md1 halves waiting" `Quick queueing_md1_half_of_mm1_wait;
-        Alcotest.test_case "mg1 interpolates" `Quick queueing_mg1_interpolates;
-        Alcotest.test_case "erlang b" `Quick queueing_erlang_b;
-        Alcotest.test_case "rejects unstable" `Quick queueing_rejects_unstable;
       ] );
     ( "stats.histogram", [ Alcotest.test_case "basic" `Quick histogram_basic ] );
     ( "stats.batch_means",
@@ -625,12 +385,5 @@ let suite =
         Alcotest.test_case "median of gaussian" `Slow p2_matches_exact_median;
         Alcotest.test_case "p99 of exponential" `Slow p2_matches_exact_p99;
         Alcotest.test_case "rejects bad q" `Quick p2_rejects_bad_q;
-      ] );
-    ( "stats.dispersion",
-      [
-        Alcotest.test_case "poisson idc ~ 1" `Quick idc_poisson_near_one;
-        Alcotest.test_case "deterministic idc 0" `Quick idc_deterministic_below_one;
-        Alcotest.test_case "profile keeps bad sizes as None" `Quick
-          idc_profile_skips_bad;
       ] );
   ]

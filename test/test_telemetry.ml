@@ -1260,7 +1260,7 @@ let burst_matches_offline_per_scale =
           | None -> if s.Netstats.Summary.mean > 0. then ok := false);
           match
             ( Burst.idc b j,
-              try Some (Netstats.Dispersion.idc xs m)
+              try Some (Oracle.idc xs m)
               with Invalid_argument _ -> None )
           with
           | Some a, Some o -> if abs_float (a -. o) > 1e-9 then ok := false
@@ -1286,6 +1286,27 @@ let burst_haar_energy_direct () =
   (* Octave 3 pairs the level-2 sums (9, 22): a single detail. *)
   Alcotest.(check int) "octave-3 details" 1 (Burst.haar_count b 3);
   check_float "octave-3 energy" (169. /. 8.) (Option.get (Burst.haar_energy b 3))
+
+(* Poisson arrivals have IDC 1 at every scale: exponential gaps of
+   mean 10 ms over 1000 s in 100 ms base bins, read at m = 1 and 8. *)
+let burst_poisson_idc_near_one () =
+  let rng = Sim_engine.Rng.create ~seed:30L in
+  let b = Burst.create ~levels:4 ~origin:0. ~width:0.1 () in
+  let t = ref 0. in
+  while !t < 1000. do
+    t := !t +. Sim_engine.Rng.exponential rng ~mean:0.01;
+    if !t < 1000. then Burst.observe b !t
+  done;
+  Burst.advance b ~upto:1000.;
+  let idc1 = Option.get (Burst.idc b 0) and idc8 = Option.get (Burst.idc b 3) in
+  Alcotest.(check bool)
+    (Printf.sprintf "idc(1) %.3f ~ 1" idc1)
+    true
+    (idc1 > 0.8 && idc1 < 1.2);
+  Alcotest.(check bool)
+    (Printf.sprintf "idc(8) %.3f ~ 1" idc8)
+    true
+    (idc8 > 0.7 && idc8 < 1.3)
 
 let burst_white_noise_hurst_half () =
   let next = lcg 7 in
@@ -1526,6 +1547,7 @@ let suite =
           burst_haar_energy_direct;
         Alcotest.test_case "white noise H ~ 0.5" `Quick
           burst_white_noise_hurst_half;
+        Alcotest.test_case "poisson idc ~ 1" `Quick burst_poisson_idc_near_one;
         Alcotest.test_case "osc: sine flags, flat does not" `Quick
           osc_sine_flags_flat_does_not;
         Alcotest.test_case "record kinds round-trip" `Quick

@@ -75,20 +75,6 @@ let poisson_deterministic_with_seed () =
   Alcotest.(check bool) "same seed same arrivals" true (run 7L = run 7L);
   Alcotest.(check bool) "different seed differs" true (run 7L <> run 8L)
 
-let cbr_exact_schedule () =
-  let sched = Scheduler.create () in
-  let log, sink = collect_arrivals () in
-  let source =
-    Cbr.start sched ~interval:0.25 ~start:Time.zero ~until:(Time.of_sec 1.)
-      ~sink:(sink sched)
-  in
-  Scheduler.run sched;
-  Alcotest.(check int) "4 packets in 1s" 4 (source.Source.generated ());
-  Alcotest.(check (list (float 1e-9)))
-    "at multiples of 0.25"
-    [ 0.25; 0.5; 0.75; 1.0 ]
-    (List.rev_map fst !log)
-
 let onoff_pareto_generates_with_gaps () =
   let sched = Scheduler.create () in
   let rng = Rng.create ~seed:4L in
@@ -149,34 +135,6 @@ let bulk_submits_once () =
       Alcotest.(check int) "all at once" 42 n
   | _ -> Alcotest.fail "expected one submission"
 
-let trace_replay_exact () =
-  let sched = Scheduler.create () in
-  let log, sink = collect_arrivals () in
-  let source =
-    Trace_replay.start sched ~gaps:[| 0.5; 0.25; 0.25 |] ~start:Time.zero
-      ~until:(Time.of_sec 10.) ~sink:(sink sched) ()
-  in
-  Scheduler.run sched;
-  Alcotest.(check int) "three packets" 3 (source.Source.generated ());
-  Alcotest.(check (list (float 1e-9))) "at trace times" [ 0.5; 0.75; 1.0 ]
-    (List.rev_map fst !log)
-
-let trace_replay_loops () =
-  let sched = Scheduler.create () in
-  let log, sink = collect_arrivals () in
-  ignore
-    (Trace_replay.start sched ~gaps:[| 0.4 |] ~loop:true ~start:Time.zero
-       ~until:(Time.of_sec 2.) ~sink:(sink sched) ());
-  Scheduler.run sched;
-  Alcotest.(check int) "5 repeats in 2s" 5 (List.length !log)
-
-let trace_replay_of_timestamps () =
-  Alcotest.(check (array (float 1e-9))) "gaps" [| 1.; 1.5; 0.5 |]
-    (Trace_replay.of_timestamps [| 1.; 2.5; 3. |]);
-  Alcotest.check_raises "unsorted"
-    (Invalid_argument "Trace_replay.of_timestamps: unsorted") (fun () ->
-      ignore (Trace_replay.of_timestamps [| 2.; 1. |]))
-
 let suite =
   [
     ( "traffic.poisson",
@@ -186,17 +144,10 @@ let suite =
         Alcotest.test_case "stops at horizon" `Quick poisson_stops_at_horizon;
         Alcotest.test_case "deterministic per seed" `Quick poisson_deterministic_with_seed;
       ] );
-    ( "traffic.cbr", [ Alcotest.test_case "exact schedule" `Quick cbr_exact_schedule ] );
     ( "traffic.onoff_pareto",
       [
         Alcotest.test_case "volume and silences" `Quick onoff_pareto_generates_with_gaps;
         Alcotest.test_case "rejects infinite-mean shapes" `Quick onoff_rejects_infinite_mean;
       ] );
     ( "traffic.bulk", [ Alcotest.test_case "one-shot submission" `Quick bulk_submits_once ] );
-    ( "traffic.trace_replay",
-      [
-        Alcotest.test_case "exact schedule" `Quick trace_replay_exact;
-        Alcotest.test_case "looping" `Quick trace_replay_loops;
-        Alcotest.test_case "timestamps to gaps" `Quick trace_replay_of_timestamps;
-      ] );
   ]

@@ -216,10 +216,11 @@ let make_harness ?(cc = `Reno) ?(adv_window = 64) ?(cwnd_validation = false)
     | `Newreno -> Cc.Newreno
   in
   let sender =
-    Tcp_sender.create ~cwnd_validation ~limited_transmit ~pacing ~trace_cwnd sched
-      ~pool ~cc ~rto_params:Rto.default_params ~flow:0 ~src:1 ~dst:0
-      ~mss_bytes:1000 ~adv_window
-      ~transmit:(fun p -> outbox := p :: !outbox)
+    Tcp_sender.attach
+      (Tcp_sender.create_group ~cwnd_validation ~limited_transmit ~pacing sched
+         ~pool ~cc ~rto_params:Rto.default_params ~mss_bytes:1000 ~adv_window
+         ~transmit:(fun ~flow:_ p -> outbox := p :: !outbox))
+      ~flow:0 ~src:1 ~dst:0 ~trace_cwnd ()
   in
   { sched; pool; sender; outbox }
 
@@ -506,15 +507,18 @@ let loop_pacing_transfer_completes () =
            Pool.free pool p))
   in
   let sender =
-    Tcp_sender.create ~pacing:true lsched ~pool ~cc:Cc.Reno
-      ~rto_params:Rto.default_params ~flow:0 ~src:1 ~dst:0 ~mss_bytes:1000
-      ~adv_window:64
-      ~transmit:(fun p -> wire `R p)
+    Tcp_sender.attach
+      (Tcp_sender.create_group ~pacing:true lsched ~pool ~cc:Cc.Reno
+         ~rto_params:Rto.default_params ~mss_bytes:1000 ~adv_window:64
+         ~transmit:(fun ~flow:_ p -> wire `R p))
+      ~flow:0 ~src:1 ~dst:0 ()
   in
   let receiver =
-    Tcp_receiver.create lsched ~pool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
-      ~delayed_ack:false ~adv_window:64
-      ~transmit:(fun p -> wire `S p)
+    Tcp_receiver.attach
+      (Tcp_receiver.create_group lsched ~pool ~ack_bytes:40 ~delayed_ack:false
+         ~adv_window:64
+         ~transmit:(fun ~flow:_ p -> wire `S p))
+      ~flow:0 ~src:0 ~dst:1 ()
   in
   sender_cell := Some sender;
   receiver_cell := Some receiver;
@@ -537,9 +541,11 @@ let make_receiver ?(delayed_ack = false) ?(sack = false) () =
   let rpool = Pool.create () in
   let acks = ref [] in
   let receiver =
-    Tcp_receiver.create ~sack rsched ~pool:rpool ~flow:0 ~src:0 ~dst:1
-      ~ack_bytes:40 ~delayed_ack ~adv_window:64
-      ~transmit:(fun p -> acks := p :: !acks)
+    Tcp_receiver.attach
+      (Tcp_receiver.create_group ~sack rsched ~pool:rpool ~ack_bytes:40
+         ~delayed_ack ~adv_window:64
+         ~transmit:(fun ~flow:_ p -> acks := p :: !acks))
+      ~flow:0 ~src:0 ~dst:1 ()
   in
   { rsched; rpool; receiver; acks }
 
@@ -680,16 +686,20 @@ let make_loop ?(cc = `Reno) ?(delay = 0.05) ~drop () =
     | `Vegas -> Cc.Vegas
   in
   let lsender =
-    Tcp_sender.create lsched ~pool:lpool ~cc ~rto_params:Rto.default_params ~flow:0
-      ~src:1 ~dst:0 ~mss_bytes:1000 ~adv_window:64
-      ~transmit:(fun p ->
-        incr data_sent;
-        if drop lpool p then Pool.free lpool p else wire `To_receiver p)
+    Tcp_sender.attach
+      (Tcp_sender.create_group lsched ~pool:lpool ~cc
+         ~rto_params:Rto.default_params ~mss_bytes:1000 ~adv_window:64
+         ~transmit:(fun ~flow:_ p ->
+           incr data_sent;
+           if drop lpool p then Pool.free lpool p else wire `To_receiver p))
+      ~flow:0 ~src:1 ~dst:0 ()
   in
   let lreceiver =
-    Tcp_receiver.create lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
-      ~delayed_ack:false ~adv_window:64
-      ~transmit:(fun p -> wire `To_sender p)
+    Tcp_receiver.attach
+      (Tcp_receiver.create_group lsched ~pool:lpool ~ack_bytes:40
+         ~delayed_ack:false ~adv_window:64
+         ~transmit:(fun ~flow:_ p -> wire `To_sender p))
+      ~flow:0 ~src:0 ~dst:1 ()
   in
   sender_cell := Some lsender;
   receiver_cell := Some lreceiver;
@@ -785,17 +795,20 @@ let make_sack_loop ?(delay = 0.05) ~drop () =
            Pool.free lpool p))
   in
   let lsender =
-    Tcp_sender.create ~sack:true lsched ~pool:lpool ~cc:Cc.Sack
-      ~rto_params:Rto.default_params
-      ~flow:0 ~src:1 ~dst:0 ~mss_bytes:1000 ~adv_window:64
-      ~transmit:(fun p ->
-        incr data_sent;
-        if drop lpool p then Pool.free lpool p else wire `To_receiver p)
+    Tcp_sender.attach
+      (Tcp_sender.create_group ~sack:true lsched ~pool:lpool ~cc:Cc.Sack
+         ~rto_params:Rto.default_params ~mss_bytes:1000 ~adv_window:64
+         ~transmit:(fun ~flow:_ p ->
+           incr data_sent;
+           if drop lpool p then Pool.free lpool p else wire `To_receiver p))
+      ~flow:0 ~src:1 ~dst:0 ()
   in
   let lreceiver =
-    Tcp_receiver.create ~sack:true lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1
-      ~ack_bytes:40 ~delayed_ack:false ~adv_window:64
-      ~transmit:(fun p -> wire `To_sender p)
+    Tcp_receiver.attach
+      (Tcp_receiver.create_group ~sack:true lsched ~pool:lpool ~ack_bytes:40
+         ~delayed_ack:false ~adv_window:64
+         ~transmit:(fun ~flow:_ p -> wire `To_sender p))
+      ~flow:0 ~src:0 ~dst:1 ()
   in
   sender_cell := Some lsender;
   receiver_cell := Some lreceiver;
