@@ -27,8 +27,8 @@ benchmark:
 # line per gate and exits non-zero when any gate fails;
 # `report-check FILE` re-reads the file and reaches the same verdict.
 
-# Allocation budget: per-scenario minor words/event (Reno 6.0,
-# Reno/RED 8.0, Vegas 8.0) and, in full mode, the Reno events/sec floor.
+# Allocation budget: per-scenario minor words/event (Reno 5.1,
+# Reno/RED 6.4, Vegas 5.5) and, in full mode, the Reno events/sec floor.
 bench-alloc:
 	dune exec bench/main.exe -- --only alloc --fast
 

@@ -546,14 +546,16 @@ let run_telemetry_bench () =
 let alloc_baseline_minor_words_per_event = 30.48
 let alloc_baseline_events_per_sec = 1_311_337.
 
-(* Per-scenario allocation budgets. The packet-pool rewrite measures
-   ~3 minor words/event on Reno/drop-tail (down from 14.16 with heap
-   packets); each row gates its own committed ceiling with headroom for
-   GC-counter jitter. The primary Reno/drop-tail row also carries the
-   committed events/sec floor: 1.15x over the 1.79M ev/s recorded before
-   the pool landed. Wall-clock gates are machine-sensitive, so only that
-   row has one, and it is skipped under [--fast], where the wall time is
-   a few milliseconds. *)
+(* Per-scenario allocation budgets. Each row gates its own committed
+   ceiling, about 10% above the larger of its --fast and full-mode
+   readings (Reno 4.64 / 4.64, Reno/RED 5.27 / 5.80, Vegas 4.98 / 4.66
+   minor words/event). Words/event repeat exactly for a seed, so the
+   margin only absorbs code changes, not noise. The primary
+   Reno/drop-tail row also carries the committed events/sec floor:
+   1.15x over the 1.79M ev/s recorded before the pool landed.
+   Wall-clock gates are machine-sensitive, so only that row has one, and
+   it is skipped under [--fast], where the wall time is a few
+   milliseconds. *)
 type alloc_budget = {
   ab_scenario : Burstcore.Scenario.t;
   words_threshold : float;
@@ -564,17 +566,17 @@ let alloc_budgets =
   [
     {
       ab_scenario = Burstcore.Scenario.reno;
-      words_threshold = 6.0;
+      words_threshold = 5.1;
       min_events_per_sec = Some 2_060_000.;
     };
     {
       ab_scenario = Burstcore.Scenario.reno_red;
-      words_threshold = 8.0;
+      words_threshold = 6.4;
       min_events_per_sec = None;
     };
     {
       ab_scenario = Burstcore.Scenario.vegas;
-      words_threshold = 8.0;
+      words_threshold = 5.5;
       min_events_per_sec = None;
     };
   ]

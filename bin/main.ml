@@ -53,7 +53,10 @@ let check_configs ?(scenarios = []) cfgs =
          let flag, bound, got =
            match msg with
            | "Config.validate: clients" -> ("--clients", ">= 1", float cfg.clients)
-           | "Config.validate: duration_s" -> ("--duration", "> 0", cfg.duration_s)
+           | "Config.validate: duration_s" ->
+               ( "--duration",
+                 Printf.sprintf "> 0 and < %g" Burstcore.Config.horizon_s,
+                 cfg.duration_s )
            | "Config.validate: shards" -> ("--shards", ">= 0", float cfg.shards)
            | "Config.validate: background" ->
                ("--background", ">= 0", float cfg.background)
@@ -1110,7 +1113,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.13.0"
+    (Cmd.info "burstsim" ~version:"1.14.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

@@ -59,24 +59,33 @@ let with_clients t clients =
   if clients < 1 then invalid_arg "Config.with_clients: clients < 1";
   { t with clients }
 
+let horizon_s = Sim_engine.Time.(to_sec never)
+
 let validate t =
   let check name ok = if not ok then invalid_arg ("Config.validate: " ^ name) in
+  (* Also false for infinity and NaN. *)
+  let below_horizon x = x < horizon_s in
   check "clients" (t.clients >= 1);
   check "client_bandwidth_mbps" (t.client_bandwidth_mbps > 0.);
   check "bottleneck_bandwidth_mbps" (t.bottleneck_bandwidth_mbps > 0.);
-  check "client_delay_s" (t.client_delay_s > 0.);
-  check "bottleneck_delay_s" (t.bottleneck_delay_s > 0.);
+  check "client_delay_s"
+    (t.client_delay_s > 0. && below_horizon t.client_delay_s);
+  check "bottleneck_delay_s"
+    (t.bottleneck_delay_s > 0. && below_horizon t.bottleneck_delay_s);
   check "adv_window" (t.adv_window >= 1);
   check "buffer_packets" (t.buffer_packets >= 1);
   check "packet_bytes" (t.packet_bytes > t.ack_bytes && t.ack_bytes > 0);
-  check "mean_interarrival_s" (t.mean_interarrival_s > 0.);
-  check "duration_s" (t.duration_s > 0.);
+  check "mean_interarrival_s"
+    (t.mean_interarrival_s > 0. && below_horizon t.mean_interarrival_s);
+  check "duration_s" (t.duration_s > 0. && below_horizon t.duration_s);
   check "warmup_s" (t.warmup_s >= 0. && t.warmup_s < t.duration_s);
   check "red thresholds" (t.red_min_th > 0. && t.red_max_th > t.red_min_th);
   check "red_max_p" (t.red_max_p > 0. && t.red_max_p <= 1.);
   check "red_w_q" (t.red_w_q > 0. && t.red_w_q <= 1.);
-  check "start_stagger_s" (t.start_stagger_s >= 0.);
-  check "client_delay_spread_s" (t.client_delay_spread_s >= 0.);
+  check "start_stagger_s"
+    (t.start_stagger_s >= 0. && below_horizon t.start_stagger_s);
+  check "client_delay_spread_s"
+    (t.client_delay_spread_s >= 0. && below_horizon t.client_delay_spread_s);
   check "shards" (t.shards >= 0);
   check "background" (t.background >= 0)
 

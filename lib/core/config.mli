@@ -60,10 +60,16 @@ val default : t
 
 val with_clients : t -> int -> t
 
+val horizon_s : float
+(** Exclusive upper bound on every seconds-valued field: the simulation
+    clock's tick horizon ([2^62] ns, about 146 years). *)
+
 val validate : t -> unit
 (** Checks the cross-field invariants a runnable configuration needs
     (positive rates and delays, warmup < duration, RED thresholds inside
-    the buffer, ...). @raise Invalid_argument with a field name. *)
+    the buffer, ...). Every seconds-valued field must also be finite and
+    below {!horizon_s}, since the run turns each into a clock time.
+    @raise Invalid_argument with a field name. *)
 
 val rtt_prop_s : t -> float
 (** Round-trip propagation delay [2 (tau_c + tau_s)] — the c.o.v.

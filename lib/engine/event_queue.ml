@@ -1,8 +1,8 @@
 (* The pending-event set, stored as a slab of parallel arrays plus a
-   binary min-heap of slot indices. Nothing on the schedule/pop cycle
-   allocates once the slab has warmed up:
+   binary min-heap whose entries carry their own time key. Nothing on
+   the schedule/pop cycle allocates once the slab has warmed up:
 
-   - a scheduled event occupies a {e slot} — its time, sequence number,
+   - a scheduled event occupies a {e slot} — its sequence number,
      generation and action live in parallel arrays, not in a per-event
      record;
    - popped and cancelled slots are recycled through a free stack;
@@ -11,11 +11,20 @@
      one whose slot has since been recycled — is recognised by its
      generation and ignored by [cancel]/[is_pending].
 
+   A slot has no time field. A queued event's time is its heap key
+   ([hkey.(i)], beside its slot in [hslot.(i)]), a parked event's time
+   is the wheel's, and the time of the event popped last is
+   [clock.now]. Ordering is (time, seq): a comparison is one integer
+   compare of two keys read in place, and [seq.(slot)] is read only when
+   the two times are equal. Sifts move a hole: each displaced entry is
+   written once, and the entry being placed once, at the end.
+
    Cancellation stays lazy: a cancelled slot remains in the heap and is
    skipped (and only then recycled) when it surfaces. Slots popped by
    [pop_if_before] are recycled {e deferred} — at the next queue
-   operation — so the caller can still read [time_of] and [fire] the
-   action without the slot being reused under it.
+   operation — so the caller can still [fire] the action without the
+   slot being reused under it. [drain] needs no deferral: it reads the
+   action, recycles the slot, then runs the action.
 
    Far-out events — timers, mostly: RTOs, pacing gaps, delayed ACKs —
    are parked in a hierarchical {!Timer_wheel} instead of the heap, so
@@ -38,16 +47,18 @@ let gen_mask = (1 lsl gen_bits) - 1
 
 type handle = int
 
+type clock = { mutable now : Time.t; mutable stopped : bool; mutable fired : int }
+
 type t = {
-  mutable cap : int; (* slab capacity; all arrays below share it *)
-  mutable at : Time.t array; (* per-slot scheduled time *)
+  (* Per-slot arrays, all of one length: the slab capacity. *)
   mutable seq : int array; (* per-slot schedule order; FIFO tie-break *)
   mutable gen : int array; (* per-slot recycle count *)
   mutable act : (unit -> unit) array;
   mutable kact : (int -> unit) array; (* keyed action; see [schedule_keyed] *)
   mutable karg : int array; (* keyed argument; [no_key] = plain action *)
   mutable dead : bool array; (* fired or cancelled *)
-  mutable heap : int array; (* min-heap of slots, ordered by (at, seq) *)
+  mutable hkey : Time.t array; (* heap entry i's time *)
+  mutable hslot : int array; (* heap entry i's slot; min-heap on (hkey, seq) *)
   mutable heap_size : int;
   mutable free : int array; (* stack of recycled slots *)
   mutable free_top : int;
@@ -56,7 +67,12 @@ type t = {
   mutable next_seq : int;
   mutable live : int;
   mutable hwm : int;
+  clock : clock;
   wheel : Timer_wheel.t;
+  (* The wheel's cursor while it holds items, [wheel_idle] while it is
+     empty: [ready] learns from this one field that nothing parked can
+     be due, without a call into the wheel. *)
+  mutable wdue : int;
   mutable wflush : int -> unit; (* wheel->heap flusher, built once *)
   mutable wheel_parked : int; (* schedules absorbed by the wheel *)
   mutable growths : int; (* slab doublings since creation *)
@@ -70,50 +86,58 @@ let knop (_ : int) = ()
    [act]. [min_int] cannot collide with any packed flow/slot key. *)
 let no_key = min_int
 
+let wheel_idle = max_int
+
 let length q = q.live
 
 let is_empty q = q.live = 0
 
 let high_water_mark q = q.hwm
 
-let capacity q = q.cap
+let capacity q = Array.length q.seq
 
 let growth_count q = q.growths
 
 let wheel_parked q = q.wheel_parked
 
+let clock q = q.clock
+
 (* ------------------------------------------------------------------ *)
 (* Slab bookkeeping *)
 
 let grow q =
-  let ncap = 2 * q.cap in
+  let cap = capacity q in
+  let ncap = 2 * cap in
   let extend a fill =
     let na = Array.make ncap fill in
-    Array.blit a 0 na 0 q.cap;
+    Array.blit a 0 na 0 cap;
     na
   in
-  q.at <- extend q.at Time.zero;
   q.seq <- extend q.seq 0;
   q.gen <- extend q.gen 0;
   q.act <- extend q.act nop;
   q.kact <- extend q.kact knop;
   q.karg <- extend q.karg no_key;
   q.dead <- extend q.dead true;
-  q.heap <- extend q.heap 0;
+  q.hkey <- extend q.hkey Time.zero;
+  q.hslot <- extend q.hslot 0;
   q.free <- extend q.free 0;
-  q.cap <- ncap;
   q.growths <- q.growths + 1;
   Timer_wheel.ensure_capacity q.wheel ncap
 
 (* Put [slot] back on the free stack; bumping the generation is what
    invalidates every handle to the slot's previous occupant. Dropping
    the action reference matters too: it is what lets a fired event's
-   closure (and whatever it captured) be collected. *)
+   closure (and whatever it captured) be collected. A free slot holds
+   [nop], [knop] and [no_key], and scheduling sets either [act] or
+   [kact]/[karg], so only that one needs resetting. *)
 let recycle q slot =
   q.gen.(slot) <- q.gen.(slot) + 1;
-  q.act.(slot) <- nop;
-  q.kact.(slot) <- knop;
-  q.karg.(slot) <- no_key;
+  if q.karg.(slot) = no_key then q.act.(slot) <- nop
+  else begin
+    q.kact.(slot) <- knop;
+    q.karg.(slot) <- no_key
+  end;
   q.free.(q.free_top) <- slot;
   q.free_top <- q.free_top + 1
 
@@ -129,68 +153,78 @@ let alloc_slot q =
     q.free.(q.free_top)
   end
   else begin
-    if q.fresh = q.cap then grow q;
+    if q.fresh = capacity q then grow q;
     let slot = q.fresh in
     q.fresh <- q.fresh + 1;
     slot
   end
 
 (* ------------------------------------------------------------------ *)
-(* Slot heap, ordered by (time, seq) *)
+(* Heap of (time key, slot) entries, ordered by (time, seq) *)
 
-let lt q a b =
-  let c = Time.compare q.at.(a) q.at.(b) in
-  if c <> 0 then c < 0 else q.seq.(a) < q.seq.(b)
+(* Does the entry (ka, sa) pop before (kb, sb)? *)
+let[@inline] before q ka sa kb sb =
+  let a = Time.to_ns ka and b = Time.to_ns kb in
+  a < b || (a = b && q.seq.(sa) < q.seq.(sb))
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt q q.heap.(i) q.heap.(parent) then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(parent);
-      q.heap.(parent) <- tmp;
-      sift_up q parent
-    end
+(* Move the hole at [i] up past every parent that (k, s) pops before,
+   then fill it with (k, s). *)
+let rec sift_up q i k s =
+  let p = (i - 1) / 2 in
+  if i > 0 && before q k s q.hkey.(p) q.hslot.(p) then begin
+    q.hkey.(i) <- q.hkey.(p);
+    q.hslot.(i) <- q.hslot.(p);
+    sift_up q p k s
+  end
+  else begin
+    q.hkey.(i) <- k;
+    q.hslot.(i) <- s
   end
 
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < q.heap_size && lt q q.heap.(l) q.heap.(i) then l else i in
-  let smallest =
-    if r < q.heap_size && lt q q.heap.(r) q.heap.(smallest) then r else smallest
+(* Move the hole at [i] down past every smaller child that pops before
+   (k, s), then fill it with (k, s). *)
+let rec sift_down q i k s =
+  let l = (2 * i) + 1 in
+  let c =
+    if l >= q.heap_size then i
+    else
+      let r = l + 1 in
+      if r < q.heap_size && before q q.hkey.(r) q.hslot.(r) q.hkey.(l) q.hslot.(l)
+      then r
+      else l
   in
-  if smallest <> i then begin
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(smallest);
-    q.heap.(smallest) <- tmp;
-    sift_down q smallest
+  if c <> i && before q q.hkey.(c) q.hslot.(c) k s then begin
+    q.hkey.(i) <- q.hkey.(c);
+    q.hslot.(i) <- q.hslot.(c);
+    sift_down q c k s
+  end
+  else begin
+    q.hkey.(i) <- k;
+    q.hslot.(i) <- s
   end
 
-let heap_push q slot =
-  q.heap.(q.heap_size) <- slot;
-  q.heap_size <- q.heap_size + 1;
-  sift_up q (q.heap_size - 1)
+let heap_push q k slot =
+  let i = q.heap_size in
+  q.heap_size <- i + 1;
+  sift_up q i k slot
 
 let heap_drop_top q =
-  q.heap_size <- q.heap_size - 1;
-  if q.heap_size > 0 then begin
-    q.heap.(0) <- q.heap.(q.heap_size);
-    sift_down q 0
-  end
+  let last = q.heap_size - 1 in
+  q.heap_size <- last;
+  if last > 0 then sift_down q 0 q.hkey.(last) q.hslot.(last)
 
 let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Event_queue.create: capacity < 1";
   let q =
     {
-      cap = capacity;
-      at = Array.make capacity Time.zero;
       seq = Array.make capacity 0;
       gen = Array.make capacity 0;
       act = Array.make capacity nop;
       kact = Array.make capacity knop;
       karg = Array.make capacity no_key;
       dead = Array.make capacity true;
-      heap = Array.make capacity 0;
+      hkey = Array.make capacity Time.zero;
+      hslot = Array.make capacity 0;
       heap_size = 0;
       free = Array.make capacity 0;
       free_top = 0;
@@ -199,7 +233,9 @@ let create ?(capacity = 64) () =
       next_seq = 0;
       live = 0;
       hwm = 0;
+      clock = { now = Time.zero; stopped = false; fired = 0 };
       wheel = Timer_wheel.create ~capacity ();
+      wdue = wheel_idle;
       wflush = ignore;
       wheel_parked = 0;
       growths = 0;
@@ -209,7 +245,9 @@ let create ?(capacity = 64) () =
      the spot (cancelled while parked) — the wheel-side analogue of
      [skim]'s lazy-cancel recycling. *)
   q.wflush <-
-    (fun slot -> if q.dead.(slot) then recycle q slot else heap_push q slot);
+    (fun slot ->
+      if q.dead.(slot) then recycle q slot
+      else heap_push q (Time.of_ns (Timer_wheel.time_ns q.wheel slot)) slot);
   q
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +257,7 @@ let create ?(capacity = 64) () =
    here and only here, so recycling them is immediate and safe. *)
 let rec skim q =
   if q.heap_size > 0 then begin
-    let slot = q.heap.(0) in
+    let slot = q.hslot.(0) in
     if q.dead.(slot) then begin
       heap_drop_top q;
       recycle q slot;
@@ -232,18 +270,23 @@ let rec skim q =
    into the heap up to min(limit, live heap top). When the heap is
    empty the wheel is drained one full horizon — which covers every
    parked slot — so the next event surfaces. Each [advance] strictly
-   raises the cursor (or empties the wheel), so this terminates. *)
+   raises the cursor (or empties the wheel), so this terminates. The
+   common case — an empty wheel, or a cursor past the limit or the heap
+   top — costs two compares and no call into the wheel. *)
 let rec ready q limit_ns =
   skim q;
-  if Timer_wheel.count q.wheel > 0 then begin
+  let cursor = q.wdue in
+  if cursor <= limit_ns && cursor <> wheel_idle then begin
     let top_ns =
-      if q.heap_size = 0 then
-        Timer_wheel.cursor_ns q.wheel + Timer_wheel.horizon_ns q.wheel
-      else Time.to_ns q.at.(q.heap.(0))
+      if q.heap_size = 0 then cursor + Timer_wheel.horizon_ns q.wheel
+      else Time.to_ns q.hkey.(0)
     in
-    let target = if limit_ns < top_ns then limit_ns else top_ns in
-    if Timer_wheel.cursor_ns q.wheel <= target then begin
+    if cursor <= top_ns then begin
+      let target = if limit_ns < top_ns then limit_ns else top_ns in
       Timer_wheel.advance q.wheel ~upto_ns:target ~flush:q.wflush;
+      q.wdue <-
+        (if Timer_wheel.count q.wheel > 0 then Timer_wheel.cursor_ns q.wheel
+         else wheel_idle);
       ready q limit_ns
     end
   end
@@ -260,15 +303,16 @@ let slot_of h = h lsr gen_bits
 let enqueue q when_ =
   flush_deferred q;
   let slot = alloc_slot q in
-  q.at.(slot) <- when_;
   q.seq.(slot) <- q.next_seq;
   q.dead.(slot) <- false;
   q.next_seq <- q.next_seq + 1;
   q.live <- q.live + 1;
   if q.live > q.hwm then q.hwm <- q.live;
-  if Timer_wheel.add q.wheel ~item:slot ~time_ns:(Time.to_ns when_) then
-    q.wheel_parked <- q.wheel_parked + 1
-  else heap_push q slot;
+  if Timer_wheel.add q.wheel ~item:slot ~time_ns:(Time.to_ns when_) then begin
+    q.wheel_parked <- q.wheel_parked + 1;
+    if q.wdue = wheel_idle then q.wdue <- Timer_wheel.cursor_ns q.wheel
+  end
+  else heap_push q when_ slot;
   slot
 
 let schedule q when_ action =
@@ -300,10 +344,25 @@ let cancel q h =
 
 let is_pending q h = valid q h && not q.dead.(slot_of h)
 
+(* The earliest live event, if it is due by [limit_ns]: its slot, with
+   [clock.now] set to its time and the slot out of the heap but not yet
+   recycled; [-1] otherwise. *)
+let take q limit_ns =
+  ready q limit_ns;
+  if q.heap_size = 0 || Time.to_ns q.hkey.(0) > limit_ns then -1
+  else begin
+    let slot = q.hslot.(0) in
+    q.clock.now <- q.hkey.(0);
+    heap_drop_top q;
+    q.dead.(slot) <- true;
+    q.live <- q.live - 1;
+    slot
+  end
+
 let next_time q =
   flush_deferred q;
   ready q max_int;
-  if q.heap_size = 0 then None else Some q.at.(q.heap.(0))
+  if q.heap_size = 0 then None else Some q.hkey.(0)
 
 let action_closure q slot =
   if q.karg.(slot) = no_key then q.act.(slot)
@@ -314,30 +373,26 @@ let action_closure q slot =
 
 let pop q =
   flush_deferred q;
-  ready q max_int;
-  if q.heap_size = 0 then None
+  let slot = take q max_int in
+  if slot < 0 then None
   else begin
-    let slot = q.heap.(0) in
-    heap_drop_top q;
-    q.dead.(slot) <- true;
-    q.live <- q.live - 1;
-    let time = q.at.(slot) and action = action_closure q slot in
+    let action = action_closure q slot in
     recycle q slot;
-    Some (time, action)
+    Some (q.clock.now, action)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Allocation-free drain path (the scheduler's inner loop) *)
+(* Allocation-free drain path *)
 
 let nil : handle = -1
 
 let is_nil h = h < 0
 
-let time_of q h = q.at.(slot_of h)
+let time_of q (_ : handle) = q.clock.now
 
 (* Run the popped event's action without materialising a closure for
    keyed slots. Must be called before the next queue operation (the
-   slot is recycled deferred, like [time_of]). *)
+   slot is recycled deferred). *)
 let fire q h =
   let slot = slot_of h in
   let key = q.karg.(slot) in
@@ -352,18 +407,38 @@ let handle_of_int (i : int) : handle = i
 
 let pop_if_before q horizon =
   flush_deferred q;
-  ready q (Time.to_ns horizon);
-  if q.heap_size = 0 then nil
+  let slot = take q (Time.to_ns horizon) in
+  if slot < 0 then nil
   else begin
-    let slot = q.heap.(0) in
-    if Time.(q.at.(slot) > horizon) then nil
-    else begin
-      heap_drop_top q;
-      q.dead.(slot) <- true;
-      q.live <- q.live - 1;
-      (* Recycle at the next queue operation, not now: the caller still
-         reads [time_of]/[fire] through the returned handle. *)
-      q.deferred <- slot;
-      pack slot q.gen.(slot)
-    end
+    (* Recycle at the next queue operation, not now: the caller still
+       fires the action through the returned handle. *)
+    q.deferred <- slot;
+    pack slot q.gen.(slot)
   end
+
+(* The scheduler's inner loop: everything per event is a field access
+   or a call inside this module, except the action itself. The action
+   is read before its slot is recycled, so the action may reuse the
+   slot at once. *)
+let drain q horizon =
+  let c = q.clock and limit_ns = Time.to_ns horizon in
+  flush_deferred q;
+  let continue = ref true in
+  while !continue && not c.stopped do
+    let slot = take q limit_ns in
+    if slot < 0 then continue := false
+    else begin
+      c.fired <- c.fired + 1;
+      let key = q.karg.(slot) in
+      if key = no_key then begin
+        let f = q.act.(slot) in
+        recycle q slot;
+        f ()
+      end
+      else begin
+        let f = q.kact.(slot) in
+        recycle q slot;
+        f key
+      end
+    end
+  done

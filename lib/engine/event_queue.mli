@@ -10,7 +10,9 @@
     the slot with a generation counter — so steady-state
     [schedule]/[pop_if_before] cycles allocate nothing, and a stale
     handle (whose slot was recycled for a newer event) is recognised and
-    ignored by {!cancel} and {!is_pending}.
+    ignored by {!cancel} and {!is_pending}. Each heap entry carries its
+    time beside its slot, so ordering two entries compares two integers
+    in place; the scheduling order is consulted only on equal times.
 
     Far-out events are parked in a hierarchical {!Timer_wheel} (O(1)
     schedule/cancel) and flushed into the comparison heap before they
@@ -94,13 +96,37 @@ val pop_if_before : t -> Time.t -> handle
     the time before running the action. *)
 
 val time_of : t -> handle -> Time.t
-(** Scheduled time of a handle just returned by {!pop_if_before}. *)
+(** Scheduled time of a handle just returned by {!pop_if_before}: the
+    time of the event popped last, kept in {!clock}'s [now]. *)
 
 val fire : t -> handle -> unit
 (** Run the action of a handle just returned by {!pop_if_before},
     dispatching keyed actions without materialising a closure. Call
     before the next operation on the queue (same lifetime rule as
     {!time_of}). *)
+
+(** {2 Draining}
+
+    {!Scheduler} runs its events through {!drain}, one call per run: the
+    per-event work — pop, set the clock, count, fire — happens inside
+    this module, with no call across modules except the action. *)
+
+type clock = { mutable now : Time.t; mutable stopped : bool; mutable fired : int }
+(** The queue's drain state, shared with its owner as a record so that
+    reading the clock or raising the stop flag is a field access, not a
+    call. [now] is the time of the event popped last ({!Time.zero}
+    before any); the owner may move it forward between drains. [fired]
+    counts the events {!drain} has fired. *)
+
+val clock : t -> clock
+(** The queue's own drain state (the same record on every call). *)
+
+val drain : t -> Time.t -> unit
+(** [drain q horizon] pops and fires, in order, every live event whose
+    time is [<= horizon], setting [(clock q).now] to each event's time
+    before running its action. Events the actions schedule join the
+    same drain. Returns when nothing is due by [horizon], or as soon as
+    an action sets [(clock q).stopped]. *)
 
 (** {2 Introspection}
 

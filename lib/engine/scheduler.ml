@@ -6,9 +6,7 @@ let is_nil = Event_queue.is_nil
 
 type t = {
   queue : Event_queue.t;
-  mutable clock : Time.t;
-  mutable stopped : bool;
-  mutable fired : int;
+  clock : Event_queue.clock; (* the queue's drain state: now, stop flag, count *)
   (* Drain-boundary instrumentation: called once per [run], not per
      event, so arbitrary observers (the flight recorder's run markers)
      cost nothing on the datapath. *)
@@ -17,63 +15,51 @@ type t = {
 }
 
 let create ?queue_capacity () =
+  let queue = Event_queue.create ?capacity:queue_capacity () in
   {
-    queue = Event_queue.create ?capacity:queue_capacity ();
-    clock = Time.zero;
-    stopped = false;
-    fired = 0;
+    queue;
+    clock = Event_queue.clock queue;
     on_run_start = ignore;
     on_run_end = (fun _ _ -> ());
   }
 
-let now t = t.clock
+let now t = t.clock.now
 
 let at t when_ action =
-  if Time.(when_ < t.clock) then invalid_arg "Scheduler.at: time in the past";
+  if Time.to_ns when_ < Time.to_ns t.clock.now then
+    invalid_arg "Scheduler.at: time in the past";
   Event_queue.schedule t.queue when_ action
 
-let after t delay action = at t (Time.add t.clock delay) action
+let after t delay action = at t (Time.add t.clock.now delay) action
 
 let at_keyed t when_ f key =
-  if Time.(when_ < t.clock) then
+  if Time.to_ns when_ < Time.to_ns t.clock.now then
     invalid_arg "Scheduler.at_keyed: time in the past";
   Event_queue.schedule_keyed t.queue when_ f key
 
-let after_keyed t delay f key = at_keyed t (Time.add t.clock delay) f key
+let after_keyed t delay f key = at_keyed t (Time.add t.clock.now delay) f key
 
 let cancel t handle = Event_queue.cancel t.queue handle
 
-let stop t = t.stopped <- true
+let stop t = t.clock.stopped <- true
 
 let set_instrument t ~on_run_start ~on_run_end =
   t.on_run_start <- on_run_start;
   t.on_run_end <- on_run_end
 
 let run ?until t =
-  t.stopped <- false;
-  t.on_run_start t.clock;
-  let fired_before = t.fired in
-  (* The allocation-free drain: one [pop_if_before] per event, no
-     option/pair boxes (see Event_queue). *)
-  let horizon = match until with Some u -> u | None -> Time.never in
-  let rec loop () =
-    if not t.stopped then begin
-      let e = Event_queue.pop_if_before t.queue horizon in
-      if not (Event_queue.is_nil e) then begin
-        t.clock <- Event_queue.time_of t.queue e;
-        t.fired <- t.fired + 1;
-        Event_queue.fire t.queue e;
-        loop ()
-      end
-    end
-  in
-  loop ();
+  let c = t.clock in
+  c.stopped <- false;
+  t.on_run_start c.now;
+  let fired_before = c.fired in
+  Event_queue.drain t.queue
+    (match until with Some u -> u | None -> Time.never);
   (match until with
-  | Some u when (not t.stopped) && Time.(t.clock < u) -> t.clock <- u
+  | Some u when (not c.stopped) && Time.(c.now < u) -> c.now <- u
   | _ -> ());
-  t.on_run_end t.clock (t.fired - fired_before)
+  t.on_run_end c.now (c.fired - fired_before)
 
-let events_processed t = t.fired
+let events_processed t = t.clock.fired
 
 let pending t = Event_queue.length t.queue
 

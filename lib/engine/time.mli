@@ -5,14 +5,17 @@
     [int] is immediate, so times are never boxed — an event timestamp
     costs zero heap words and {!compare} is a single integer compare.
     The type stays abstract so code cannot accidentally mix times with
-    other numeric quantities (rates, sizes, ...).
+    other numeric quantities (rates, sizes, ...). It is declared
+    [[@@immediate]], so arrays and mutable fields of times are stored
+    like [int]s (no write barrier, no float-array check), and {!to_ns}
+    is a primitive, so reading a tick count never calls across modules.
 
     Resolution is 1 ns; [of_sec]/[of_ms]/[of_us] round to the nearest
     tick. The representable horizon is [2^62 - 2] ns, about 146 years
     of simulated time. Range validation happens at construction only;
     {!add}, {!diff} and comparisons are raw integer operations. *)
 
-type t
+type t [@@immediate]
 (** A point in virtual time, in nanosecond ticks. *)
 
 type span = t
@@ -40,7 +43,7 @@ val of_ns : int -> t
 (** [of_ns n] is exactly [n] ticks. Raises [Invalid_argument] if [n] is
     negative. Exact — no rounding — so tests can pin tick values. *)
 
-val to_ns : t -> int
+external to_ns : t -> int = "%identity"
 (** Exact tick count; the inverse of {!of_ns}. *)
 
 val add : t -> span -> t

@@ -75,6 +75,8 @@ let ensure_capacity t n =
     t.cap <- ncap
   end
 
+let time_ns t item = t.times.(item)
+
 let shift t l = t.qb + (l * t.sb)
 
 (* Park [item] in the finest-grained level whose ring spans its delay.

@@ -54,6 +54,10 @@ val add : t -> item:int -> time_ns:int -> bool
     treat it as due), at or past the addressable horizon, or beyond the
     wheel's absolute ceiling. [item] must not already be in the wheel. *)
 
+val time_ns : t -> int -> int
+(** The firing time [item] was last parked with by {!add}; read it in
+    [flush] to learn when a flushed item is due. *)
+
 val advance : t -> upto_ns:int -> flush:(int -> unit) -> unit
 (** Move the cursor to just past [upto_ns], calling [flush] on every
     item whose time is [<= upto_ns] (bucket granularity: items sharing

@@ -52,7 +52,7 @@ let record_drop t now h =
         ~sid:t.rsid ~depth:(Ring.length t.q)
   | _ -> ()
 
-let enqueue ?(now = 0) t h =
+let enqueue ~now t h =
   let w_q = t.ewma.(1) in
   if w_q > 0. then
     t.ewma.(0) <-

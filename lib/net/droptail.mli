@@ -14,9 +14,10 @@ val set_recorder :
     [queue_forced_drop] record tagged with [name], carrying the
     instantaneous queue length. *)
 
-val enqueue : ?now:int -> t -> Packet_pool.handle -> [ `Enqueued | `Dropped ]
-(** [now] is the integer-nanosecond tick stamped on recorder records
-    (defaults to 0 when no recorder is wired). *)
+val enqueue : now:int -> t -> Packet_pool.handle -> [ `Enqueued | `Dropped ]
+(** [now] is the integer-nanosecond tick stamped on recorder records.
+    It is a required label: an optional one would box [Some now] on
+    every arrival. *)
 
 val dequeue : t -> Packet_pool.handle
 (** The head handle, or {!Packet_pool.nil} when empty. *)

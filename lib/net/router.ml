@@ -55,9 +55,11 @@ let record_rtx t h =
 let receive t h =
   t.forwarded <- t.forwarded + 1;
   record_rtx t h;
-  match Hashtbl.find_opt t.routes (Packet_pool.dst t.pool h) with
-  | Some link -> Link.send link h
-  | None -> (
+  (* [find], not [find_opt]: a hit (every ACK at the gateway) must not
+     allocate a [Some]. *)
+  match Hashtbl.find t.routes (Packet_pool.dst t.pool h) with
+  | link -> Link.send link h
+  | exception Not_found -> (
       match t.default with
       | Some link -> Link.send link h
       | None ->

@@ -70,7 +70,7 @@ let longest_bucket t =
     t.buckets;
   !best
 
-let enqueue ?(now = 0) t h =
+let enqueue ~now t h =
   let w_q = t.ewma.(1) in
   if w_q > 0. then
     t.ewma.(0) <-

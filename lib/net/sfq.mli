@@ -22,14 +22,15 @@ val set_recorder : t -> recorder:Telemetry.Recorder.t -> name:string -> unit
     total occupancy. *)
 
 val enqueue :
-  ?now:int ->
+  now:int ->
   t ->
   Packet_pool.handle ->
   [ `Enqueued | `Dropped | `Enqueued_dropping of Packet_pool.handle ]
 (** [`Enqueued_dropping victim]: the arriving packet was admitted but
     [victim] (from the longest bucket) was discarded to make room. The
     victim is not freed here — the link owns the drop. [now] is the
-    integer-nanosecond tick stamped on recorder records. *)
+    integer-nanosecond tick stamped on recorder records (a required
+    label, so no arrival boxes it). *)
 
 val dequeue : t -> Packet_pool.handle
 (** Round-robin across non-empty buckets; {!Packet_pool.nil} when

@@ -36,7 +36,7 @@ type group = {
   rtx_off : int; (* retransmitted-in-recovery bitset offset *)
   row_ints : int;
   row_floats : int;
-  ecn_capable : bool;
+  ecn_capable : bool option; (* boxed once: passed on every data segment *)
   sack_enabled : bool;
   cwnd_validation : bool;
   limited_transmit : bool;
@@ -229,7 +229,7 @@ and send_segment g slot seq =
   let is_retransmit = seq < iv.(b + L.si_max_sent) in
   let now = Scheduler.now g.sched in
   let p =
-    Pool.alloc_data g.pool ~ecn_capable:g.ecn_capable ~flow:iv.(b + L.si_flow)
+    Pool.alloc_data g.pool ?ecn_capable:g.ecn_capable ~flow:iv.(b + L.si_flow)
       ~src:iv.(b + L.si_src) ~dst:iv.(b + L.si_dst) ~size_bytes:g.mss_bytes
       ~sent_at:now ~seq ~is_retransmit ()
   in
@@ -618,7 +618,7 @@ let create_group ?(ecn_capable = false) ?(sack = false)
       rtx_off;
       row_ints;
       row_floats;
-      ecn_capable;
+      ecn_capable = Some ecn_capable;
       sack_enabled = sack;
       cwnd_validation;
       limited_transmit;

@@ -696,6 +696,116 @@ let eq_wheel_matches_reference_property =
     QCheck.(list (pair (int_bound 2) (int_bound 1_000_000)))
     interpret
 
+(* A parked event's time lives only in the wheel until it is flushed
+   into the heap; [time_of] must still report it exactly. A handle kept
+   past its event — cancelled after firing, or after its slot has gone
+   to a newer event — must touch nothing. *)
+let eq_time_of_through_wheel () =
+  let q = Event_queue.create ~capacity:2 () in
+  let at = Time.of_ns 1_234_567_891 in
+  let h = Event_queue.schedule q at ignore in
+  Alcotest.(check int) "parked" 1 (Event_queue.wheel_parked q);
+  let popped = Event_queue.pop_if_before q Time.never in
+  Alcotest.(check int) "scheduled time" (Time.to_ns at)
+    (Time.to_ns (Event_queue.time_of q popped));
+  Event_queue.fire q popped;
+  Event_queue.cancel q popped;
+  Alcotest.(check int) "cancel after fire: nothing live" 0 (Event_queue.length q);
+  let later = Time.of_ns 2_500_000_003 in
+  let h2 = Event_queue.schedule q later ignore in
+  Event_queue.cancel q h;
+  Alcotest.(check bool) "stale handle spares the newcomer" true
+    (Event_queue.is_pending q h2);
+  let popped2 = Event_queue.pop_if_before q Time.never in
+  Alcotest.(check bool) "newcomer pops" false (Event_queue.is_nil popped2);
+  Alcotest.(check int) "its time" (Time.to_ns later)
+    (Time.to_ns (Event_queue.time_of q popped2))
+
+(* Equal times are the only case in which the heap reads [seq], and the
+   property above spaces its times ~97 us apart, so ties are rare there.
+   Here every time comes from a handful of offsets, some within one
+   wheel quantum (2^20 ns) of each other and some far enough out to
+   park, taken either from zero or from the last popped time, so most
+   schedules tie with another. Plain and keyed schedules, cancels and
+   pops at random horizons interleave; after every pop the event and
+   [time_of] must match the head of a stable sort of the live events by
+   time, and a pop must return nil exactly when that head is beyond the
+   horizon. *)
+let eq_dense_ties_match_stable_sort_property =
+  let offsets =
+    [| 0; 0; 1; 1_000; 1_048_575; 1_048_576; 1_048_577; 2_097_152;
+       50_000_000; 50_000_001; 3_000_000_000 |]
+  in
+  let horizons = [| 0; 1; 1_048_576; 10_000_000; max_int |] in
+  let interpret ops =
+    let q = Event_queue.create ~capacity:2 () in
+    (* Live events in schedule order: (time_ns, id, alive). *)
+    let events = ref [] in
+    let handles = ref [||] in
+    let next_id = ref 0 in
+    let fired = ref (-1) in
+    let now = ref 0 in
+    let ok = ref true in
+    let head () =
+      List.rev !events
+      |> List.filter (fun (_, _, alive) -> !alive)
+      |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+      |> function [] -> None | e :: _ -> Some e
+    in
+    let pop_until horizon =
+      let h = Event_queue.pop_if_before q (Time.of_ns horizon) in
+      match head () with
+      | Some (t, id, alive) when t <= horizon ->
+          if Event_queue.is_nil h then ok := false
+          else begin
+            let got = Time.to_ns (Event_queue.time_of q h) in
+            Event_queue.fire q h;
+            alive := false;
+            if got <> t || !fired <> id then ok := false;
+            now := got
+          end
+      | Some _ | None -> if not (Event_queue.is_nil h) then ok := false
+    in
+    List.iter
+      (fun (kind, a, b) ->
+        match kind with
+        | 0 | 1 ->
+            let base = if b land 1 = 0 then 0 else !now in
+            let t = base + offsets.(a mod Array.length offsets) in
+            let id = !next_id in
+            incr next_id;
+            let h =
+              if kind = 0 then
+                Event_queue.schedule q (Time.of_ns t) (fun () -> fired := id)
+              else
+                Event_queue.schedule_keyed q (Time.of_ns t)
+                  (fun k -> fired := k) id
+            in
+            events := (t, id, ref true) :: !events;
+            handles := Array.append !handles [| h |]
+        | 2 ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let i = a mod n in
+              Event_queue.cancel q !handles.(i);
+              let _, _, alive = List.nth (List.rev !events) i in
+              alive := false
+            end
+        | _ ->
+            let dh = horizons.(a mod Array.length horizons) in
+            pop_until (if dh = max_int then max_int - 1 else !now + dh))
+      ops;
+    List.iter (fun _ -> pop_until (max_int - 1)) !events;
+    !ok && Event_queue.is_empty q && head () = None
+  in
+  QCheck2.Test.make ~name:"dense ties pop like a stable sort by time"
+    ~count:300
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(
+      list_size (int_range 0 120)
+        (triple (int_range 0 3) (int_range 0 1_000) (int_range 0 1)))
+    interpret
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -721,8 +831,13 @@ let suite =
           eq_cancel_after_fire_is_inert;
         Alcotest.test_case "pre-size prevents growth" `Quick eq_presize_prevents_growth;
         Alcotest.test_case "far timers park in wheel" `Quick eq_far_timers_park_in_wheel;
+        Alcotest.test_case "time_of through the wheel" `Quick eq_time_of_through_wheel;
       ]
-      @ qsuite [ eq_wheel_matches_reference_property ] );
+      @ qsuite
+          [
+            eq_wheel_matches_reference_property;
+            eq_dense_ties_match_stable_sort_property;
+          ] );
     ( "engine.timer_wheel",
       [
         Alcotest.test_case "rejects near and far times" `Quick wheel_rejects_near_and_far;

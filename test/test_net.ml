@@ -127,22 +127,22 @@ let pool_sack_side_table () =
 let droptail_capacity () =
   let pool = Pool.create () in
   let q = Droptail.create ~capacity:2 in
-  Alcotest.(check bool) "first" true (Droptail.enqueue q (mk_packet pool) = `Enqueued);
-  Alcotest.(check bool) "second" true (Droptail.enqueue q (mk_packet pool) = `Enqueued);
-  Alcotest.(check bool) "third dropped" true (Droptail.enqueue q (mk_packet pool) = `Dropped);
+  Alcotest.(check bool) "first" true (Droptail.enqueue ~now:0 q (mk_packet pool) = `Enqueued);
+  Alcotest.(check bool) "second" true (Droptail.enqueue ~now:0 q (mk_packet pool) = `Enqueued);
+  Alcotest.(check bool) "third dropped" true (Droptail.enqueue ~now:0 q (mk_packet pool) = `Dropped);
   Alcotest.(check int) "length" 2 (Droptail.length q);
   ignore (Droptail.dequeue q);
-  Alcotest.(check bool) "room again" true (Droptail.enqueue q (mk_packet pool) = `Enqueued)
+  Alcotest.(check bool) "room again" true (Droptail.enqueue ~now:0 q (mk_packet pool) = `Enqueued)
 
 let droptail_high_water_mark () =
   let pool = Pool.create () in
   let q = Droptail.create ~capacity:5 in
   Alcotest.(check int) "starts at 0" 0 (Droptail.high_water_mark q);
-  List.iter (fun _ -> ignore (Droptail.enqueue q (mk_packet pool))) [ 1; 2; 3 ];
+  List.iter (fun _ -> ignore (Droptail.enqueue ~now:0 q (mk_packet pool))) [ 1; 2; 3 ];
   ignore (Droptail.dequeue q);
   ignore (Droptail.dequeue q);
   Alcotest.(check int) "peak survives dequeues" 3 (Droptail.high_water_mark q);
-  ignore (Droptail.enqueue q (mk_packet pool));
+  ignore (Droptail.enqueue ~now:0 q (mk_packet pool));
   Alcotest.(check int) "below peak: unchanged" 3 (Droptail.high_water_mark q);
   (* The dispatching wrapper reports the same number. *)
   let qd = Queue_disc.droptail ~capacity:2 in
@@ -153,7 +153,7 @@ let droptail_fifo_order () =
   let pool = Pool.create () in
   let q = Droptail.create ~capacity:10 in
   let ps = List.init 5 (fun i -> mk_packet ~seq:i pool) in
-  List.iter (fun p -> ignore (Droptail.enqueue q p)) ps;
+  List.iter (fun p -> ignore (Droptail.enqueue ~now:0 q p)) ps;
   let out = List.init 5 (fun _ -> Droptail.dequeue q) in
   Alcotest.(check (list int))
     "fifo"
@@ -395,8 +395,8 @@ let sfq_round_robin_service () =
     find 1
   in
   (* 3 packets of A then 3 of B: round-robin interleaves the service. *)
-  List.iter (fun _ -> ignore (Sfq.enqueue q (mk_packet ~flow:flow_a pool))) [ 1; 2; 3 ];
-  List.iter (fun _ -> ignore (Sfq.enqueue q (mk_packet ~flow:flow_b pool))) [ 1; 2; 3 ];
+  List.iter (fun _ -> ignore (Sfq.enqueue ~now:0 q (mk_packet ~flow:flow_a pool))) [ 1; 2; 3 ];
+  List.iter (fun _ -> ignore (Sfq.enqueue ~now:0 q (mk_packet ~flow:flow_b pool))) [ 1; 2; 3 ];
   let order = List.init 6 (fun _ -> Pool.flow pool (Sfq.dequeue q)) in
   let rec alternates = function
     | a :: b :: rest -> a <> b && alternates (b :: rest)
@@ -418,14 +418,14 @@ let sfq_overflow_penalizes_longest () =
     find 1
   in
   (* Fill the whole buffer with the hog A. *)
-  List.iter (fun _ -> ignore (Sfq.enqueue q (mk_packet ~flow:flow_a pool))) [ 1; 2; 3; 4 ];
+  List.iter (fun _ -> ignore (Sfq.enqueue ~now:0 q (mk_packet ~flow:flow_a pool))) [ 1; 2; 3; 4 ];
   (* B's arrival evicts one of A's packets rather than being dropped. *)
-  (match Sfq.enqueue q (mk_packet ~flow:flow_b pool) with
+  (match Sfq.enqueue ~now:0 q (mk_packet ~flow:flow_b pool) with
   | `Enqueued_dropping victim ->
       Alcotest.(check int) "victim from hog" flow_a (Pool.flow pool victim)
   | `Enqueued | `Dropped -> Alcotest.fail "expected eviction");
   (* A's own arrival at a full buffer with A longest is refused. *)
-  (match Sfq.enqueue q (mk_packet ~flow:flow_a pool) with
+  (match Sfq.enqueue ~now:0 q (mk_packet ~flow:flow_a pool) with
   | `Dropped -> ()
   | `Enqueued | `Enqueued_dropping _ -> Alcotest.fail "expected drop of the hog");
   Alcotest.(check int) "capacity held" 4 (Sfq.length q)
@@ -433,7 +433,7 @@ let sfq_overflow_penalizes_longest () =
 let sfq_single_flow_fifo () =
   let pool = Pool.create () in
   let q = Sfq.create ~pool ~capacity:10 () in
-  List.iter (fun i -> ignore (Sfq.enqueue q (mk_packet ~seq:i pool))) [ 0; 1; 2 ];
+  List.iter (fun i -> ignore (Sfq.enqueue ~now:0 q (mk_packet ~seq:i pool))) [ 0; 1; 2 ];
   let seqs = List.init 3 (fun _ -> Pool.seq pool (Sfq.dequeue q)) in
   Alcotest.(check (list int)) "fifo within flow" [ 0; 1; 2 ] seqs;
   Alcotest.(check bool) "drained" true (Pool.is_nil (Sfq.dequeue q))
@@ -728,7 +728,7 @@ let sfq_conservation_property =
       List.iter
         (fun (flow, push) ->
           if push then
-            match Sfq.enqueue q (mk_packet ~flow pool) with
+            match Sfq.enqueue ~now:0 q (mk_packet ~flow pool) with
             | `Enqueued -> incr enqueued
             | `Dropped -> ()
             | `Enqueued_dropping _ ->
