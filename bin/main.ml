@@ -318,8 +318,24 @@ let replicates_opt =
   let doc = "Independent seeds per point (figure 2 only)." in
   Arg.(value & opt int 1 & info [ "replicates" ] ~docv:"R" ~doc)
 
+(* Like [check_configs]: one line naming the flag, before any run. *)
+let check_replicates n replicates =
+  let fail msg =
+    Format.eprintf "burstsim: %s@." msg;
+    exit 1
+  in
+  if replicates < 1 then
+    fail (Printf.sprintf "--replicates must be >= 1 (got %d)" replicates)
+  else if replicates > 1 && n <> 2 then
+    fail
+      (Printf.sprintf
+         "--replicates applies to figure 2 only (got figure %d); drop \
+          --replicates"
+         n)
+
 let fig_cmd =
   let run n duration seed fast clients_list replicates jobs tele =
+    check_replicates n replicates;
     let cfg = base_config ~duration ~seed ~fast in
     let counts = sweep_counts cfg ~fast ~clients_list in
     let sweep_runs = n_paper_series * List.length counts in
@@ -850,6 +866,7 @@ let burst_cmd =
         exit 1
     in
     let osc = Telemetry.Burst.Osc.create () in
+    let depth = [| 0. |] in
     let osc_fed = ref false in
     let last = ref origin in
     let feed t =
@@ -871,8 +888,8 @@ let burst_cmd =
             feed t;
             if t >= origin then begin
               osc_fed := true;
-              Telemetry.Burst.Osc.sample osc ~t
-                (float_of_int words.(off + 7))
+              depth.(0) <- float_of_int words.(off + 7);
+              Telemetry.Burst.Osc.sample osc ~tick:words.(off) depth
             end
           end)
     else begin
@@ -886,11 +903,6 @@ let burst_cmd =
             Format.eprintf "burstsim: cannot read %s@." msg;
             exit 1
       in
-      let jstr name j =
-        match Burstcore.Json.member name j with
-        | Some (Burstcore.Json.String s) -> Some s
-        | _ -> None
-      in
       let lineno = ref 0 in
       Fun.protect
         ~finally:(fun () -> if file <> "-" then close_in ic)
@@ -900,23 +912,16 @@ let burst_cmd =
               let line = input_line ic in
               incr lineno;
               if String.length line > 0 then
-                match Burstcore.Json.parse line with
+                match Telemetry.Event_bus.of_ndjson_line line with
                 | Error msg ->
                     Format.eprintf "burstsim: %s:%d: %s@." file !lineno msg;
                     exit 1
-                | Ok j ->
-                    if
-                      jstr "event" j = Some "packet"
-                      && jstr "kind" j = Some "arrival"
-                      && jstr "link" j = Some link
-                      && (all_packets
-                         || Burstcore.Json.member "seq" j
-                            <> Some Burstcore.Json.Null)
-                    then
-                      Option.iter feed
-                        (Option.bind
-                           (Burstcore.Json.member "time" j)
-                           Burstcore.Json.to_float)
+                | Ok
+                    (Telemetry.Event_bus.Packet
+                      { time; kind = Arrival; link = l; seq; _ })
+                  when String.equal l link && (all_packets || seq <> None) ->
+                    feed time
+                | Ok _ -> ()
             done
           with End_of_file -> ())
     end;
@@ -1113,7 +1118,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.14.0"
+    (Cmd.info "burstsim" ~version:"1.15.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

@@ -82,6 +82,9 @@ let validate t =
   check "red thresholds" (t.red_min_th > 0. && t.red_max_th > t.red_min_th);
   check "red_max_p" (t.red_max_p > 0. && t.red_max_p <= 1.);
   check "red_w_q" (t.red_w_q > 0. && t.red_w_q <= 1.);
+  Option.iter
+    (fun f -> check ("rto." ^ f) false)
+    (Transport.Rto.bad_field t.rto);
   check "start_stagger_s"
     (t.start_stagger_s >= 0. && below_horizon t.start_stagger_s);
   check "client_delay_spread_s"

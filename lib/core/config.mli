@@ -67,9 +67,11 @@ val horizon_s : float
 val validate : t -> unit
 (** Checks the cross-field invariants a runnable configuration needs
     (positive rates and delays, warmup < duration, RED thresholds inside
-    the buffer, ...). Every seconds-valued field must also be finite and
-    below {!horizon_s}, since the run turns each into a clock time.
-    @raise Invalid_argument with a field name. *)
+    the buffer, RTO parameters per {!Transport.Rto.bad_field}, ...).
+    Every seconds-valued field must also be finite and below
+    {!horizon_s}, since the run turns each into a clock time.
+    @raise Invalid_argument with a field name, such as
+    ["Config.validate: rto.granularity"]. *)
 
 val rtt_prop_s : t -> float
 (** Round-trip propagation delay [2 (tau_c + tau_s)] — the c.o.v.

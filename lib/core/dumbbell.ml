@@ -73,7 +73,7 @@ let gateway_queue ?recorder cfg scenario rng pool =
     | Scenario.Red_ecn -> red ~ecn_mark:true ~adaptive:false
     | Scenario.Red_adaptive -> red ~ecn_mark:false ~adaptive:true
     | Scenario.Sfq_gw ->
-        Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets ()
+        Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets
   in
   Option.iter
     (fun recorder -> Queue_disc.set_recorder q ~recorder ~pool ~name:"gateway")

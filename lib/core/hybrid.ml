@@ -226,16 +226,10 @@ let quantum_tick t () =
   if Time.(add now t.quantum <= t.horizon) then
     ignore (Scheduler.after t.sched t.quantum t.tick)
 
-let attach ?quantum_s ~sched ~bottleneck cfg =
+let attach ~sched ~bottleneck cfg =
   if cfg.Config.background < 1 then
     invalid_arg "Hybrid.attach: cfg.background < 1";
-  let quantum_sf =
-    match quantum_s with
-    | Some q ->
-        if q <= 0. then invalid_arg "Hybrid.attach: quantum <= 0";
-        q
-    | None -> default_quantum_s cfg
-  in
+  let quantum_sf = default_quantum_s cfg in
   let p =
     {
       Coupling.n_bg = float_of_int cfg.Config.background;

@@ -69,7 +69,7 @@ end
 type t
 
 val default_quantum_s : Config.t -> float
-(** The default coupling quantum: a twentieth of the round-trip
+(** The coupling quantum: a twentieth of the round-trip
     propagation delay, floored at 1 ms — fine enough that the
     window/queue dynamics (which evolve on RTT timescales) see a
     smooth coupling, coarse enough to stay O(1) per simulated RTT. *)
@@ -78,19 +78,17 @@ val capacity_pps : Config.t -> float
 (** Bottleneck line rate in packets/s (the fluid model's unit). *)
 
 val attach :
-  ?quantum_s:float ->
   sched:Sim_engine.Scheduler.t ->
   bottleneck:Netsim.Link.t ->
   Config.t ->
   t
-(** Start the coupling: schedules a quantum tick on [sched] (first fire
-    one quantum in, self-rescheduling until [cfg.duration_s]) that
-    measures the bottleneck, steps the fluid state, and injects the
-    virtual queue / EWMA catch-up / serialization stretch back into
-    [bottleneck]. Background state starts at [w = 1, q_v = 0] and
-    converges over the warmup.
-    @raise Invalid_argument if [cfg.background < 1] or
-    [quantum_s <= 0]. *)
+(** Start the coupling: schedules a quantum tick on [sched] every
+    {!default_quantum_s} (first fire one quantum in, self-rescheduling
+    until [cfg.duration_s]) that measures the bottleneck, steps the
+    fluid state, and injects the virtual queue / EWMA catch-up /
+    serialization stretch back into [bottleneck]. Background state
+    starts at [w = 1, q_v = 0] and converges over the warmup.
+    @raise Invalid_argument if [cfg.background < 1]. *)
 
 val bg_queue : t -> float
 (** Current virtual background backlog (packets) — add this to a

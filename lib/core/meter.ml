@@ -8,7 +8,7 @@ type t = {
   bottleneck : Link.t;
   hybrid : Hybrid.t option;
   binner : Netstats.Binned.t;
-  burst : (Telemetry.Burst.t * Telemetry.Burst.Osc.t option) option;
+  burst : (Telemetry.Burst.t * Telemetry.Burst.Osc.t) option;
   sync_binners : Netstats.Binned.t array option;
   drop_runs : unit -> int list;
   delay : Netstats.Welford.t;
@@ -23,13 +23,13 @@ type t = {
    folds the virtual queue in, the other disciplines add it here. *)
 let osc_signal cfg bottleneck hybrid =
   let qdisc = Link.queue_disc bottleneck in
-  if Queue_disc.avg_queue qdisc = None then
-    Queue_disc.enable_avg qdisc ~w_q:cfg.Config.red_w_q;
-  let avg () = Option.value ~default:0. (Queue_disc.avg_queue qdisc) in
+  Queue_disc.enable_avg qdisc ~w_q:cfg.Config.red_w_q;
   match (hybrid, qdisc) with
   | Some h, (Queue_disc.Droptail _ | Queue_disc.Sfq _) ->
-      fun () -> avg () +. Hybrid.bg_queue h
-  | _ -> avg
+      fun cell ->
+        Queue_disc.avg_queue qdisc cell;
+        cell.(0) <- cell.(0) +. Hybrid.bg_queue h
+  | _ -> Queue_disc.avg_queue qdisc
 
 let attach ?probe ~sample_queue ~measure_sync ~sched ~pool bottleneck cfg =
   let horizon = Time.of_sec cfg.Config.duration_s in
@@ -54,14 +54,11 @@ let attach ?probe ~sample_queue ~measure_sync ~sched ~pool bottleneck cfg =
             ~width ()
         in
         Netsim.Monitor.arrival_burst pool bottleneck burst;
-        if not bc.Telemetry.Burst.osc_enabled then Some (burst, None)
-        else begin
-          let osc = Telemetry.Burst.Osc.create () in
-          Netsim.Monitor.osc_sampler ~signal:(osc_signal cfg bottleneck hybrid)
-            sched bottleneck osc ~every:(Time.of_ms 20.) ~from:origin
-            ~until:horizon;
-          Some (burst, Some osc)
-        end
+        let osc = Telemetry.Burst.Osc.create () in
+        Netsim.Monitor.osc_sampler sched osc
+          ~signal:(osc_signal cfg bottleneck hybrid)
+          ~every:(Time.of_ms 20.) ~from:origin ~until:horizon;
+        Some (burst, osc)
   in
   let sync_binners =
     if measure_sync && cfg.Config.clients >= 2 then begin
@@ -199,7 +196,7 @@ let metrics t scenario e =
       Option.map
         (fun (burst, osc) ->
           Telemetry.Burst.advance burst ~upto;
-          Telemetry.Burst.summary ?osc burst)
+          Telemetry.Burst.summary ~osc burst)
         t.burst;
     hybrid = Option.map Hybrid.summary t.hybrid;
   }

@@ -30,7 +30,11 @@ type endpoint = {
   receiver : Transport.Tcp_receiver.t option;
 }
 
-let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop =
+(* Well above the multi-hop bandwidth-delay product, so flows are
+   congestion-limited, not receiver-limited. *)
+let adv_window = 600
+
+let run cfg ~cc ~hops ~cross_per_hop =
   if hops < 1 then invalid_arg "Parking_lot.run: hops < 1";
   if cross_per_hop < 0 then invalid_arg "Parking_lot.run: negative cross_per_hop";
   let cfg = { cfg with Config.adv_window } in

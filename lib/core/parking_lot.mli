@@ -25,7 +25,6 @@ type result = {
 }
 
 val run :
-  ?adv_window:int ->
   Config.t ->
   cc:Scenario.cc_kind ->
   hops:int ->
@@ -33,7 +32,7 @@ val run :
   result
 (** Runs for [cfg.duration_s] and measures throughput over its second
     half. Bottleneck links reuse Table 1's bandwidth/delay/buffer per
-    hop; access links are 10x faster. The advertised window defaults to 600
+    hop; access links are 10x faster. The advertised window is 600
     packets (well above the multi-hop bandwidth-delay product) so flows
     are congestion-limited, not receiver-limited.
     @raise Invalid_argument if [hops < 1] or [cross_per_hop < 0]. *)

@@ -32,7 +32,9 @@ let resample_to width samples =
         let idx = c * (n - 1) / Stdlib.max 1 (width - 1) in
         samples.(Stdlib.min idx (n - 1)))
 
-let plot ppf ?(height = 16) ?(width = 72) ~x_min ~x_max ~series () =
+let width = 72
+
+let plot ppf ?(height = 16) ~x_min ~x_max ~series () =
   let resampled = List.map (fun (g, l, s) -> (g, l, resample_to width s)) series in
   let ymin, ymax =
     List.fold_left

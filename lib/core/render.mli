@@ -7,7 +7,6 @@ val table : Format.formatter -> header:string list -> rows:string list list -> u
 val plot :
   Format.formatter ->
   ?height:int ->
-  ?width:int ->
   x_min:float ->
   x_max:float ->
   series:(char * string * float array) list ->
@@ -15,7 +14,7 @@ val plot :
   unit
 (** Multi-series ASCII chart. Each series is (glyph, label, samples);
     samples are assumed evenly spaced over [\[x_min, x_max\]] and are
-    resampled to [width] columns. The y-range is shared. Later series
+    resampled to 72 columns. The y-range is shared. Later series
     overwrite earlier ones where they collide. *)
 
 val fmt_float : float -> string

@@ -278,7 +278,7 @@ let rec ready q limit_ns =
   let cursor = q.wdue in
   if cursor <= limit_ns && cursor <> wheel_idle then begin
     let top_ns =
-      if q.heap_size = 0 then cursor + Timer_wheel.horizon_ns q.wheel
+      if q.heap_size = 0 then cursor + Timer_wheel.horizon_ns
       else Time.to_ns q.hkey.(0)
     in
     if cursor <= top_ns then begin

@@ -10,13 +10,24 @@
    item's firing time is kept in [times] so cascading can re-place it.
    Per-level item counts let [next_boundary] skip empty levels. *)
 
+(* The wheel's shape: a 2^20 ns (~1.05 ms) quantum, 2^6 = 64 buckets
+   per level and 4 levels — an addressable horizon of 2^44 ns, about
+   4.9 simulated hours, far beyond the 64 s maximum RTO backoff. *)
+let qb = 20 (* log2 quantum, ns *)
+
+let sb = 6 (* log2 buckets per level *)
+
+let levels = 4
+
+let spl = 1 lsl sb (* buckets per level *)
+
+let mask = spl - 1
+
+let quantum_ns = 1 lsl qb
+
+let horizon_ns = 1 lsl (qb + (sb * levels))
+
 type t = {
-  qb : int; (* log2 quantum, ns *)
-  sb : int; (* log2 buckets per level *)
-  levels : int;
-  spl : int; (* buckets per level *)
-  mask : int;
-  horizon : int; (* quantum * spl^levels *)
   heads : int array; (* levels * spl bucket heads; -1 = empty *)
   lcount : int array; (* items parked per level *)
   mutable next : int array; (* per-item bucket link; -1 = end *)
@@ -31,20 +42,9 @@ type t = {
    [max_int] overflow. 2^60 ns is ~36 simulated years. *)
 let ceiling = max_int lsr 2
 
-let create ?(quantum_bits = 20) ?(slot_bits = 6) ?(levels = 4) ?(capacity = 64) ()
-    =
-  if quantum_bits < 1 || slot_bits < 1 || levels < 1 || capacity < 1 then
-    invalid_arg "Timer_wheel.create: non-positive parameter";
-  if quantum_bits + (slot_bits * levels) > 60 then
-    invalid_arg "Timer_wheel.create: horizon beyond 2^60 ns";
-  let spl = 1 lsl slot_bits in
+let create ?(capacity = 64) () =
+  if capacity < 1 then invalid_arg "Timer_wheel.create: capacity < 1";
   {
-    qb = quantum_bits;
-    sb = slot_bits;
-    levels;
-    spl;
-    mask = spl - 1;
-    horizon = 1 lsl (quantum_bits + (slot_bits * levels));
     heads = Array.make (levels * spl) (-1);
     lcount = Array.make levels 0;
     next = Array.make capacity (-1);
@@ -57,10 +57,6 @@ let create ?(quantum_bits = 20) ?(slot_bits = 6) ?(levels = 4) ?(capacity = 64) 
 let count t = t.count
 
 let cursor_ns t = t.cursor
-
-let quantum_ns t = 1 lsl t.qb
-
-let horizon_ns t = t.horizon
 
 let ensure_capacity t n =
   if n > t.cap then begin
@@ -77,7 +73,7 @@ let ensure_capacity t n =
 
 let time_ns t item = t.times.(item)
 
-let shift t l = t.qb + (l * t.sb)
+let shift l = qb + (l * sb)
 
 (* Park [item] in the finest-grained level whose ring spans its delay.
    Requires [cursor <= time < cursor + horizon]. A delay in the ring's
@@ -87,10 +83,10 @@ let shift t l = t.qb + (l * t.sb)
 let place t item time =
   let d = time - t.cursor in
   let rec level l =
-    if d < 1 lsl (shift t (l + 1)) then l else level (l + 1)
+    if d < 1 lsl (shift (l + 1)) then l else level (l + 1)
   in
   let l = level 0 in
-  let bucket = (l * t.spl) + ((time lsr shift t l) land t.mask) in
+  let bucket = (l * spl) + ((time lsr shift l) land mask) in
   t.times.(item) <- time;
   t.next.(item) <- t.heads.(bucket);
   t.heads.(bucket) <- item;
@@ -98,8 +94,8 @@ let place t item time =
 
 let add t ~item ~time_ns =
   if
-    time_ns < t.cursor + (1 lsl t.qb)
-    || time_ns - t.cursor >= t.horizon
+    time_ns < t.cursor + quantum_ns
+    || time_ns - t.cursor >= horizon_ns
     || time_ns >= ceiling
   then false
   else begin
@@ -131,15 +127,15 @@ let drain t bucket l k =
    there, only a wrap-around one, which is due a lap later anyway). *)
 let next_boundary t =
   let best = ref max_int in
-  for l = 0 to t.levels - 1 do
+  for l = 0 to levels - 1 do
     if t.lcount.(l) > 0 then begin
-      let sh = shift t l in
+      let sh = shift l in
       let cur = t.cursor lsr sh in
-      let idx = cur land t.mask in
-      let base = l * t.spl in
-      for j = 0 to t.spl - 1 do
+      let idx = cur land mask in
+      let base = l * spl in
+      for j = 0 to spl - 1 do
         if j <> idx && t.heads.(base + j) >= 0 then begin
-          let b = (cur + ((j - idx) land t.mask)) lsl sh in
+          let b = (cur + ((j - idx) land mask)) lsl sh in
           if b < !best then best := b
         end
       done
@@ -157,9 +153,9 @@ let next_boundary t =
    already-cascaded buckets are empty. *)
 let cascade t replace =
   let b = t.cursor in
-  for l = t.levels - 1 downto 1 do
-    if t.lcount.(l) > 0 && b land ((1 lsl shift t l) - 1) = 0 then begin
-      let bucket = (l * t.spl) + ((b lsr shift t l) land t.mask) in
+  for l = levels - 1 downto 1 do
+    if t.lcount.(l) > 0 && b land ((1 lsl shift l) - 1) = 0 then begin
+      let bucket = (l * spl) + ((b lsr shift l) land mask) in
       drain t bucket l replace
     end
   done
@@ -176,7 +172,7 @@ let advance t ~upto_ns ~flush =
   while !continue && t.count > 0 && t.cursor <= upto do
     cascade t replace;
     (* Expire the cursor's level-0 bucket. *)
-    drain t ((t.cursor lsr t.qb) land t.mask) 0 expire;
+    drain t ((t.cursor lsr qb) land mask) 0 expire;
     if t.count = 0 then
       (* Leave the cursor where the last work was; it only needs to
          track the flush frontier loosely (far-behind cursors just make
@@ -187,7 +183,7 @@ let advance t ~upto_ns ~flush =
       if b > upto then begin
         (* Nothing further is due; park just past [upto] so the next
            [advance] resumes from the frontier. *)
-        t.cursor <- ((upto lsr t.qb) + 1) lsl t.qb;
+        t.cursor <- ((upto lsr qb) + 1) lsl qb;
         continue := false
       end
       else t.cursor <- b

@@ -1,9 +1,11 @@
 (** A hierarchical timer wheel over integer items.
 
     The wheel holds opaque [int] items (the event queue's slab slots),
-    each tagged with a nanosecond firing time, in a hierarchy of rings:
-    level 0 buckets spans of one {e quantum} (2{^quantum_bits} ns),
-    each higher level buckets spans [2^slot_bits] times coarser. Insert
+    each tagged with a nanosecond firing time, in a hierarchy of four
+    rings of 64 buckets: level 0 buckets spans of one {e quantum}
+    (2{^20} ns, about 1.05 ms), each higher level buckets spans 64
+    times coarser — an addressable horizon of 2{^44} ns, about 4.9
+    simulated hours, far beyond the 64 s maximum RTO backoff. Insert
     and removal are O(1) list pushes; a lazily-advanced cursor expires
     level-0 buckets and {e cascades} higher-level buckets downward as
     their start boundary is crossed.
@@ -22,15 +24,10 @@
 
 type t
 
-val create :
-  ?quantum_bits:int -> ?slot_bits:int -> ?levels:int -> ?capacity:int -> unit -> t
-(** Defaults: [quantum_bits = 20] (a ~1.05 ms quantum), [slot_bits = 6]
-    (64 buckets per level), [levels = 4] — an addressable horizon of
-    2{^44} ns, about 4.9 simulated hours, far beyond the 64 s maximum
-    RTO backoff. [capacity] pre-sizes the per-item link arrays; it must
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default 64) pre-sizes the per-item link arrays; it must
     cover the caller's slab (see {!ensure_capacity}).
-    @raise Invalid_argument on non-positive parameters or a horizon
-    beyond 2{^60} ns. *)
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val count : t -> int
 (** Items currently parked in the wheel. *)
@@ -39,10 +36,11 @@ val cursor_ns : t -> int
 (** The expiry frontier: every bucket starting before this time has
     been flushed. Advances monotonically. *)
 
-val quantum_ns : t -> int
+val quantum_ns : int
+(** The level-0 bucket span, 2{^20} ns. *)
 
-val horizon_ns : t -> int
-(** Width of the addressable window above the cursor. *)
+val horizon_ns : int
+(** Width of the addressable window above the cursor, 2{^44} ns. *)
 
 val ensure_capacity : t -> int -> unit
 (** Grow the per-item arrays so items in [0, n) are addressable. *)

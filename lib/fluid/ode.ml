@@ -62,19 +62,16 @@ let step_in_place s f ~t ~dt y =
           *. (s.k1.(i) +. (2. *. s.k2.(i)) +. (2. *. s.k3.(i)) +. s.k4.(i)))
   done
 
-let integrate ?(observe = fun ~t:_ ~y:_ -> ()) ?(project = fun _ -> ()) f ~y0 ~t0
-    ~t1 ~dt =
+let integrate ?(project = fun _ -> ()) f ~y0 ~t0 ~t1 ~dt =
   if dt <= 0. then invalid_arg "Ode.integrate: dt <= 0";
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0";
   let y = ref (Array.copy y0) in
   let t = ref t0 in
-  observe ~t:!t ~y:!y;
   while !t < t1 -. 1e-12 do
     let step = Stdlib.min dt (t1 -. !t) in
     let next = rk4_step f ~t:!t ~dt:step !y in
     project next;
     y := next;
-    t := !t +. step;
-    observe ~t:!t ~y:!y
+    t := !t +. step
   done;
   !y

@@ -1,9 +1,9 @@
 (** Fixed-step Runge–Kutta integration of first-order ODE systems.
 
     Enough numerical machinery for the TCP fluid models: a classic RK4
-    stepper over [float array] state vectors, with an optional per-step
-    observer and an optional projection applied after each step (used to
-    clamp queues into [\[0, B\]]). *)
+    stepper over [float array] state vectors, with an optional
+    projection applied after each step (used to clamp queues into
+    [\[0, B\]]). *)
 
 type system = t:float -> y:float array -> float array
 (** The vector field: returns dy/dt. Must not mutate [y]. *)
@@ -32,7 +32,6 @@ val step_in_place :
     @raise Invalid_argument if [y] exceeds the stepper's dimension. *)
 
 val integrate :
-  ?observe:(t:float -> y:float array -> unit) ->
   ?project:(float array -> unit) ->
   system ->
   y0:float array ->
@@ -41,6 +40,6 @@ val integrate :
   dt:float ->
   float array
 (** Integrate from [t0] to [t1] with step [dt] (the final step is
-    shortened to land exactly on [t1]). [observe] is called at [t0] and
-    after every step; [project] may mutate the state after each step.
+    shortened to land exactly on [t1]). [project] may mutate the state
+    after each step.
     @raise Invalid_argument if [dt <= 0] or [t1 < t0]. *)

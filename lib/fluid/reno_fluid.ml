@@ -56,39 +56,6 @@ let project p y =
   if y.(1) > p.buffer_packets then y.(1) <- p.buffer_packets;
   if y.(2) < 0. then y.(2) <- 0.
 
-type trajectory = {
-  times : float array;
-  window : float array;
-  queue : float array;
-  throughput : float array;
-}
-
-let simulate ?(dt = 0.001) p ~horizon =
-  validate p;
-  if horizon <= 0. then invalid_arg "Reno_fluid.simulate: horizon <= 0";
-  let times = ref [] and window = ref [] and queue = ref [] and thr = ref [] in
-  let sample_every = Stdlib.max dt (horizon /. 2000.) in
-  let last_sample = ref neg_infinity in
-  let observe ~t ~y =
-    if t -. !last_sample >= sample_every -. 1e-12 then begin
-      last_sample := t;
-      times := t :: !times;
-      window := y.(0) :: !window;
-      queue := y.(1) :: !queue;
-      let rtt = p.base_rtt_s +. (y.(1) /. p.capacity_pps) in
-      thr := (float_of_int p.flows *. y.(0) /. rtt) :: !thr
-    end
-  in
-  ignore
-    (Ode.integrate ~observe ~project:(project p) (field p) ~y0:[| 1.; 0.; 0. |]
-       ~t0:0. ~t1:horizon ~dt);
-  {
-    times = Array.of_list (List.rev !times);
-    window = Array.of_list (List.rev !window);
-    queue = Array.of_list (List.rev !queue);
-    throughput = Array.of_list (List.rev !thr);
-  }
-
 type equilibrium = {
   eq_window : float;
   eq_queue : float;
@@ -97,11 +64,11 @@ type equilibrium = {
   eq_rtt_s : float;
 }
 
-let equilibrium ?(dt = 0.001) ?(settle = 200.) p =
+let equilibrium p =
   validate p;
   let y =
     Ode.integrate ~project:(project p) (field p) ~y0:[| 1.; 0.; 0. |] ~t0:0.
-      ~t1:settle ~dt
+      ~t1:200. ~dt:0.001
   in
   let w = y.(0) and q = y.(1) and x = y.(2) in
   let rtt = p.base_rtt_s +. (q /. p.capacity_pps) in

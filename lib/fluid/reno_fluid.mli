@@ -34,16 +34,6 @@ val of_table1 :
   params
 (** RED (10, 40, 0.02) and a 10/s averaging gain. *)
 
-type trajectory = {
-  times : float array;
-  window : float array;  (** per-flow window, packets *)
-  queue : float array;  (** packets *)
-  throughput : float array;  (** aggregate, packets per second *)
-}
-
-val simulate : ?dt:float -> params -> horizon:float -> trajectory
-(** Integrate from (w, q, x) = (1, 0, 0). [dt] defaults to 1 ms. *)
-
 type equilibrium = {
   eq_window : float;
   eq_queue : float;
@@ -52,9 +42,10 @@ type equilibrium = {
   eq_rtt_s : float;
 }
 
-val equilibrium : ?dt:float -> ?settle:float -> params -> equilibrium
-(** State after integrating for [settle] seconds (default 200) — long
-    enough for Table 1-scale parameters to reach steady state. *)
+val equilibrium : params -> equilibrium
+(** State after integrating from (w, q, x) = (1, 0, 0) for 200 s in
+    1 ms steps — long enough for Table 1-scale parameters to reach
+    steady state. *)
 
 type red_stability = {
   loop_gain : float;  (** L; the loop is stable for every w_q iff L <= 1 *)

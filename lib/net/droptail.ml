@@ -32,7 +32,7 @@ let enable_avg t ~w_q =
   if w_q <= 0. || w_q > 1. then invalid_arg "Droptail.enable_avg: bad w_q";
   t.ewma.(1) <- w_q
 
-let avg t = if t.ewma.(1) > 0. then Some t.ewma.(0) else None
+let avg_into t cell = cell.(0) <- t.ewma.(0)
 
 let set_recorder t ~recorder ~pool ~name =
   t.rlane <- Some (Telemetry.Recorder.lane recorder 0);

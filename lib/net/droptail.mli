@@ -35,6 +35,7 @@ val enable_avg : t -> w_q:float -> unit
     Off by default (one float compare on the hot path).
     @raise Invalid_argument unless [0 < w_q <= 1]. *)
 
-val avg : t -> float option
-(** The smoothed occupancy estimate, or [None] unless {!enable_avg} was
-    called. *)
+val avg_into : t -> float array -> unit
+(** Store the smoothed occupancy estimate in [cell.(0)] (0 unless
+    {!enable_avg} was called). A cell, not a return value, so the read
+    boxes no float. *)

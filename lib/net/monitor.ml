@@ -1,10 +1,10 @@
 module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
 
-let arrival_binner ?(data_only = true) pool link ~origin ~width =
+let arrival_binner pool link ~origin ~width =
   let binned = Netstats.Binned.create ~origin ~width () in
   Link.on_arrival link (fun now h ->
-      if (not data_only) || Packet_pool.is_data pool h then
+      if Packet_pool.is_data pool h then
         Netstats.Binned.record binned (Time.to_sec now));
   binned
 
@@ -12,30 +12,29 @@ let arrival_binner ?(data_only = true) pool link ~origin ~width =
    into a dyadic aggregator instead of a stored bin array. Gated by the
    caller (only wired when a probe asked for burst telemetry), so runs
    without a subscriber pay nothing. *)
-let arrival_burst ?(data_only = true) pool link burst =
+let arrival_burst pool link burst =
   Link.on_arrival link (fun now h ->
-      if (not data_only) || Packet_pool.is_data pool h then
+      if Packet_pool.is_data pool h then
         (* observe_tick keeps the tick->seconds conversion internal and
            unboxed; [Burst.observe (Time.to_sec now)] would box a float
            per arrival. *)
         Telemetry.Burst.observe_tick burst (Time.to_ns now))
 
-(* Periodic feed for the oscillation detector. [signal] defaults to the
-   instantaneous queue length; pass e.g. the RED average
-   ([Queue_disc.avg_queue]) for an already-smoothed signal. Samples
-   before [from] (the warm-up) are skipped but the timer keeps its
-   cadence from time zero, so sample times are deterministic. *)
-let osc_sampler ?signal sched link osc ~every ~from ~until =
-  let signal =
-    match signal with
-    | Some f -> f
-    | None -> fun () -> float_of_int (Link.queue_length link)
-  in
+(* Periodic feed for the oscillation detector. Samples before [from]
+   (the warm-up) are skipped but the timer keeps its cadence from time
+   zero, so sample times are deterministic. A sample allocates nothing:
+   the time crosses calls as an integer tick, the value through one
+   reused cell, and the warm-up test repeats [Time.to_sec]'s arithmetic
+   locally rather than taking the boxed float it returns. *)
+let osc_sampler sched osc ~signal ~every ~from ~until =
+  let cell = [| 0. |] in
   let rec tick () =
     let now = Scheduler.now sched in
     if Time.(now <= until) then begin
-      if Time.to_sec now >= from then
-        Telemetry.Burst.Osc.sample osc ~t:(Time.to_sec now) (signal ());
+      if float_of_int (Time.to_ns now) /. 1e9 >= from then begin
+        signal cell;
+        Telemetry.Burst.Osc.sample osc ~tick:(Time.to_ns now) cell
+      end;
       ignore (Scheduler.after sched every tick)
     end
   in

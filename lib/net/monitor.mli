@@ -6,40 +6,27 @@
     attached to the bottleneck link. *)
 
 val arrival_binner :
-  ?data_only:bool ->
-  Packet_pool.t ->
-  Link.t ->
-  origin:float ->
-  width:float ->
-  Netstats.Binned.t
-(** Counts packets arriving at the link (before the drop decision) into
-    bins of [width] seconds starting at [origin]. [data_only] (default
-    true) counts only data packets, not ACKs. *)
+  Packet_pool.t -> Link.t -> origin:float -> width:float -> Netstats.Binned.t
+(** Counts data packets (not ACKs) arriving at the link (before the
+    drop decision) into bins of [width] seconds starting at [origin]. *)
 
-val arrival_burst :
-  ?data_only:bool ->
-  Packet_pool.t ->
-  Link.t ->
-  Telemetry.Burst.t ->
-  unit
-(** Streaming twin of {!arrival_binner}: folds the same arrival stream
-    into a {!Telemetry.Burst} dyadic aggregator instead of a stored bin
-    array — O(log T) state instead of O(horizon). [data_only] (default
-    true) counts only data packets. *)
+val arrival_burst : Packet_pool.t -> Link.t -> Telemetry.Burst.t -> unit
+(** Streaming twin of {!arrival_binner}: folds the same data-packet
+    arrival stream into a {!Telemetry.Burst} dyadic aggregator instead
+    of a stored bin array — O(log T) state instead of O(horizon). *)
 
 val osc_sampler :
-  ?signal:(unit -> float) ->
   Sim_engine.Scheduler.t ->
-  Link.t ->
   Telemetry.Burst.Osc.t ->
+  signal:(float array -> unit) ->
   every:Sim_engine.Time.span ->
   from:float ->
   until:Sim_engine.Time.t ->
   unit
 (** Feeds the oscillation detector every [every] until [until],
-    skipping samples before [from] seconds (warm-up). [signal] defaults
-    to the link's instantaneous queue length; pass
-    [Queue_disc.avg_queue] output for RED's smoothed average instead. *)
+    skipping samples before [from] seconds (warm-up). [signal cell]
+    stores the current value in [cell.(0)] (for example
+    {!Queue_disc.avg_queue}). A sample allocates no minor words. *)
 
 val queue_sampler :
   Sim_engine.Scheduler.t ->

@@ -4,7 +4,7 @@ let droptail ~capacity = Droptail (Droptail.create ~capacity)
 
 let red ~rng ~pool params = Red (Red.create ~rng ~pool params)
 
-let sfq ?buckets ~pool ~capacity () = Sfq (Sfq.create ?buckets ~pool ~capacity ())
+let sfq ~pool ~capacity = Sfq (Sfq.create ~pool ~capacity ())
 
 let set_recorder t ~recorder ~pool ~name =
   match t with
@@ -40,11 +40,11 @@ let high_water_mark t =
   | Red q -> Red.high_water_mark q
   | Sfq q -> Sfq.high_water_mark q
 
-let avg_queue t =
+let avg_queue t cell =
   match t with
-  | Red q -> Some (Red.avg q)
-  | Droptail q -> Droptail.avg q
-  | Sfq q -> Sfq.avg q
+  | Red q -> cell.(0) <- Red.avg q
+  | Droptail q -> Droptail.avg_into q cell
+  | Sfq q -> Sfq.avg_into q cell
 
 let enable_avg t ~w_q =
   match t with

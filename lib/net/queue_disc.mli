@@ -11,7 +11,8 @@ val droptail : capacity:int -> t
 
 val red : rng:Sim_engine.Rng.t -> pool:Packet_pool.t -> Red.params -> t
 
-val sfq : ?buckets:int -> pool:Packet_pool.t -> capacity:int -> unit -> t
+val sfq : pool:Packet_pool.t -> capacity:int -> t
+(** SFQ with {!Sfq.create}'s 16 buckets. *)
 
 val set_recorder :
   t -> recorder:Telemetry.Recorder.t -> pool:Packet_pool.t -> name:string -> unit
@@ -27,12 +28,13 @@ val enqueue :
 (** [`Enqueued_dropping victim] (SFQ only): the arrival was admitted at
     the cost of discarding [victim] from another queue. *)
 
-val avg_queue : t -> float option
-(** The discipline's EWMA average queue: RED's always-on estimate (the
-    smoothed signal its drop decisions see), or the optional estimate
-    {!enable_avg} turns on for drop-tail and SFQ; [None] when no
-    estimate is live. A feed for the oscillation detector
-    ({!Telemetry.Burst.Osc}). *)
+val avg_queue : t -> float array -> unit
+(** Store the discipline's EWMA average queue in [cell.(0)]: RED's
+    always-on estimate (the smoothed signal its drop decisions see), or
+    the optional estimate {!enable_avg} turns on for drop-tail and SFQ
+    (0 until then). The oscillation detector's feed
+    ({!Telemetry.Burst.Osc}); through a cell so a sample boxes no
+    float. *)
 
 val enable_avg : t -> w_q:float -> unit
 (** Turn on the optional smoothed-occupancy estimate for drop-tail and

@@ -4,7 +4,6 @@ type t = {
   buckets : Packet_pool.handle Ring.t array;
   pool : Packet_pool.t;
   capacity : int;
-  perturbation : int;
   mutable total : int;
   mutable next : int; (* round-robin service pointer *)
   mutable hwm : int;
@@ -19,14 +18,13 @@ type t = {
   ewma : float array;
 }
 
-let create ?(buckets = 16) ?(perturbation = 0) ~pool ~capacity () =
+let create ?(buckets = 16) ~pool ~capacity () =
   if capacity < 1 then invalid_arg "Sfq.create: capacity < 1";
   if buckets < 1 then invalid_arg "Sfq.create: buckets < 1";
   {
     buckets = Array.init buckets (fun _ -> Ring.create ());
     pool;
     capacity;
-    perturbation;
     total = 0;
     next = 0;
     hwm = 0;
@@ -39,7 +37,7 @@ let enable_avg t ~w_q =
   if w_q <= 0. || w_q > 1. then invalid_arg "Sfq.enable_avg: bad w_q";
   t.ewma.(1) <- w_q
 
-let avg t = if t.ewma.(1) > 0. then Some t.ewma.(0) else None
+let avg_into t cell = cell.(0) <- t.ewma.(0)
 
 let set_recorder t ~recorder ~name =
   t.rlane <- Some (Telemetry.Recorder.lane recorder 0);
@@ -56,8 +54,9 @@ let record_drop t now h =
         ~b:(bits lsr 32) ~c:(bits land 0xFFFF_FFFF)
         ~sid:t.rsid ~depth:t.total
 
-let bucket_of_flow t flow =
-  Hashtbl.hash (flow, t.perturbation) mod Array.length t.buckets
+(* The pair [(flow, 0)], not the bare flow, is hashed: that is the
+   bucket assignment every pinned SFQ trajectory was recorded with. *)
+let bucket_of_flow t flow = Hashtbl.hash (flow, 0) mod Array.length t.buckets
 
 let longest_bucket t =
   let best = ref 0 and best_len = ref (-1) in

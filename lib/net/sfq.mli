@@ -10,10 +10,9 @@
 
 type t
 
-val create :
-  ?buckets:int -> ?perturbation:int -> pool:Packet_pool.t -> capacity:int -> unit -> t
-(** [buckets] defaults to 16; [perturbation] salts the flow hash;
-    packets are handles into [pool].
+val create : ?buckets:int -> pool:Packet_pool.t -> capacity:int -> unit -> t
+(** [buckets] defaults to 16 (tests pass fewer to force hash
+    collisions); packets are handles into [pool].
     @raise Invalid_argument if [capacity < 1] or [buckets < 1]. *)
 
 val set_recorder : t -> recorder:Telemetry.Recorder.t -> name:string -> unit
@@ -53,6 +52,7 @@ val enable_avg : t -> w_q:float -> unit
     [w_q]. Off by default.
     @raise Invalid_argument unless [0 < w_q <= 1]. *)
 
-val avg : t -> float option
-(** The smoothed occupancy estimate, or [None] unless {!enable_avg} was
-    called. *)
+val avg_into : t -> float array -> unit
+(** Store the smoothed occupancy estimate in [cell.(0)] (0 unless
+    {!enable_avg} was called). A cell, not a return value, so the read
+    boxes no float. *)

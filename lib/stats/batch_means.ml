@@ -18,9 +18,10 @@ let t_quantile_975 ~df =
   if df < 1 then invalid_arg "Batch_means.t_quantile_975: df < 1";
   if df <= Array.length t_table then t_table.(df - 1) else 1.96
 
-let analyze ?(batches = 10) ~f xs =
+let batches = 10
+
+let analyze ~f xs =
   let n = Array.length xs in
-  if batches < 2 then invalid_arg "Batch_means.analyze: need >= 2 batches";
   let per = n / batches in
   if per < 2 then invalid_arg "Batch_means.analyze: fewer than 2 observations per batch";
   let w = Welford.create () in
@@ -38,4 +39,4 @@ let analyze ?(batches = 10) ~f xs =
 
 let cov_of xs = (Summary.of_array xs).Summary.cov
 
-let cov_interval ?batches xs = analyze ?batches ~f:cov_of xs
+let cov_interval xs = analyze ~f:cov_of xs

@@ -2,7 +2,7 @@
 
     A single simulation run produces one autocorrelated series of per-bin
     observations; naive confidence intervals on it are wrong. The batch
-    means method splits the series into [batches] contiguous batches,
+    means method splits the series into ten contiguous batches,
     computes the statistic within each, and treats the batch values as
     approximately independent — the standard method for interval
     estimation from one long DES run (Law & Kelton ch. 9). *)
@@ -15,13 +15,12 @@ type interval = {
   batches : int;
 }
 
-val analyze :
-  ?batches:int -> f:(float array -> float) -> float array -> interval
-(** [analyze ~f xs] with [batches] contiguous batches (default 10).
+val analyze : f:(float array -> float) -> float array -> interval
+(** [analyze ~f xs] over ten contiguous batches.
     @raise Invalid_argument if there are fewer than 2 observations per
-    batch or fewer than 2 batches. *)
+    batch. *)
 
-val cov_interval : ?batches:int -> float array -> interval
+val cov_interval : float array -> interval
 (** Batch-means interval for the coefficient of variation — the paper's
     burstiness statistic with honest error bars from one run. *)
 

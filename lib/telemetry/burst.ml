@@ -21,11 +21,11 @@
    zero-crossing detector over sampled queue depths that reports
    oscillation frequency and relative amplitude. *)
 
-type config = { levels : int; osc_enabled : bool }
+type config = { levels : int }
 
 let default_levels = 16
 
-let default_config = { levels = default_levels; osc_enabled = true }
+let default_config = { levels = default_levels }
 
 (* Per-level layout: [fs] stride 4 = pending block sum, Welford mean,
    Welford m2, Haar energy sum; [ns] stride 3 = Welford count,
@@ -228,46 +228,47 @@ let hurst_wavelet t =
 (* Oscillation detector: EWMA-detrended zero crossings.               *)
 
 module Osc = struct
+  (* The detector's tuning, fixed at the values [bench --only burst]
+     checks against the Reynier/Hollot RED stability boundary: the EWMA
+     tracking rate per sample, the hysteresis band as a fraction of the
+     EWMA absolute residual, and the verdict's relative RMS amplitude
+     and crossing-count thresholds. *)
+  let gain = 0.02
+
+  let deadband = 0.5
+
+  let rel_threshold = 0.2
+
+  let min_crossings = 8
+
   (* Float state lives in [fs] (mutable float record fields would box):
      0 EWMA baseline, 1 sum of squared residuals, 2 sum of the raw
      signal, 3 EWMA of |residual| (adaptive deadband), 4 first sample
      time, 5 last sample time. *)
   type t = {
-    gain : float;
-    deadband : float; (* hysteresis threshold, as a fraction of EWMA |r| *)
-    rel_threshold : float;
-    min_crossings : int;
     fs : float array;
     mutable n : int;
     mutable sign : int; (* -1 / 0 / +1, last side beyond the deadband *)
     mutable crossings : int;
   }
 
-  let create ?(gain = 0.02) ?(deadband = 0.5) ?(rel_threshold = 0.2)
-      ?(min_crossings = 8) () =
-    if gain <= 0. || gain > 1. then invalid_arg "Burst.Osc.create: bad gain";
-    {
-      gain;
-      deadband;
-      rel_threshold;
-      min_crossings;
-      fs = Array.make 6 0.;
-      n = 0;
-      sign = 0;
-      crossings = 0;
-    }
+  let create () = { fs = Array.make 6 0.; n = 0; sign = 0; crossings = 0 }
 
-  let sample o ~t x =
+  (* The tick converts with [Record.time_of_tick]'s (and [Time.to_sec]'s)
+     arithmetic, and both floats stay local, so a sample boxes nothing. *)
+  let sample o ~tick (cell : float array) =
+    let t = float_of_int tick /. 1e9 in
+    let x = cell.(0) in
     if o.n = 0 then begin
       o.fs.(0) <- x;
       o.fs.(4) <- t
     end
-    else o.fs.(0) <- o.fs.(0) +. (o.gain *. (x -. o.fs.(0)));
+    else o.fs.(0) <- o.fs.(0) +. (gain *. (x -. o.fs.(0)));
     let r = x -. o.fs.(0) in
     o.fs.(1) <- o.fs.(1) +. (r *. r);
     o.fs.(2) <- o.fs.(2) +. x;
-    o.fs.(3) <- o.fs.(3) +. (o.gain *. (abs_float r -. o.fs.(3)));
-    let band = o.deadband *. o.fs.(3) in
+    o.fs.(3) <- o.fs.(3) +. (gain *. (abs_float r -. o.fs.(3)));
+    let band = deadband *. o.fs.(3) in
     if r > band then begin
       if o.sign < 0 then o.crossings <- o.crossings + 1;
       o.sign <- 1
@@ -298,7 +299,7 @@ module Osc = struct
     if span <= 0. then 0. else float_of_int o.crossings /. (2. *. span)
 
   let oscillating o =
-    rel_amplitude o >= o.rel_threshold && o.crossings >= o.min_crossings
+    rel_amplitude o >= rel_threshold && o.crossings >= min_crossings
 end
 
 (* ------------------------------------------------------------------ *)

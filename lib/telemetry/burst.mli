@@ -17,13 +17,13 @@
     is [cov t 0] of an aggregator created with [width = rtt]; nothing
     O(horizon) is ever stored. *)
 
-type config = { levels : int; osc_enabled : bool }
+type config = { levels : int }
 (** What a probe asks a run to measure: [levels] doubling timescales
-    from the RTT bin up, and whether to sample the gateway queue for
-    the oscillation detector. *)
+    from the RTT bin up. The run also samples the gateway queue for the
+    oscillation detector. *)
 
 val default_config : config
-(** 16 levels, oscillation detector on. *)
+(** 16 levels. *)
 
 type t
 
@@ -101,21 +101,16 @@ val hurst_wavelet : t -> float option
 module Osc : sig
   type t
 
-  val create :
-    ?gain:float ->
-    ?deadband:float ->
-    ?rel_threshold:float ->
-    ?min_crossings:int ->
-    unit ->
-    t
-  (** [gain] (default 0.02) is the EWMA tracking rate per sample;
-      [deadband] (default 0.5) the hysteresis band as a fraction of the
-      EWMA absolute residual; a signal is flagged when the relative RMS
-      amplitude reaches [rel_threshold] (default 0.2) with at least
-      [min_crossings] (default 8) detrended zero crossings. *)
+  val create : unit -> t
+  (** The EWMA tracks at 0.02 per sample; the hysteresis band is half
+      the EWMA absolute residual; a signal is flagged when the relative
+      RMS amplitude reaches 0.2 with at least 8 detrended zero
+      crossings. *)
 
-  val sample : t -> t:float -> float -> unit
-  (** Feed one (time, value) sample. Allocation-free. *)
+  val sample : t -> tick:int -> float array -> unit
+  (** [sample o ~tick cell] feeds the value [cell.(0)] at [tick]
+      integer nanoseconds (read as [Record.time_of_tick tick] seconds).
+      Allocates no minor words. *)
 
   val samples : t -> int
   val crossings : t -> int

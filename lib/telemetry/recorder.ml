@@ -1,5 +1,5 @@
 (* The flight recorder: preallocated per-lane buffers of fixed-width
-   {!Record} words, with three overflow policies:
+   {!Record} words, with two overflow policies:
 
    - [Drop_oldest]: a true ring — the newest records win, overwritten
      oldest ones are counted in [dropped]. Always-on mode: bounded
@@ -7,8 +7,6 @@
    - [Grow]: a full buffer gets a fresh one of the same size after it;
      nothing is ever lost or copied. Used when a complete trace must be
      reconstructed (e.g. a [--trace-out] replay).
-   - spill: when a sink channel is given at creation, full buffers
-     flush to disk as binary chunks and the buffer is reused.
 
    A recorder owns one intern table (strings referenced by records)
    and one or more lanes (one per domain). Within a segment, records
@@ -36,26 +34,22 @@ external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 type t = {
   config : config;
   label : string;
-  spill : out_channel option;
   intern_tbl : (string, int) Hashtbl.t;
   mutable interns_rev : string list;
   mutable intern_count : int;
   mutable lanes_rev : lane list;
-  mutable header_written : bool;
   mutable finished : bool;
   w8 : Bytes.t; (* single-word write scratch *)
   wchunk : Bytes.t; (* batched record-payload scratch *)
 }
 
 and lane = {
-  owner : t;
   id : int;
-  mode : int; (* 0 = ring (drop oldest), 1 = grow, 2 = spill *)
+  ring : bool; (* drop oldest; otherwise grow *)
   mutable buf : Bytes.t; (* [cap * rbytes] bytes, native-endian words *)
   cap : int; (* records per buffer *)
   mutable chunks : Bytes.t array; (* grow mode: every buffer, [buf] last *)
   mutable total : int; (* records ever offered *)
-  mutable flushed : int; (* records already spilled to disk *)
   mutable dropped : int; (* records overwritten in ring mode *)
 }
 
@@ -68,7 +62,7 @@ let pow2_above n =
   done;
   !c
 
-let create ?spill ?(label = "") config =
+let create ?(label = "") config =
   let capacity = pow2_above config.capacity in
   let config = { config with capacity } in
   let intern_tbl = Hashtbl.create 16 in
@@ -78,12 +72,10 @@ let create ?spill ?(label = "") config =
   {
     config;
     label;
-    spill;
     intern_tbl;
     interns_rev = [ "" ];
     intern_count = 1;
     lanes_rev = [];
-    header_written = false;
     finished = false;
     w8 = Bytes.create 8;
     wchunk = Bytes.create (128 * 8 * Record.words);
@@ -101,8 +93,8 @@ let intern t s =
   match Hashtbl.find_opt t.intern_tbl s with
   | Some i -> i
   | None ->
-      if t.header_written then
-        invalid_arg "Recorder.intern: segment header already written";
+      if t.finished then
+        invalid_arg "Recorder.intern: segment already written";
       let i = t.intern_count in
       Hashtbl.replace t.intern_tbl s i;
       t.interns_rev <- s :: t.interns_rev;
@@ -116,23 +108,17 @@ let lane t id =
   | Some l -> l
   | None ->
       if t.finished then invalid_arg "Recorder.lane: recorder finished";
-      let mode =
-        if t.spill <> None then 2
-        else match t.config.overflow with Drop_oldest -> 0 | Grow -> 1
-      in
       let cap = t.config.capacity in
       (* Uninitialized on purpose: only written slots are read. *)
       let buf = Bytes.create (cap * rbytes) in
       let l =
         {
-          owner = t;
           id;
-          mode;
+          ring = t.config.overflow = Drop_oldest;
           buf;
           cap;
           chunks = [| buf |];
           total = 0;
-          flushed = 0;
           dropped = 0;
         }
       in
@@ -145,15 +131,12 @@ let lane_dropped l = l.dropped
 
 (* Logical record index -> its buffer and slot there ([cap] is a power
    of two). *)
-let slot_of l k = if l.mode = 2 then k - l.flushed else k land (l.cap - 1)
+let slot_of l k = k land (l.cap - 1)
 
-let buf_of l k = if l.mode = 1 then l.chunks.(k / l.cap) else l.buf
+let buf_of l k = if l.ring then l.buf else l.chunks.(k / l.cap)
 
 (* First logical index still held in memory. *)
-let retained_first l =
-  if l.mode = 0 then max 0 (l.total - l.cap)
-  else if l.mode = 1 then 0
-  else l.flushed
+let retained_first l = if l.ring then max 0 (l.total - l.cap) else 0
 
 let retained l = l.total - retained_first l
 
@@ -176,17 +159,14 @@ let out_string t oc s =
   output_string oc s
 
 let write_header t oc =
-  if not t.header_written then begin
-    output_string oc magic;
-    out_string t oc t.label;
-    out_word t oc t.intern_count;
-    List.iter (out_string t oc) (List.rev t.interns_rev);
-    t.header_written <- true
-  end
+  output_string oc magic;
+  out_string t oc t.label;
+  out_word t oc t.intern_count;
+  List.iter (out_string t oc) (List.rev t.interns_rev)
 
 (* One chunk: tag 1, lane id, first logical seq, count, then
    [count * Record.words] little-endian words, batched through the
-   chunk scratch so the spill path costs no allocation. *)
+   chunk scratch. *)
 let write_records t oc l ~first ~count =
   out_word t oc 1;
   out_word t oc l.id;
@@ -211,40 +191,20 @@ let write_records t oc l ~first ~count =
     remaining := !remaining - batch
   done
 
-let flush_lane l =
-  let t = l.owner in
-  match t.spill with
-  | None -> assert false
-  | Some oc ->
-      write_header t oc;
-      let count = l.total - l.flushed in
-      if count > 0 then write_records t oc l ~first:l.flushed ~count;
-      l.flushed <- l.total
-
 (* ------------------------------------------------------------------ *)
 (* The hot path. Pure int stores into a preallocated array: zero
    minor words per record in ring and (amortized) grow modes.        *)
 
 let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
   let n = l.total in
-  let slot =
-    if l.mode = 0 then begin
-      if n >= l.cap then l.dropped <- l.dropped + 1;
-      n land (l.cap - 1)
-    end
-    else if l.mode = 1 then begin
-      let slot = n land (l.cap - 1) in
-      if slot = 0 && n > 0 then begin
-        l.buf <- Bytes.create (l.cap * rbytes);
-        l.chunks <- Array.append l.chunks [| l.buf |]
-      end;
-      slot
-    end
-    else begin
-      if n - l.flushed = l.cap then flush_lane l;
-      n - l.flushed
-    end
-  in
+  let slot = n land (l.cap - 1) in
+  if l.ring then begin
+    if n >= l.cap then l.dropped <- l.dropped + 1
+  end
+  else if slot = 0 && n > 0 then begin
+    l.buf <- Bytes.create (l.cap * rbytes);
+    l.chunks <- Array.append l.chunks [| l.buf |]
+  end;
   let off = slot * rbytes in
   let buf = l.buf in
   unsafe_set64 buf off (Int64.of_int tick);
@@ -323,14 +283,12 @@ let iter_events t f =
 
 let write_segment oc t =
   if not t.finished then begin
-    let oc = match t.spill with Some s -> s | None -> oc in
     write_header t oc;
     List.iter
       (fun l ->
         let first = retained_first l in
         let count = l.total - first in
         if count > 0 then write_records t oc l ~first ~count;
-        l.flushed <- l.total;
         out_word t oc 2;
         out_word t oc l.id;
         out_word t oc l.total;
@@ -339,11 +297,6 @@ let write_segment oc t =
     out_word t oc 0;
     t.finished <- true
   end
-
-let finish t =
-  match t.spill with
-  | Some oc -> write_segment oc t
-  | None -> invalid_arg "Recorder.finish: recorder has no spill sink"
 
 (* ------------------------------------------------------------------ *)
 (* Reading segments back.                                             *)

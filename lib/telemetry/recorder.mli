@@ -11,9 +11,7 @@
     Overflow policies: [Drop_oldest] keeps the newest [capacity]
     records (always-on mode, bounded memory); [Grow] adds another
     [capacity]-record buffer when one fills, copying nothing and
-    losing no record; creating the recorder with
-    [?spill] flushes full buffers to the sink as binary chunks
-    instead.
+    losing no record.
 
     On disk, a {e segment} is: the magic ["BFRC0001"], the label, the
     intern table, then tagged blocks (1 = record chunk, 2 = lane
@@ -37,7 +35,7 @@ type t
 
 type lane
 
-val create : ?spill:out_channel -> ?label:string -> config -> t
+val create : ?label:string -> config -> t
 
 val config : t -> config
 val lifecycle : t -> bool
@@ -46,9 +44,8 @@ val finished : t -> bool
 
 val intern : t -> string -> int
 (** Get-or-assign the id of a string. Ids are only assignable before
-    the segment header is written (i.e. before the first spill flush);
-    instrument at wiring time, not per event.
-    @raise Invalid_argument after the header has been written. *)
+    {!write_segment}; instrument at wiring time, not per event.
+    @raise Invalid_argument after the segment has been written. *)
 
 val intern_array : t -> string array
 (** The intern table by id; index 0 is always [""]. *)
@@ -97,13 +94,8 @@ val iter_events : t -> (Event_bus.event -> unit) -> unit
     lifecycle records are skipped. *)
 
 val write_segment : out_channel -> t -> unit
-(** Writes remaining records, lane summaries and the end marker, then
-    marks the recorder finished (idempotent). A spilling recorder
-    writes to its own sink regardless of [oc]. *)
-
-val finish : t -> unit
-(** [write_segment] on the spill sink.
-    @raise Invalid_argument if the recorder has no spill sink. *)
+(** Writes the header, retained records, lane summaries and the end
+    marker, then marks the recorder finished (idempotent). *)
 
 (** {1 Reading segments back} *)
 

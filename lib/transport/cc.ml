@@ -25,13 +25,6 @@ let make_ctx ?(vegas = default_vegas) ~max_window variant =
     invalid_arg "Cc.make_ctx: bad alpha/beta/gamma";
   { variant; max_window; vp = vegas }
 
-let name_of = function
-  | Reno -> "reno"
-  | Newreno -> "newreno"
-  | Tahoe -> "tahoe"
-  | Vegas -> "vegas"
-  | Sack -> "sack"
-
 let floats_per_flow = function
   | Vegas -> L.vegas_floats
   | Reno | Newreno | Tahoe | Sack -> L.sender_floats
@@ -201,44 +194,3 @@ let on_ecn ctx (fs : float array) fb ~flight ~now:(_ : float) =
       fs.(fb + L.f_vss) <- 0.;
       let c = fs.(fb + L.f_cwnd) *. 0.75 in
       fs.(fb + L.f_cwnd) <- (if c < 2. then 2. else c)
-
-(* ------------------------------------------------------------------ *)
-(* Closure handles (standalone/back-compat view) *)
-
-type handle = {
-  name : string;
-  cwnd : unit -> float;
-  ssthresh : unit -> float;
-  in_slow_start : unit -> bool;
-  on_new_ack : ack_info -> unit;
-  enter_recovery : flight:int -> now:float -> unit;
-  dup_ack_inflate : unit -> unit;
-  on_partial_ack : ack_info -> unit;
-  on_full_ack : ack_info -> unit;
-  on_timeout : flight:int -> now:float -> unit;
-  on_ecn : flight:int -> now:float -> unit;
-  uses_fast_recovery : bool;
-  partial_ack_stays : bool;
-}
-
-(* A handle is the table policy run over a private single-row float
-   array — one implementation, two views. *)
-let handle_of ?vegas ~initial_ssthresh ~max_window variant =
-  let ctx = make_ctx ?vegas ~max_window variant in
-  let fs = Array.make (floats_per_flow variant) 0. in
-  init ctx fs 0 ~initial_ssthresh;
-  {
-    name = name_of variant;
-    cwnd = (fun () -> fs.(L.f_cwnd));
-    ssthresh = (fun () -> fs.(L.f_ssthresh));
-    in_slow_start = (fun () -> fs.(L.f_cwnd) < fs.(L.f_ssthresh));
-    on_new_ack = (fun info -> on_new_ack ctx fs 0 info);
-    enter_recovery = (fun ~flight ~now -> enter_recovery ctx fs 0 ~flight ~now);
-    dup_ack_inflate = (fun () -> dup_ack_inflate ctx fs 0);
-    on_partial_ack = (fun info -> on_partial_ack ctx fs 0 info);
-    on_full_ack = (fun info -> on_full_ack ctx fs 0 info);
-    on_timeout = (fun ~flight ~now -> on_timeout ctx fs 0 ~flight ~now);
-    on_ecn = (fun ~flight ~now -> on_ecn ctx fs 0 ~flight ~now);
-    uses_fast_recovery = uses_fast_recovery variant;
-    partial_ack_stays = partial_ack_stays variant;
-  }

@@ -6,9 +6,7 @@
     ({!Netsim.Flow_table}, laid out by {!Flow_layout}), and every
     operation below takes the float array plus the row's base offset —
     dispatching on an immediate {!variant} tag, so 10^5 flows share one
-    policy implementation and zero closures. The classic closure
-    {!handle} view survives as a shim over a private single-row array
-    for standalone use (unit tests, one-off windows).
+    policy implementation and zero closures.
 
     Windows are in packets and may be fractional. *)
 
@@ -68,8 +66,6 @@ type ctx = { variant : variant; max_window : float; vp : vegas_params }
 val make_ctx : ?vegas:vegas_params -> max_window:float -> variant -> ctx
 (** @raise Invalid_argument on a bad [alpha]/[beta]/[gamma]. *)
 
-val name_of : variant -> string
-
 val floats_per_flow : variant -> int
 (** Float cells a row of this variant needs ({!Flow_layout.sender_floats}
     or {!Flow_layout.vegas_floats}). *)
@@ -120,35 +116,6 @@ val on_ecn : ctx -> float array -> int -> flight:int -> now:float -> unit
 (** An ECN congestion-experienced echo arrived; reduce the window as
     for a loss, but nothing needs retransmitting. The engine rate-
     limits this to once per RTT. *)
-
-(** {2 Closure handles}
-
-    The pre-flow-table view: one heap record of closures over a private
-    single-row float array, driven by exactly the table operations
-    above. Constructed by {!handle_of}. *)
-
-type handle = {
-  name : string;
-  cwnd : unit -> float;
-  ssthresh : unit -> float;
-  in_slow_start : unit -> bool;
-  on_new_ack : ack_info -> unit;
-  enter_recovery : flight:int -> now:float -> unit;
-  dup_ack_inflate : unit -> unit;
-  on_partial_ack : ack_info -> unit;
-  on_full_ack : ack_info -> unit;
-  on_timeout : flight:int -> now:float -> unit;
-  on_ecn : flight:int -> now:float -> unit;
-  uses_fast_recovery : bool;
-  partial_ack_stays : bool;
-}
-
-val handle_of :
-  ?vegas:vegas_params ->
-  initial_ssthresh:float ->
-  max_window:float ->
-  variant ->
-  handle
 
 (** {2 Helpers shared by AIMD-family variants} *)
 

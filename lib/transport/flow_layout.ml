@@ -148,10 +148,10 @@ let next_pow2 n =
   let rec go v = if v >= n then v else go (v * 2) in
   go 16
 
-(* Live sequences span [snd_una, max_sent) <= adv_window + 2 (limited
-   transmit); the +4 margin keeps direct-mapped [seq land mask]
-   addressing collision-free. The receiver's out-of-order range obeys
-   the same bound, so both sides share the sizing. *)
+(* Live sequences span [snd_una, max_sent) <= adv_window; with the +4
+   margin, direct-mapped [seq land mask] addressing stays
+   collision-free. The receiver's out-of-order range obeys the same
+   bound, so both sides share the sizing. *)
 let seq_table_size ~adv_window = next_pow2 (adv_window + 4)
 
 (* Bitsets pack 32 seqs per word: [1 lsl (i land 31)] never touches the

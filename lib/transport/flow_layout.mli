@@ -143,7 +143,7 @@ val next_pow2 : int -> int
 
 val seq_table_size : adv_window:int -> int
 (** Direct-mapped sequence-table size: [next_pow2 (adv_window + 4)],
-    collision-free for the [<= adv_window + 2] live-sequence span. *)
+    collision-free for the [<= adv_window] live-sequence span. *)
 
 val bitset_words : int -> int
 (** Words for an [n]-bit bitset at 32 bits per word. *)

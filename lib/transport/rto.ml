@@ -8,109 +8,24 @@ type params = {
 let default_params =
   { granularity = 0.1; min_rto = 1.0; max_rto = 64.0; initial_rto = 3.0 }
 
-(* The estimator floats live in a flat float array rather than mutable
-   record fields: stores into a mixed record box the float every time,
-   and [observe]/[rto] run once per ACK. Indices below. *)
-let i_srtt = 0
+(* [rto_ns_at] turns each value into integer nanoseconds, so all must be
+   finite and below the clock's tick horizon; a zero granularity would
+   make every sample NaN and every timer fire at once. *)
+let bad_field p =
+  let horizon = Sim_engine.Time.(to_sec never) in
+  let positive v = v > 0. && v < horizon in
+  if not (positive p.granularity) then Some "granularity"
+  else if not (positive p.min_rto) then Some "min_rto"
+  else if not (positive p.initial_rto) then Some "initial_rto"
+  else if not (p.max_rto >= p.min_rto && p.max_rto < horizon) then
+    Some "max_rto"
+  else None
 
-let i_rttvar = 1
-
-let i_backoff = 2
-
-type t = { p : params; s : float array; mutable have_sample : bool }
-
-let create p =
-  if p.granularity <= 0. || p.min_rto <= 0. || p.max_rto < p.min_rto then
-    invalid_arg "Rto.create: bad params";
-  { p; s = [| 0.; 0.; 1. |]; have_sample = false }
-
-(* [observe] and [observe_ns] share this body textually: a shared helper
-   taking the sample as a float argument would box it at every call
-   (no cross-function float unboxing without flambda). *)
-let observe t sample =
-  if sample < 0. then invalid_arg "Rto.observe: negative sample";
-  let m = Float.round (sample /. t.p.granularity) *. t.p.granularity in
-  if not t.have_sample then begin
-    (* RFC 6298 initialization. *)
-    t.s.(i_srtt) <- m;
-    t.s.(i_rttvar) <- m /. 2.;
-    t.have_sample <- true
-  end
-  else begin
-    (* alpha = 1/8, beta = 1/4 *)
-    t.s.(i_rttvar) <-
-      (0.75 *. t.s.(i_rttvar)) +. (0.25 *. Float.abs (t.s.(i_srtt) -. m));
-    t.s.(i_srtt) <- (0.875 *. t.s.(i_srtt)) +. (0.125 *. m)
-  end;
-  t.s.(i_backoff) <- 1.
-
-let observe_ns t ns =
-  if ns < 0 then invalid_arg "Rto.observe_ns: negative sample";
-  let sample = float_of_int ns *. 1e-9 in
-  let m = Float.round (sample /. t.p.granularity) *. t.p.granularity in
-  if not t.have_sample then begin
-    t.s.(i_srtt) <- m;
-    t.s.(i_rttvar) <- m /. 2.;
-    t.have_sample <- true
-  end
-  else begin
-    t.s.(i_rttvar) <-
-      (0.75 *. t.s.(i_rttvar)) +. (0.25 *. Float.abs (t.s.(i_srtt) -. m));
-    t.s.(i_srtt) <- (0.875 *. t.s.(i_srtt)) +. (0.125 *. m)
-  end;
-  t.s.(i_backoff) <- 1.
-
-(* Explicit comparisons instead of the polymorphic [Stdlib.min]/[max]:
-   no value here is ever NaN, and the polymorphic versions box both
-   operands on every call. *)
-let rto_seconds t =
-  let base =
-    if not t.have_sample then t.p.initial_rto
-    else begin
-      let spread = 4. *. t.s.(i_rttvar) in
-      let spread = if spread < t.p.granularity then t.p.granularity else spread in
-      t.s.(i_srtt) +. spread
-    end
-  in
-  let v = base *. t.s.(i_backoff) in
-  let v = if v < t.p.min_rto then t.p.min_rto else v in
-  if v > t.p.max_rto then t.p.max_rto else v
-
-let rto t = rto_seconds t
-
-(* Same computation, ns result, body repeated so the intermediate float
-   never crosses a call boundary (which would box it). The tick count
-   matches [Time.of_sec (rto t)] bit for bit. *)
-let rto_ns t =
-  let base =
-    if not t.have_sample then t.p.initial_rto
-    else begin
-      let spread = 4. *. t.s.(i_rttvar) in
-      let spread = if spread < t.p.granularity then t.p.granularity else spread in
-      t.s.(i_srtt) +. spread
-    end
-  in
-  let v = base *. t.s.(i_backoff) in
-  let v = if v < t.p.min_rto then t.p.min_rto else v in
-  let v = if v > t.p.max_rto then t.p.max_rto else v in
-  int_of_float (Float.round (v *. 1e9))
-
-let backoff t =
-  let b = t.s.(i_backoff) *. 2. in
-  t.s.(i_backoff) <- (if b > 64. then 64. else b)
-
-let reset_backoff t = t.s.(i_backoff) <- 1.
-
-let srtt t = if t.have_sample then Some t.s.(i_srtt) else None
-
-let rttvar t = if t.have_sample then Some t.s.(i_rttvar) else None
-
-(* ------------------------------------------------------------------ *)
-(* Flow-table entry points: the same estimator over a row of the sender
-   table's float region ([Flow_layout.f_srtt]/[f_rttvar]/[f_backoff] at
-   base [fb]). The caller owns the have-sample bit (a flag in its int
-   row) and passes it in; each body repeats the math above verbatim so
-   the results stay bit-identical and no float crosses a call boundary. *)
+(* The estimator runs over a row of the sender table's float region
+   ([Flow_layout.f_srtt]/[f_rttvar]/[f_backoff] at base [fb]): stores
+   into a flat float array stay unboxed, where mutable float record
+   fields would box on every ACK. The caller owns the have-sample bit (a
+   flag in its int row) and passes it in. *)
 
 module L = Flow_layout
 
@@ -119,10 +34,12 @@ let observe_ns_at p (fs : float array) fb ~first ns =
   let sample = float_of_int ns *. 1e-9 in
   let m = Float.round (sample /. p.granularity) *. p.granularity in
   if first then begin
+    (* RFC 6298 initialization. *)
     fs.(fb + L.f_srtt) <- m;
     fs.(fb + L.f_rttvar) <- m /. 2.
   end
   else begin
+    (* alpha = 1/8, beta = 1/4 *)
     fs.(fb + L.f_rttvar) <-
       (0.75 *. fs.(fb + L.f_rttvar))
       +. (0.25 *. Float.abs (fs.(fb + L.f_srtt) -. m));
@@ -130,6 +47,11 @@ let observe_ns_at p (fs : float array) fb ~first ns =
   end;
   fs.(fb + L.f_backoff) <- 1.
 
+(* Explicit comparisons instead of the polymorphic [Stdlib.min]/[max]:
+   no value here is ever NaN, and the polymorphic versions box both
+   operands on every call. The tick count matches
+   [Time.of_sec seconds] bit for bit without the float crossing a
+   call. *)
 let rto_ns_at p (fs : float array) fb ~have_sample =
   let base =
     if not have_sample then p.initial_rto

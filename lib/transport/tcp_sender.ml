@@ -39,7 +39,6 @@ type group = {
   ecn_capable : bool option; (* boxed once: passed on every data segment *)
   sack_enabled : bool;
   cwnd_validation : bool;
-  limited_transmit : bool;
   pacing : bool;
   rlane : Telemetry.Recorder.lane option;
   r_lifecycle : bool;
@@ -486,18 +485,6 @@ let on_dup_ack g slot =
   end
   else begin
     iv.(b + L.si_dup_acks) <- iv.(b + L.si_dup_acks) + 1;
-    (* RFC 3042 limited transmit: the first two duplicate ACKs release one
-       new segment each (beyond cwnd by at most two), keeping enough data
-       moving to reach the third duplicate instead of stalling into RTO. *)
-    if
-      g.limited_transmit
-      && iv.(b + L.si_dup_acks) <= 2
-      && gbacklog iv b > 0
-      && gflight iv b < window g slot + 2
-    then begin
-      send_segment g slot iv.(b + L.si_next_seq);
-      (Ft.ints g.table).(b + L.si_next_seq) <- iv.(b + L.si_next_seq) + 1
-    end;
     if iv.(b + L.si_dup_acks) = 3 then begin
       iv.(b + L.si_fast_retransmits) <- iv.(b + L.si_fast_retransmits) + 1;
       Cc.enter_recovery g.ctx fv fb ~flight:(gflight iv b) ~now:(now_sec g);
@@ -575,18 +562,18 @@ let handle_packet_slot g slot h =
 (* Group lifecycle *)
 
 let create_group ?(ecn_capable = false) ?(sack = false)
-    ?(cwnd_validation = false) ?(limited_transmit = false) ?(pacing = false)
-    ?recorder ?vegas ?initial_ssthresh ?max_window ?(capacity = 16) sched
-    ~pool ~cc ~rto_params ~mss_bytes ~adv_window ~transmit =
+    ?(cwnd_validation = false) ?(pacing = false) ?recorder ?vegas
+    ?(capacity = 16) sched ~pool ~cc ~rto_params ~mss_bytes ~adv_window
+    ~transmit =
   if adv_window < 1 then invalid_arg "Tcp_sender.create_group: adv_window < 1";
   if mss_bytes < 1 then invalid_arg "Tcp_sender.create_group: mss_bytes < 1";
-  let max_window =
-    match max_window with Some w -> w | None -> float_of_int adv_window
-  in
-  let initial_ssthresh =
-    match initial_ssthresh with Some s -> s | None -> float_of_int adv_window
-  in
-  let ctx = Cc.make_ctx ?vegas ~max_window cc in
+  Option.iter
+    (fun f -> invalid_arg ("Tcp_sender.create_group: rto_params." ^ f))
+    (Rto.bad_field rto_params);
+  (* The advertised window is both the window clamp and the initial
+     slow-start threshold. *)
+  let window = float_of_int adv_window in
+  let ctx = Cc.make_ctx ?vegas ~max_window:window cc in
   let rlane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
   let r_lifecycle =
     match recorder with
@@ -609,7 +596,7 @@ let create_group ?(ecn_capable = false) ?(sack = false)
       uses_fast_recovery = Cc.uses_fast_recovery cc;
       partial_ack_stays = Cc.partial_ack_stays cc;
       rto_p = rto_params;
-      initial_ssthresh;
+      initial_ssthresh = window;
       mss_bytes;
       adv_window;
       st_size;
@@ -621,7 +608,6 @@ let create_group ?(ecn_capable = false) ?(sack = false)
       ecn_capable = Some ecn_capable;
       sack_enabled = sack;
       cwnd_validation;
-      limited_transmit;
       pacing;
       rlane;
       r_lifecycle;

@@ -29,12 +29,9 @@ val create_group :
   ?ecn_capable:bool ->
   ?sack:bool ->
   ?cwnd_validation:bool ->
-  ?limited_transmit:bool ->
   ?pacing:bool ->
   ?recorder:Telemetry.Recorder.t ->
   ?vegas:Cc.vegas_params ->
-  ?initial_ssthresh:float ->
-  ?max_window:float ->
   ?capacity:int ->
   Sim_engine.Scheduler.t ->
   pool:Netsim.Packet_pool.t ->
@@ -46,8 +43,8 @@ val create_group :
   group
 (** [transmit ~flow p] injects a packet into the network (typically the
     flow's access link). [adv_window] is the receiver's static advertised
-    window in packets; the effective window is [min cwnd adv_window].
-    [initial_ssthresh] and [max_window] default to [float adv_window].
+    window in packets; the effective window is [min cwnd adv_window],
+    and it is also every flow's initial slow-start threshold.
     [capacity] (default 16) pre-sizes the flow table; pass the run's flow
     count so attaching never doubles the slab.
 
@@ -59,8 +56,7 @@ val create_group :
     the pipe estimate instead of window inflation (RFC 2018/3517,
     simplified) — pair with [cc:Cc.Sack]. [cwnd_validation] applies
     RFC 2861: the window only grows while it is actually the limiting
-    factor. [limited_transmit] applies RFC 3042: the first two duplicate
-    ACKs each release one new segment. [pacing] spreads new transmissions
+    factor. [pacing] spreads new transmissions
     at srtt/cwnd intervals instead of ACK-clocked bursts
     (Aggarwal–Savage–Anderson); retransmissions are never paced.
 
@@ -69,7 +65,9 @@ val create_group :
     reaction, each followed by a cwnd cut carrying the post-reaction
     window; in lifecycle mode it also logs phase transitions and RTT
     samples.
-    @raise Invalid_argument on [adv_window < 1] or [mss_bytes < 1]. *)
+    @raise Invalid_argument on [adv_window < 1], [mss_bytes < 1] or
+    [rto_params] out of range ({!Rto.bad_field}); the message names
+    the field. *)
 
 val attach :
   group -> flow:int -> src:int -> dst:int -> ?trace_cwnd:bool -> unit -> t

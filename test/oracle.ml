@@ -26,3 +26,36 @@ let idc xs m =
 let md1_mean_queue ~rho =
   if rho < 0. || rho >= 1. then invalid_arg "Oracle.md1_mean_queue: rho";
   rho +. (rho *. rho /. (2. *. (1. -. rho)))
+
+(* The RFC 6298 retransmission timer in float seconds, as the TCP sender
+   runs it: samples quantized to the clock granularity G; SRTT and RTTVAR
+   with alpha = 1/8, beta = 1/4, RTTVAR updated from the previous SRTT;
+   RTO = SRTT + max (G, 4 RTTVAR), or the initial RTO before the first
+   sample; times a backoff multiplier that doubles per expiry up to 64
+   and resets on a new sample or ACK; clamped into [min_rto, max_rto]. *)
+type rto = { srtt : float option; rttvar : float; backoff : float }
+
+let rto_init = { srtt = None; rttvar = 0.; backoff = 1. }
+
+let rto_sample ~granularity st sample =
+  let m = Float.round (sample /. granularity) *. granularity in
+  match st.srtt with
+  | None -> { srtt = Some m; rttvar = m /. 2.; backoff = 1. }
+  | Some s ->
+      {
+        srtt = Some ((0.875 *. s) +. (0.125 *. m));
+        rttvar = (0.75 *. st.rttvar) +. (0.25 *. Float.abs (s -. m));
+        backoff = 1.;
+      }
+
+let rto_backoff st = { st with backoff = Float.min 64. (2. *. st.backoff) }
+
+let rto_reset st = { st with backoff = 1. }
+
+let rto_seconds ~granularity ~min_rto ~max_rto ~initial_rto st =
+  let base =
+    match st.srtt with
+    | None -> initial_rto
+    | Some s -> s +. Float.max granularity (4. *. st.rttvar)
+  in
+  Float.min max_rto (Float.max min_rto (base *. st.backoff))

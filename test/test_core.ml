@@ -40,6 +40,27 @@ let config_validate_catches_bad_fields () =
   bad "packet_bytes" { ok with Config.packet_bytes = 20 };
   bad "adv_window" { ok with Config.adv_window = 0 }
 
+(* The run turns every RTO parameter into integer-nanosecond timer
+   delays: a zero granularity makes each sample NaN and the run never
+   finishes, and max_rto below min_rto clamps every timeout upward. *)
+let config_rejects_bad_rto () =
+  let ok = tiny () in
+  let bad field rto =
+    Alcotest.check_raises field
+      (Invalid_argument ("Config.validate: rto." ^ field))
+      (fun () -> Config.validate { ok with Config.rto })
+  in
+  let d = Transport.Rto.default_params in
+  bad "granularity" { d with Transport.Rto.granularity = 0. };
+  bad "granularity" { d with Transport.Rto.granularity = nan };
+  bad "min_rto" { d with Transport.Rto.min_rto = -1. };
+  bad "initial_rto" { d with Transport.Rto.initial_rto = 0. };
+  bad "initial_rto" { d with Transport.Rto.initial_rto = infinity };
+  bad "max_rto" { d with Transport.Rto.max_rto = 0.5; min_rto = 1.0 };
+  bad "max_rto" { d with Transport.Rto.max_rto = Config.horizon_s };
+  Config.validate
+    { ok with Config.rto = { d with Transport.Rto.max_rto = d.min_rto } }
+
 let config_pp_mentions_values () =
   let s = Format.asprintf "%a" Config.pp Config.default in
   List.iter
@@ -889,7 +910,7 @@ let render_table_alignment () =
 let render_plot_runs () =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  Render.plot ppf ~height:5 ~width:20 ~x_min:0. ~x_max:10.
+  Render.plot ppf ~height:5 ~x_min:0. ~x_max:10.
     ~series:[ ('*', "up", [| 1.; 2.; 3.; 4. |]); ('o', "down", [| 4.; 3.; 2.; 1. |]) ]
     ();
   Format.pp_print_flush ppf ();
@@ -1135,11 +1156,6 @@ let hybrid_attach_validates () =
   Alcotest.check_raises "background < 1"
     (Invalid_argument "Hybrid.attach: cfg.background < 1") (fun () ->
       ignore (Hybrid.attach ~sched ~bottleneck cfg));
-  Alcotest.check_raises "quantum <= 0"
-    (Invalid_argument "Hybrid.attach: quantum <= 0") (fun () ->
-      ignore
-        (Hybrid.attach ~quantum_s:0. ~sched ~bottleneck
-           { cfg with Config.background = 10 }));
   Dumbbell.reclaim net;
   Dumbbell.release_flows net
 
@@ -1234,6 +1250,7 @@ let suite =
         Alcotest.test_case "rejects zero clients" `Quick config_rejects_zero_clients;
         Alcotest.test_case "validate catches bad fields" `Quick
           config_validate_catches_bad_fields;
+        Alcotest.test_case "rejects bad rto params" `Quick config_rejects_bad_rto;
         Alcotest.test_case "table rendering" `Quick config_pp_mentions_values;
       ] );
     ( "core.scenario",

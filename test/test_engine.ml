@@ -434,13 +434,13 @@ let eq_free_list_interleavings () =
 
 let wheel_rejects_near_and_far () =
   let w = Timer_wheel.create ~capacity:8 () in
-  let q = Timer_wheel.quantum_ns w in
+  let q = Timer_wheel.quantum_ns in
   (* Due within one quantum of the cursor: the caller must keep it. *)
   Alcotest.(check bool) "near is rejected" false
     (Timer_wheel.add w ~item:0 ~time_ns:(q / 2));
   (* At or past the horizon: also rejected. *)
   Alcotest.(check bool) "beyond horizon is rejected" false
-    (Timer_wheel.add w ~item:1 ~time_ns:(Timer_wheel.horizon_ns w));
+    (Timer_wheel.add w ~item:1 ~time_ns:(Timer_wheel.horizon_ns));
   Alcotest.(check int) "nothing stored" 0 (Timer_wheel.count w);
   Alcotest.(check bool) "parkable is accepted" true
     (Timer_wheel.add w ~item:2 ~time_ns:(4 * q));
@@ -448,7 +448,7 @@ let wheel_rejects_near_and_far () =
 
 let wheel_flushes_by_deadline () =
   let w = Timer_wheel.create ~capacity:8 () in
-  let q = Timer_wheel.quantum_ns w in
+  let q = Timer_wheel.quantum_ns in
   let deadline = 10 * q in
   Alcotest.(check bool) "parked" true (Timer_wheel.add w ~item:3 ~time_ns:deadline);
   let flushed = ref [] in
@@ -469,7 +469,7 @@ let wheel_cascades_levels () =
      in one jump or in many small steps. *)
   let steps_of stride =
     let w = Timer_wheel.create ~capacity:8 () in
-    let q = Timer_wheel.quantum_ns w in
+    let q = Timer_wheel.quantum_ns in
     (* 64 buckets per level-0 ring: 300 quanta needs level 1 or higher. *)
     let deadline = 300 * q in
     Alcotest.(check bool) "parked high" true
@@ -489,8 +489,8 @@ let wheel_cascades_levels () =
     Alcotest.(check bool) "not flushed absurdly early" true
       (!flushed_at > deadline - (2 * q))
   in
-  steps_of (Timer_wheel.quantum_ns (Timer_wheel.create ()) / 3);
-  steps_of (64 * Timer_wheel.quantum_ns (Timer_wheel.create ()))
+  steps_of (Timer_wheel.quantum_ns / 3);
+  steps_of (64 * Timer_wheel.quantum_ns)
 
 let wheel_bounded_advance_straddles_rollover () =
   (* The sharded PDES engine drains its schedulers in bounded time
@@ -500,10 +500,10 @@ let wheel_bounded_advance_straddles_rollover () =
      Items parked just around those boundaries (level-0 ring wraps at
      64 quanta, level-1 at 64*64) must each flush exactly once, never
      more than one quantum early and never after deadline + stride. *)
-  let strides w = [ Timer_wheel.quantum_ns w / 2; Timer_wheel.quantum_ns w ] in
+  let strides = [ Timer_wheel.quantum_ns / 2; Timer_wheel.quantum_ns ] in
   let run_with stride =
     let w = Timer_wheel.create ~capacity:16 () in
-    let q = Timer_wheel.quantum_ns w in
+    let q = Timer_wheel.quantum_ns in
     (* Deadlines bracketing the level-0 ring wrap (64 q) and the
        level-1 wrap (4096 q), plus one mid-ring control point. *)
     let deadlines = [ 63 * q; 64 * q; 65 * q; 300 * q; 4095 * q; 4096 * q; 4097 * q ] in
@@ -535,7 +535,7 @@ let wheel_bounded_advance_straddles_rollover () =
       items;
     Alcotest.(check int) "wheel drained" 0 (Timer_wheel.count w)
   in
-  List.iter run_with (strides (Timer_wheel.create ()))
+  List.iter run_with strides
 
 (* The windowed-drain equivalence the PDES engine rests on: running a
    scheduler to [until] in many bounded windows must fire exactly the

@@ -356,25 +356,30 @@ let red_virtual_queue_ewma_catch_up () =
 let queue_disc_optional_avg () =
   let pool = Pool.create () in
   let dt = Queue_disc.droptail ~capacity:10 in
-  let sfq = Queue_disc.sfq ~pool ~capacity:10 () in
-  (* Off by default: no estimate, and the hybrid hooks are no-ops. *)
-  Alcotest.(check (option (float 0.))) "droptail off" None
-    (Queue_disc.avg_queue dt);
-  Alcotest.(check (option (float 0.))) "sfq off" None (Queue_disc.avg_queue sfq);
+  let sfq = Queue_disc.sfq ~pool ~capacity:10 in
+  let cell = [| nan |] in
+  let avg q =
+    Queue_disc.avg_queue q cell;
+    cell.(0)
+  in
+  (* Off by default: arrivals and the hybrid hooks leave the estimate
+     at zero. *)
+  List.iter
+    (fun q -> ignore (Queue_disc.enqueue q ~now:Time.zero (mk_packet pool)))
+    [ dt; sfq ];
+  check_float "droptail off" 0. (avg dt);
+  check_float "sfq off" 0. (avg sfq);
   Queue_disc.set_virtual_queue dt 10.;
   Queue_disc.virtual_update dt ~arrivals:5.;
-  Alcotest.(check (option (float 0.))) "still off after hybrid hooks" None
-    (Queue_disc.avg_queue dt);
+  check_float "still off after hybrid hooks" 0. (avg dt);
   List.iter
     (fun q ->
       Queue_disc.enable_avg q ~w_q:0.5;
-      (* Each arrival samples the pre-enqueue occupancy, RED-style:
-         first packet sees 0, second sees 1. *)
+      (* Each arrival samples the pre-enqueue occupancy, RED-style: with
+         one packet already queued the next two see 1 and 2. *)
       ignore (Queue_disc.enqueue q ~now:Time.zero (mk_packet pool));
       ignore (Queue_disc.enqueue q ~now:Time.zero (mk_packet pool));
-      match Queue_disc.avg_queue q with
-      | None -> Alcotest.fail "no estimate after enable_avg"
-      | Some avg -> check_float "two samples" 0.5 avg)
+      check_float "two samples" 1.25 (avg q))
     [ dt; sfq ];
   Alcotest.check_raises "bad w_q"
     (Invalid_argument "Droptail.enable_avg: bad w_q") (fun () ->
@@ -633,6 +638,38 @@ let monitor_arrival_binner_counts_data_only () =
        ~ack:0 ~ece:false ~sack:[] ());
   Scheduler.run sched;
   Alcotest.(check int) "counts only data" 1 (Netstats.Binned.total binned)
+
+(* The oscillation sampler fires every 20 ms of every probed run. Its
+   timer costs what any 20 ms timer costs the engine; the sample itself
+   (warm-up test, average-queue read, detector update) must add no minor
+   words to that. *)
+let monitor_osc_sampler_allocates_nothing () =
+  let every = Time.of_ms 20. and until = Time.of_sec 100. in
+  let words_over_60s sched =
+    Scheduler.run ~until:(Time.of_sec 2.) sched;
+    let before = Gc.minor_words () in
+    Scheduler.run ~until:(Time.of_sec 62.) sched;
+    Gc.minor_words () -. before
+  in
+  let bare =
+    let sched = Scheduler.create () in
+    let rec tick () =
+      if Time.(Scheduler.now sched <= until) then
+        ignore (Scheduler.after sched every tick)
+    in
+    ignore (Scheduler.after sched Time.zero tick);
+    words_over_60s sched
+  in
+  let sched = Scheduler.create () in
+  let q = Queue_disc.droptail ~capacity:10 in
+  Queue_disc.enable_avg q ~w_q:0.5;
+  let osc = Telemetry.Burst.Osc.create () in
+  Monitor.osc_sampler sched osc ~signal:(Queue_disc.avg_queue q) ~every
+    ~from:1. ~until;
+  let sampled = words_over_60s sched in
+  Alcotest.(check int) "samples" 3051 (Telemetry.Burst.Osc.samples osc);
+  Alcotest.(check (float 0.)) "words beyond a bare 20 ms timer" 0.
+    (sampled -. bare)
 
 let monitor_drop_runs () =
   let sched = Scheduler.create () in
@@ -955,6 +992,8 @@ let suite =
         Alcotest.test_case "arrival binner counts data" `Quick
           monitor_arrival_binner_counts_data_only;
         Alcotest.test_case "queue sampler" `Quick monitor_queue_sampler;
+        Alcotest.test_case "osc sampler allocates nothing" `Quick
+          monitor_osc_sampler_allocates_nothing;
         Alcotest.test_case "drop runs" `Quick monitor_drop_runs;
       ] );
   ]

@@ -1032,37 +1032,6 @@ let recorder_segment_round_trip () =
               incr next)
       | segs -> Alcotest.failf "expected 2 segments, got %d" (List.length segs))
 
-let recorder_spill_flushes_chunks () =
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      (* capacity 16 forces several flushes for 100 records. *)
-      let r = Recorder.create ~spill:oc ~label:"spilled" (rcfg ()) in
-      fill (Recorder.lane r 0) 100;
-      Recorder.finish r;
-      close_out oc;
-      let ic = open_in_bin path in
-      let segs = Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-          Recorder.read_segments ic)
-      in
-      match segs with
-      | [ s ] ->
-          (match Recorder.seg_lanes s with
-          | [ l ] ->
-              Alcotest.(check int) "nothing lost" 100
-                (Recorder.read_lane_total l);
-              Alcotest.(check int) "nothing dropped" 0
-                (Recorder.read_lane_dropped l);
-              Alcotest.(check int) "all chunks read back" 100
-                (Recorder.read_lane_retained l)
-          | ls -> Alcotest.failf "expected 1 lane, got %d" (List.length ls));
-          let next = ref 0 in
-          Recorder.iter_segment s (fun ~lane:_ ~seq buf off ->
-              Alcotest.(check int) "seq" !next seq;
-              check_fill_record seq buf off;
-              incr next);
-          Alcotest.(check int) "complete" 100 !next
-      | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs))
-
 let recorder_read_rejects_garbage () =
   with_temp_file (fun path ->
       let oc = open_out_bin path in
@@ -1342,11 +1311,16 @@ let burst_observe_tick_matches_observe =
       && Burst.cov a 0 = Burst.cov b 0
       && Burst.idc a 2 = Burst.idc b 2)
 
+(* Feed one (seconds, value) sample through the detector's tick/cell
+   entry. *)
+let osc_feed osc ~t v =
+  Burst.Osc.sample osc ~tick:(Int.of_float (Float.round (t *. 1e9))) [| v |]
+
 let osc_sine_flags_flat_does_not () =
   let osc = Burst.Osc.create () in
   for i = 0 to 999 do
     let t = float_of_int i *. 0.01 in
-    Burst.Osc.sample osc ~t (10. +. (4. *. sin (2. *. Float.pi *. t)))
+    osc_feed osc ~t (10. +. (4. *. sin (2. *. Float.pi *. t)))
   done;
   Alcotest.(check bool) "sine oscillates" true (Burst.Osc.oscillating osc);
   let f = Burst.Osc.frequency_hz osc in
@@ -1362,10 +1336,25 @@ let osc_sine_flags_flat_does_not () =
   let next = lcg 99 in
   for i = 0 to 999 do
     let jitter = float_of_int (next ()) /. 2560. in
-    Burst.Osc.sample flat ~t:(float_of_int i *. 0.01) (10. +. jitter)
+    osc_feed flat ~t:(float_of_int i *. 0.01) (10. +. jitter)
   done;
   Alcotest.(check bool) "flat plus noise is quiet" false
     (Burst.Osc.oscillating flat)
+
+(* Every probed run feeds the detector every 20 ms; a sample through the
+   tick/cell entry must not allocate. *)
+let osc_sample_allocates_nothing () =
+  let osc = Burst.Osc.create () in
+  let cell = [| 0. |] in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    cell.(0) <- float_of_int (i land 15);
+    Burst.Osc.sample osc ~tick:(i * 20_000_000) cell
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all fed" n (Burst.Osc.samples osc);
+  Alcotest.(check (float 0.)) "minor words for 10^4 samples" 0. words
 
 let burst_record_kinds_roundtrip () =
   List.iter
@@ -1390,7 +1379,7 @@ let burst_record_summary_decodes () =
   let osc = Burst.Osc.create () in
   for i = 0 to 99 do
     let t = float_of_int i *. 0.1 in
-    Burst.Osc.sample osc ~t (5. +. (3. *. sin t))
+    osc_feed osc ~t (5. +. (3. *. sin t))
   done;
   let s = Burst.summary ~osc b in
   Burst.record_summary lane ~tick:8_000_000_000 ~sid s;
@@ -1550,6 +1539,8 @@ let suite =
         Alcotest.test_case "poisson idc ~ 1" `Quick burst_poisson_idc_near_one;
         Alcotest.test_case "osc: sine flags, flat does not" `Quick
           osc_sine_flags_flat_does_not;
+        Alcotest.test_case "osc sample allocates nothing" `Quick
+          osc_sample_allocates_nothing;
         Alcotest.test_case "record kinds round-trip" `Quick
           burst_record_kinds_roundtrip;
         Alcotest.test_case "record_summary decodes" `Quick
@@ -1569,8 +1560,6 @@ let suite =
           recorder_merges_lanes_by_tick_then_lane;
         Alcotest.test_case "segment round-trip" `Quick
           recorder_segment_round_trip;
-        Alcotest.test_case "spill flushes chunks" `Quick
-          recorder_spill_flushes_chunks;
         Alcotest.test_case "read rejects garbage" `Quick
           recorder_read_rejects_garbage;
         Alcotest.test_case "codec corners" `Quick record_codec_corners;

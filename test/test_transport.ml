@@ -11,81 +11,154 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
 
 (* ------------------------------------------------------------------ *)
-(* Rto *)
+(* Rto, on the flow-table row the sender runs *)
+
+(* One flow's estimator cells, plus the have-sample bit the sender keeps
+   in its int row. *)
+type rto_row = { fs : float array; mutable have : bool }
+
+let rto_row () =
+  let r = { fs = Array.make Flow_layout.sender_floats 0.; have = false } in
+  Rto.init_at r.fs 0;
+  r
+
+let observe r secs =
+  Rto.observe_ns_at Rto.default_params r.fs 0 ~first:(not r.have)
+    (Time.to_ns (Time.of_sec secs));
+  r.have <- true
+
+let rto_s r =
+  float_of_int (Rto.rto_ns_at Rto.default_params r.fs 0 ~have_sample:r.have)
+  /. 1e9
 
 let rto_before_samples () =
-  let r = Rto.create Rto.default_params in
-  check_float "initial" 3.0 (Rto.rto r);
-  Alcotest.(check (option (float 0.))) "no srtt" None (Rto.srtt r)
+  let r = rto_row () in
+  check_float "initial" 3.0 (rto_s r);
+  (* Without the have-sample bit the estimator cells are not read. *)
+  r.fs.(Flow_layout.f_srtt) <- 100.;
+  check_float "cells ignored before a sample" 3.0 (rto_s r)
 
 let rto_after_sample () =
-  let r = Rto.create Rto.default_params in
-  Rto.observe r 1.0;
+  let r = rto_row () in
+  observe r 1.0;
   (* srtt = 1.0, rttvar = 0.5 -> rto = 1 + 4*0.5 = 3, above min 1. *)
-  check_float "first sample" 3.0 (Rto.rto r);
+  check_float "first sample" 3.0 (rto_s r);
   (* Repeated identical samples shrink rttvar towards 0; rto floors at
      srtt + granularity but never below min_rto. *)
   for _ = 1 to 50 do
-    Rto.observe r 1.0
+    observe r 1.0
   done;
-  check_close 0.2 "converged" 1.1 (Rto.rto r)
+  check_close 0.2 "converged" 1.1 (rto_s r)
 
 let rto_backoff_doubles_and_caps () =
-  let r = Rto.create Rto.default_params in
-  Rto.observe r 1.0;
-  let base = Rto.rto r in
-  Rto.backoff r;
-  check_float "doubled" (Stdlib.min 64. (base *. 2.)) (Rto.rto r);
+  let r = rto_row () in
+  observe r 1.0;
+  let base = rto_s r in
+  Rto.backoff_at r.fs 0;
+  check_float "doubled" (Stdlib.min 64. (base *. 2.)) (rto_s r);
   for _ = 1 to 20 do
-    Rto.backoff r
+    Rto.backoff_at r.fs 0
   done;
-  check_float "capped at max" 64. (Rto.rto r);
-  Rto.reset_backoff r;
-  check_float "reset" base (Rto.rto r)
+  check_float "capped at max" 64. (rto_s r);
+  Rto.reset_backoff_at r.fs 0;
+  check_float "reset" base (rto_s r)
 
 let rto_sample_resets_backoff () =
-  let r = Rto.create Rto.default_params in
-  Rto.observe r 1.0;
-  Rto.backoff r;
-  Rto.observe r 1.0;
-  Alcotest.(check bool) "sample cleared backoff" true (Rto.rto r < 4.)
+  let r = rto_row () in
+  observe r 1.0;
+  Rto.backoff_at r.fs 0;
+  observe r 1.0;
+  Alcotest.(check bool) "sample cleared backoff" true (rto_s r < 4.)
 
 let rto_quantization () =
-  let r = Rto.create Rto.default_params in
-  Rto.observe r 0.949;
+  let r = rto_row () in
+  observe r 0.949;
   (* quantized to 0.9 with granularity 0.1 *)
-  check_close 1e-6 "srtt quantized" 0.9 (Option.get (Rto.srtt r))
+  check_close 1e-6 "srtt quantized" 0.9 r.fs.(Flow_layout.f_srtt)
 
 let rto_min_clamp () =
-  let r = Rto.create Rto.default_params in
+  let r = rto_row () in
   for _ = 1 to 60 do
-    Rto.observe r 0.01
+    observe r 0.01
   done;
-  check_float "min rto" 1.0 (Rto.rto r)
+  check_float "min rto" 1.0 (rto_s r)
 
-let rto_ns_api_matches_float_api () =
-  (* The integer-ns entry points are the hot-path versions of observe/rto;
-     they must track the float API tick for tick. *)
-  let a = Rto.create Rto.default_params in
-  let b = Rto.create Rto.default_params in
-  List.iter
-    (fun ns ->
-      Rto.observe a (float_of_int ns *. 1e-9);
-      Rto.observe_ns b ns)
-    [ 949_000_000; 1_000_000_000; 213_000_000; 3_700_000_000 ];
-  check_float "same srtt" (Option.get (Rto.srtt a)) (Option.get (Rto.srtt b));
-  check_float "same rttvar" (Option.get (Rto.rttvar a)) (Option.get (Rto.rttvar b));
-  Alcotest.(check int) "rto_ns = of_sec (rto)"
-    (Time.to_ns (Time.of_sec (Rto.rto a)))
-    (Rto.rto_ns b);
-  Rto.backoff b;
-  let c = Rto.create Rto.default_params in
-  Alcotest.(check int) "initial rto_ns"
-    (Time.to_ns (Time.of_sec (Rto.rto c)))
-    (Rto.rto_ns c)
+(* Random parameters and random sample / backoff / reset sequences: the
+   row estimator must track the RFC 6298 float oracle cell for cell, and
+   its integer timeout must be the oracle's seconds turned into a clock
+   time. Backoffs come in runs long enough to reach the multiplier's
+   cap of 64 below max_rto. *)
+type rto_op = Sample of int | Backoff of int | Reset
+
+let rto_oracle_property =
+  let print_op = function
+    | Sample ns -> Printf.sprintf "sample %d" ns
+    | Backoff k -> Printf.sprintf "backoff x%d" k
+    | Reset -> "reset"
+  in
+  let print ((g, lo, hi, init), ops) =
+    Printf.sprintf "g=%h min=%h max=%h initial=%h [%s]" g lo hi init
+      (String.concat "; " (List.map print_op ops))
+  in
+  QCheck2.Test.make ~name:"integer-ns api matches" ~count:300 ~print
+    QCheck2.Gen.(
+      pair
+        (quad
+           (oneofl [ 0.001; 0.01; 0.1; 0.5 ])
+           (float_range 0.05 2.) (float_range 0. 100.) (float_range 0.1 6.))
+        (list_size (int_range 0 40)
+           (frequency
+              [
+                (3, map (fun ns -> Sample ns) (int_range 0 5_000_000_000));
+                (2, map (fun k -> Backoff k) (int_range 1 9));
+                (1, pure Reset);
+              ])))
+    (fun ((granularity, min_rto, extra, initial_rto), ops) ->
+      let p =
+        { Rto.granularity; min_rto; max_rto = min_rto +. extra; initial_rto }
+      in
+      let fs = Array.make Flow_layout.sender_floats 0. in
+      Rto.init_at fs 0;
+      let same_bits a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      (* The sender's have-sample bit is the oracle's [srtt <> None]. *)
+      let check st =
+        (match st.Oracle.srtt with
+        | None -> true
+        | Some srtt ->
+            same_bits srtt fs.(Flow_layout.f_srtt)
+            && same_bits st.Oracle.rttvar fs.(Flow_layout.f_rttvar))
+        && Rto.rto_ns_at p fs 0 ~have_sample:(st.Oracle.srtt <> None)
+           = Time.to_ns
+               (Time.of_sec
+                  (Oracle.rto_seconds ~granularity ~min_rto
+                     ~max_rto:p.Rto.max_rto ~initial_rto st))
+      in
+      let step st = function
+        | Sample ns ->
+            Rto.observe_ns_at p fs 0 ~first:(st.Oracle.srtt = None) ns;
+            Oracle.rto_sample ~granularity st (float_of_int ns *. 1e-9)
+        | Backoff k ->
+            let st = ref st in
+            for _ = 1 to k do
+              Rto.backoff_at fs 0;
+              st := Oracle.rto_backoff !st
+            done;
+            !st
+        | Reset ->
+            Rto.reset_backoff_at fs 0;
+            Oracle.rto_reset st
+      in
+      let rec go st ops =
+        check st
+        && match ops with [] -> true | op :: rest -> go (step st op) rest
+      in
+      go Oracle.rto_init ops)
 
 (* ------------------------------------------------------------------ *)
-(* Congestion-control variants (driven directly) *)
+(* Congestion-control variants, driven through the table operations on
+   a one-flow float row *)
 
 let info ?(ack = 1) ?(newly = 1) ?rtt ?(flight = 1) () =
   {
@@ -96,103 +169,112 @@ let info ?(ack = 1) ?(newly = 1) ?rtt ?(flight = 1) () =
     flight_before = flight;
   }
 
+let cc_row ?vegas ~initial_ssthresh ~max_window variant =
+  let ctx = Cc.make_ctx ?vegas ~max_window variant in
+  let fs = Array.make (Cc.floats_per_flow variant) 0. in
+  Cc.init ctx fs 0 ~initial_ssthresh;
+  (ctx, fs)
+
 let reno_slow_start_then_avoidance () =
-  let h = Cc.handle_of ~initial_ssthresh:4. ~max_window:100. Cc.Reno in
-  check_float "initial cwnd" 1. (h.Cc.cwnd ());
-  h.Cc.on_new_ack (info ());
-  check_float "ss +1" 2. (h.Cc.cwnd ());
-  h.Cc.on_new_ack (info ~newly:2 ());
-  check_float "ss doubling" 4. (h.Cc.cwnd ());
+  let ctx, fs = cc_row ~initial_ssthresh:4. ~max_window:100. Cc.Reno in
+  check_float "initial cwnd" 1. (Cc.cwnd fs 0);
+  Cc.on_new_ack ctx fs 0 (info ());
+  check_float "ss +1" 2. (Cc.cwnd fs 0);
+  Cc.on_new_ack ctx fs 0 (info ~newly:2 ());
+  check_float "ss doubling" 4. (Cc.cwnd fs 0);
+  Alcotest.(check bool) "left slow start" false (Cc.in_slow_start fs 0);
   (* at ssthresh: congestion avoidance, +1/cwnd per ack *)
-  h.Cc.on_new_ack (info ());
-  check_float "ca increment" 4.25 (h.Cc.cwnd ())
+  Cc.on_new_ack ctx fs 0 (info ());
+  check_float "ca increment" 4.25 (Cc.cwnd fs 0)
 
 let reno_caps_at_max_window () =
-  let h = Cc.handle_of ~initial_ssthresh:100. ~max_window:8. Cc.Reno in
-  h.Cc.on_new_ack (info ~newly:20 ());
-  check_float "capped" 8. (h.Cc.cwnd ())
+  let ctx, fs = cc_row ~initial_ssthresh:100. ~max_window:8. Cc.Reno in
+  Cc.on_new_ack ctx fs 0 (info ~newly:20 ());
+  check_float "capped" 8. (Cc.cwnd fs 0)
 
 let reno_fast_recovery_cycle () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
-  h.Cc.on_new_ack (info ~newly:15 ());
-  check_float "grown" 16. (h.Cc.cwnd ());
-  h.Cc.enter_recovery ~flight:16 ~now:0.;
-  check_float "ssthresh halved" 8. (h.Cc.ssthresh ());
-  check_float "inflated" 11. (h.Cc.cwnd ());
-  h.Cc.dup_ack_inflate ();
-  check_float "inflate +1" 12. (h.Cc.cwnd ());
-  h.Cc.on_full_ack (info ());
-  check_float "deflated to ssthresh" 8. (h.Cc.cwnd ())
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
+  Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
+  check_float "grown" 16. (Cc.cwnd fs 0);
+  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  check_float "ssthresh halved" 8. (Cc.ssthresh fs 0);
+  check_float "inflated" 11. (Cc.cwnd fs 0);
+  Cc.dup_ack_inflate ctx fs 0;
+  check_float "inflate +1" 12. (Cc.cwnd fs 0);
+  Cc.on_full_ack ctx fs 0 (info ());
+  check_float "deflated to ssthresh" 8. (Cc.cwnd fs 0)
 
 let reno_timeout_resets () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
-  h.Cc.on_new_ack (info ~newly:15 ());
-  h.Cc.on_timeout ~flight:16 ~now:0.;
-  check_float "cwnd 1" 1. (h.Cc.cwnd ());
-  check_float "ssthresh halved" 8. (h.Cc.ssthresh ())
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
+  Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
+  Cc.on_timeout ctx fs 0 ~flight:16 ~now:0.;
+  check_float "cwnd 1" 1. (Cc.cwnd fs 0);
+  check_float "ssthresh halved" 8. (Cc.ssthresh fs 0)
 
 let reno_halving_floor () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
-  h.Cc.on_timeout ~flight:1 ~now:0.;
-  check_float "ssthresh floor 2" 2. (h.Cc.ssthresh ())
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
+  Cc.on_timeout ctx fs 0 ~flight:1 ~now:0.;
+  check_float "ssthresh floor 2" 2. (Cc.ssthresh fs 0)
 
 let tahoe_loss_restarts_slow_start () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Tahoe in
-  Alcotest.(check bool) "no fast recovery" false h.Cc.uses_fast_recovery;
-  h.Cc.on_new_ack (info ~newly:15 ());
-  h.Cc.enter_recovery ~flight:16 ~now:0.;
-  check_float "cwnd back to 1" 1. (h.Cc.cwnd ());
-  check_float "ssthresh halved" 8. (h.Cc.ssthresh ())
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Tahoe in
+  Alcotest.(check bool) "no fast recovery" false (Cc.uses_fast_recovery Cc.Tahoe);
+  Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
+  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  check_float "cwnd back to 1" 1. (Cc.cwnd fs 0);
+  check_float "ssthresh halved" 8. (Cc.ssthresh fs 0)
 
 let newreno_partial_ack () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Newreno in
-  Alcotest.(check bool) "partial stays" true h.Cc.partial_ack_stays;
-  h.Cc.on_new_ack (info ~newly:15 ());
-  h.Cc.enter_recovery ~flight:16 ~now:0.;
-  let before = h.Cc.cwnd () in
-  h.Cc.on_partial_ack (info ~newly:4 ());
-  check_float "deflate by acked minus one" (before -. 3.) (h.Cc.cwnd ())
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Newreno in
+  Alcotest.(check bool) "partial stays" true (Cc.partial_ack_stays Cc.Newreno);
+  Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
+  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  let before = Cc.cwnd fs 0 in
+  Cc.on_partial_ack ctx fs 0 (info ~newly:4 ());
+  check_float "deflate by acked minus one" (before -. 3.) (Cc.cwnd fs 0)
 
 let vegas_epoch_adjustments () =
   let params = { Cc.alpha = 1.; beta = 3.; gamma = 1. } in
-  let h = Cc.handle_of ~vegas:params ~initial_ssthresh:64. ~max_window:64. Cc.Vegas in
-  check_float "vegas starts at 2" 2. (h.Cc.cwnd ());
+  let ctx, fs =
+    cc_row ~vegas:params ~initial_ssthresh:64. ~max_window:64. Cc.Vegas
+  in
+  check_float "vegas starts at 2" 2. (Cc.cwnd fs 0);
   (* End slow start: epoch with diff > gamma. baseRTT=1.0, rtt=2.0,
      cwnd=2 -> diff = 2*(1-0.5) = 1.0; need > 1, use rtt 3: diff=1.33. *)
-  h.Cc.on_new_ack (info ~ack:1 ~rtt:1.0 ~flight:1 ());
+  Cc.on_new_ack ctx fs 0 (info ~ack:1 ~rtt:1.0 ~flight:1 ());
   (* epoch_mark was 0, so ack=1 ends an epoch; base=1.0, mean=1.0, diff=0:
      still slow start, grow epoch toggles. *)
-  h.Cc.on_new_ack (info ~ack:5 ~rtt:3.0 ~flight:2 ());
+  Cc.on_new_ack ctx fs 0 (info ~ack:5 ~rtt:3.0 ~flight:2 ());
   (* This ack passes the new mark (1+1=2): epoch ends with mean rtt 3.0;
      diff = cwnd*(1-1/3) > 1 -> exit slow start with 7/8 decrease. *)
-  let w = h.Cc.cwnd () in
+  let w = Cc.cwnd fs 0 in
   Alcotest.(check bool) "left slow start" true (w >= 2. && w < 4.);
   (* Now in CA. diff < alpha -> +1. Make an epoch with rtt == base. *)
   let mark = 5 + 2 in
-  h.Cc.on_new_ack (info ~ack:(mark + 1) ~rtt:1.0 ~flight:3 ());
-  check_float "ca linear increase" (w +. 1.) (h.Cc.cwnd ());
+  Cc.on_new_ack ctx fs 0 (info ~ack:(mark + 1) ~rtt:1.0 ~flight:3 ());
+  check_float "ca linear increase" (w +. 1.) (Cc.cwnd fs 0);
   (* diff > beta -> -1: rtt big. Next mark = prev ack + flight. *)
   let mark2 = mark + 1 + 3 in
-  h.Cc.on_new_ack (info ~ack:(mark2 + 1) ~rtt:10.0 ~flight:3 ());
-  check_float "ca linear decrease" w (h.Cc.cwnd ())
+  Cc.on_new_ack ctx fs 0 (info ~ack:(mark2 + 1) ~rtt:10.0 ~flight:3 ());
+  check_float "ca linear decrease" w (Cc.cwnd fs 0)
 
 let vegas_gentler_recovery () =
-  let h = Cc.handle_of ~initial_ssthresh:64. ~max_window:64. Cc.Vegas in
+  let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Vegas in
   (* Grow a bit in slow start. *)
-  h.Cc.on_new_ack (info ~ack:1 ~newly:6 ~rtt:1.0 ());
-  let w = h.Cc.cwnd () in
-  h.Cc.enter_recovery ~flight:8 ~now:0.;
-  check_float "3/4 decrease + inflation" ((w *. 0.75) +. 3.) (h.Cc.cwnd ());
-  h.Cc.on_timeout ~flight:8 ~now:0.;
-  check_float "timeout to 2" 2. (h.Cc.cwnd ())
+  Cc.on_new_ack ctx fs 0 (info ~ack:1 ~newly:6 ~rtt:1.0 ());
+  let w = Cc.cwnd fs 0 in
+  Cc.enter_recovery ctx fs 0 ~flight:8 ~now:0.;
+  check_float "3/4 decrease + inflation" ((w *. 0.75) +. 3.) (Cc.cwnd fs 0);
+  Cc.on_timeout ctx fs 0 ~flight:8 ~now:0.;
+  check_float "timeout to 2" 2. (Cc.cwnd fs 0)
 
 let vegas_rejects_bad_params () =
   Alcotest.check_raises "beta < alpha"
     (Invalid_argument "Cc.make_ctx: bad alpha/beta/gamma") (fun () ->
       ignore
-        (Cc.handle_of
+        (Cc.make_ctx
            ~vegas:{ Cc.alpha = 3.; beta = 1.; gamma = 1. }
-           ~initial_ssthresh:1. ~max_window:1. Cc.Vegas))
+           ~max_window:1. Cc.Vegas))
 
 (* ------------------------------------------------------------------ *)
 (* Tcp_sender driven by hand-crafted ACKs *)
@@ -205,7 +287,7 @@ type harness = {
 }
 
 let make_harness ?(cc = `Reno) ?(adv_window = 64) ?(cwnd_validation = false)
-    ?(limited_transmit = false) ?(pacing = false) ?(trace_cwnd = false) () =
+    ?(pacing = false) ?(trace_cwnd = false) () =
   let sched = Scheduler.create () in
   let pool = Pool.create () in
   let outbox = ref [] in
@@ -217,7 +299,7 @@ let make_harness ?(cc = `Reno) ?(adv_window = 64) ?(cwnd_validation = false)
   in
   let sender =
     Tcp_sender.attach
-      (Tcp_sender.create_group ~cwnd_validation ~limited_transmit ~pacing sched
+      (Tcp_sender.create_group ~cwnd_validation ~pacing sched
          ~pool ~cc ~rto_params:Rto.default_params ~mss_bytes:1000 ~adv_window
          ~transmit:(fun ~flow:_ p -> outbox := p :: !outbox))
       ~flow:0 ~src:1 ~dst:0 ~trace_cwnd ()
@@ -452,23 +534,24 @@ let sender_cwnd_validation_blocks_idle_growth () =
   Alcotest.(check bool) "no growth with validation" true (grow true <= 0.);
   Alcotest.(check bool) "growth without" true (grow false > 0.)
 
-let sender_limited_transmit_releases_segments () =
-  let run limited =
-    let h = make_harness ~limited_transmit:limited () in
-    Tcp_sender.write h.sender 50;
-    ignore (take_outbox h);
-    advance h 0.1;
-    ack h 1;
-    advance h 0.1;
-    ack h 3;
-    (* window 4, flight 4 (seqs 3-6). *)
-    ignore (take_outbox h);
-    ack h 3;
-    ack h 3;
-    List.length (take_outbox h)
+(* Every runner builds its senders through [create_group], so the RTO
+   parameters are checked there, by field name. *)
+let sender_rejects_bad_rto_params () =
+  let bad field rto_params =
+    Alcotest.check_raises field
+      (Invalid_argument ("Tcp_sender.create_group: rto_params." ^ field))
+      (fun () ->
+        ignore
+          (Tcp_sender.create_group (Scheduler.create ()) ~pool:(Pool.create ())
+             ~cc:Cc.Reno ~rto_params ~mss_bytes:1000 ~adv_window:20
+             ~transmit:(fun ~flow:_ _ -> ())))
   in
-  Alcotest.(check int) "two new segments on first two dupacks" 2 (run true);
-  Alcotest.(check int) "nothing without RFC 3042" 0 (run false)
+  let d = Rto.default_params in
+  bad "granularity" { d with Rto.granularity = 0. };
+  bad "min_rto" { d with Rto.min_rto = 0. };
+  bad "initial_rto" { d with Rto.initial_rto = nan };
+  bad "max_rto" { d with Rto.max_rto = 0.5; min_rto = 1.0 };
+  bad "max_rto" { d with Rto.max_rto = infinity }
 
 let sender_pacing_spreads_window () =
   (* With srtt established at ~1 s and cwnd 4, a paced sender must space
@@ -1018,7 +1101,7 @@ let suite =
         Alcotest.test_case "sample resets backoff" `Quick rto_sample_resets_backoff;
         Alcotest.test_case "quantization" `Quick rto_quantization;
         Alcotest.test_case "min clamp" `Quick rto_min_clamp;
-        Alcotest.test_case "integer-ns api matches" `Quick rto_ns_api_matches_float_api;
+        QCheck_alcotest.to_alcotest rto_oracle_property;
       ] );
     ( "transport.cc",
       [
@@ -1050,8 +1133,8 @@ let suite =
         Alcotest.test_case "cwnd trace off by default" `Quick sender_cwnd_trace_off_by_default;
         Alcotest.test_case "ece halves once per rtt" `Quick sender_ece_halves_once_per_rtt;
         Alcotest.test_case "rfc2861 validation" `Quick sender_cwnd_validation_blocks_idle_growth;
-        Alcotest.test_case "rfc3042 limited transmit" `Quick
-          sender_limited_transmit_releases_segments;
+        Alcotest.test_case "rejects bad rto params" `Quick
+          sender_rejects_bad_rto_params;
         Alcotest.test_case "pacing spreads the window" `Quick sender_pacing_spreads_window;
         Alcotest.test_case "paced transfer completes" `Quick loop_pacing_transfer_completes;
         Alcotest.test_case "ece on dup ack" `Quick sender_non_ecn_ignores_ece;
