@@ -74,16 +74,18 @@ fast:
 
 # CI gate: build, unit + cram tests (including the parallel determinism
 # suite, re-run explicitly so a filtered runtest cannot skip it), a
-# telemetry smoke run whose report must validate, then every gated
-# bench section, each re-validated from the BENCH_*.json it wrote.
+# telemetry smoke run (sharded UDP) whose trace must be non-empty and
+# whose report must validate, then every gated bench section, each
+# re-validated from the BENCH_*.json it wrote.
 check:
 	dune build @all
 	dune runtest
 	dune exec test/test_main.exe -- test parallel
-	dune exec bin/main.exe -- table1 --fast \
-	  --telemetry=/tmp/burstsim-report.json \
-	  --trace-out=/tmp/burstsim-trace.ndjson
-	dune exec bin/main.exe -- report-check /tmp/burstsim-report.json
+	dune exec bin/main.exe -- run --scenario udp --shards 2 -n 5 --duration 10 \
+	  --telemetry=_build/smoke-report.json \
+	  --trace-out=_build/smoke-trace.ndjson
+	test -s _build/smoke-trace.ndjson
+	dune exec bin/main.exe -- report-check _build/smoke-report.json
 	dune exec bench/main.exe -- --fast --only telemetry
 	dune exec bin/main.exe -- report-check BENCH_telemetry.json
 	dune exec bench/main.exe -- --fast --only pdes

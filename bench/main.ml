@@ -352,12 +352,14 @@ let drive (cfg : Burstcore.Config.t) k =
       delivered;
     }
   in
-  (* The two leak sweeps [Run.run] performs: every packet handle and
-     every flow row must drain back to its slab. *)
-  Dumbbell.reclaim net;
-  let pool_live = Netsim.Packet_pool.live (Dumbbell.pool net) in
-  Dumbbell.release_flows net;
-  { result with leak_free = pool_live = 0 && Dumbbell.flows_live net = 0 }
+  (* The teardown [Run.run] performs: every packet handle and every flow
+     row must drain back to its slab. *)
+  let leak_free =
+    match Dumbbell.finish net ignore with
+    | () -> true
+    | exception Failure _ -> false
+  in
+  { result with leak_free }
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: events/sec with and without a probe             *)

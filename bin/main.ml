@@ -39,9 +39,8 @@ let base_config ~duration ~seed ~fast =
 
 (* Reject a bad configuration before any run starts: one
    [Config.validate] of every config the command will run, the field it
-   names mapped back to the flag that set it, plus the one rule the
-   config cannot see — UDP runs only on the classic engine. *)
-let check_configs ?(scenarios = []) cfgs =
+   names mapped back to the flag that set it. *)
+let check_configs cfgs =
   let fail msg =
     Format.eprintf "burstsim: %s@." msg;
     exit 1
@@ -62,15 +61,11 @@ let check_configs ?(scenarios = []) cfgs =
                ("--background", ">= 0", float cfg.background)
            | _ -> fail msg
          in
-         fail (Printf.sprintf "%s must be %s (got %g)" flag bound got));
-      if
-        cfg.shards >= 1
-        && not (List.for_all Burstcore.Scenario.is_tcp scenarios)
-      then
-        fail
-          "--shards needs a TCP scenario: UDP runs only on the classic engine \
-           (drop --shards)")
+         fail (Printf.sprintf "%s must be %s (got %g)" flag bound got)))
     cfgs
+
+let with_clients_each (cfg : Burstcore.Config.t) counts =
+  List.map (fun clients -> { cfg with clients }) counts
 
 let sweep_counts (cfg : Burstcore.Config.t) ~fast ~clients_list =
   let counts =
@@ -80,7 +75,7 @@ let sweep_counts (cfg : Burstcore.Config.t) ~fast ~clients_list =
         if fast then [ 5; 15; 25; 30; 36; 39; 42; 50; 60 ]
         else Burstcore.Figures.default_client_counts
   in
-  check_configs (List.map (fun clients -> { cfg with clients }) counts);
+  check_configs (with_clients_each cfg counts);
   counts
 
 let scenario_conv =
@@ -454,8 +449,9 @@ let run_cmd =
       "Parallelise this single run over $(docv) domains with the sharded \
        conservative-PDES engine. Results are bit-identical for every \
        $(docv) >= 1 with the same seed; 0 (the default) runs the classic \
-       single-domain engine. Composes with --trace-out (shard traces are \
-       merged into one deterministic stream) but not with --record-out."
+       single-domain engine. Runs every scenario, UDP included. Composes \
+       with --trace-out (shard traces are merged into one deterministic \
+       stream) but not with --record-out."
     in
     Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
   in
@@ -484,7 +480,7 @@ let run_cmd =
     let cfg =
       { (base_config ~duration ~seed ~fast) with clients; shards; background }
     in
-    check_configs ~scenarios:[ scenario ] [ cfg ];
+    check_configs [ cfg ];
     if shards > 0 && tele.record_out <> None then begin
       Format.eprintf
         "burstsim: --record-out needs the classic single-domain engine and \
@@ -961,6 +957,7 @@ let burst_cmd =
 let selfsim_cmd =
   let run duration seed fast =
     let cfg = base_config ~duration ~seed ~fast in
+    check_configs [ cfg ];
     Burstcore.Selfsim.report std cfg
   in
   Cmd.v
@@ -979,9 +976,11 @@ let sync_cmd =
     let ns =
       match clients_list with Some ns -> ns | None -> [ 20; 30; 40; 50; 60 ]
     in
+    let ablation_clients = 50 in
+    check_configs (with_clients_each cfg (ns @ [ ablation_clients ]));
     Burstcore.Sync.report std cfg ns;
     Format.fprintf std "@.";
-    Burstcore.Sync.desync_ablation std cfg ~clients:50
+    Burstcore.Sync.desync_ablation std cfg ~clients:ablation_clients
   in
   Cmd.v
     (Cmd.info "sync"
@@ -996,6 +995,7 @@ let fluid_cmd =
   let run duration seed fast clients_list =
     let cfg = base_config ~duration ~seed ~fast in
     let flows = match clients_list with Some ns -> ns | None -> [ 4; 8; 16 ] in
+    check_configs (with_clients_each cfg flows);
     Burstcore.Fluid_compare.report std cfg flows
   in
   Cmd.v
@@ -1050,6 +1050,7 @@ let export_cmd =
 let parking_cmd =
   let run duration seed fast =
     let cfg = base_config ~duration ~seed ~fast in
+    check_configs [ cfg ];
     Burstcore.Parking_lot.report std cfg
   in
   Cmd.v
@@ -1065,6 +1066,7 @@ let twoway_cmd =
   let run duration seed fast clients_list =
     let cfg = base_config ~duration ~seed ~fast in
     let n = match clients_list with Some (n :: _) -> n | _ -> 30 in
+    check_configs (with_clients_each cfg [ n ]);
     Burstcore.Twoway.report std (Burstcore.Config.with_clients cfg n)
   in
   Cmd.v
@@ -1118,7 +1120,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.15.0"
+    (Cmd.info "burstsim" ~version:"1.16.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

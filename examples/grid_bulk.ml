@@ -45,7 +45,9 @@ let run scenario =
   in
   poll ();
   Scheduler.run ~until:(Time.of_sec cfg.Burstcore.Config.duration_s) sched;
-  let stats = Burstcore.Dumbbell.tcp_stats_total net in
+  let stats =
+    Burstcore.Dumbbell.finish net (fun e -> e.Burstcore.Meter.tcp_stats)
+  in
   (completion, stats)
 
 let () =

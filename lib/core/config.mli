@@ -44,7 +44,8 @@ type t = {
           [K >= 1] runs the sharded conservative-PDES engine with the
           client population partitioned over [K] domains ({!Pdes}).
           [K = 1] exercises the windowed machinery serially and is
-          bit-identical to any [K > 1] run with the same seed *)
+          bit-identical to any [K > 1] run with the same seed. Both
+          engines run every scenario, UDP included *)
   background : int;
       (** 0 (the default) simulates every flow packet-level; [M >= 1]
           runs the hybrid engine ({!Hybrid}): the [clients] flows stay

@@ -2,7 +2,6 @@ module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
 module Rng = Sim_engine.Rng
 module Link = Netsim.Link
-module Node = Netsim.Node
 module Router = Netsim.Router
 module Units = Netsim.Units
 module Queue_disc = Netsim.Queue_disc
@@ -12,19 +11,32 @@ type endpoint =
   | Tcp_end of Transport.Tcp_sender.t * Transport.Tcp_receiver.t
   | Udp_end of Transport.Udp.sender * Transport.Udp.receiver
 
+type exit =
+  | Deliver of (Packet_pool.handle -> unit)
+  | Handoff of (Time.t -> Packet_pool.handle -> unit)
+
+type clients = {
+  lo : int;
+  csched : Scheduler.t;
+  cpool : Packet_pool.t;
+  up_links : Link.t array;
+  down_links : Link.t array;
+  endpoints : endpoint array;
+  (* The flow-table groups behind the TCP endpoints ([None] for UDP):
+     every sender of the slice shares one struct-of-arrays slab, every
+     receiver another — see {!Transport.Tcp_sender.create_group}. *)
+  flows : (Transport.Tcp_sender.group * Transport.Tcp_receiver.group) option;
+  mutable sources : Traffic.Source.t list;
+}
+
 type t = {
   sched : Scheduler.t;
   rng : Rng.t;
   pool : Packet_pool.t;
   bottleneck : Link.t;
   reverse_bottleneck : Link.t;
-  up_links : Link.t array;
-  down_links : Link.t array;
-  endpoints : endpoint array;
-  (* The flow-table groups behind the TCP endpoints ([None] for UDP):
-     all N senders share one struct-of-arrays slab, all N receivers
-     another — see {!Transport.Tcp_sender.create_group}. *)
-  flows : (Transport.Tcp_sender.group * Transport.Tcp_receiver.group) option;
+  clients : clients;
+  trace_clients : int list;
 }
 
 let lossless_capacity = 1_000_000
@@ -107,6 +119,219 @@ let poisson_source cfg ~master sched i ~sink =
     ~until:(Time.of_sec cfg.Config.duration_s)
     ~sink
 
+(* ------------------------------------------------------------------ *)
+(* Clients: one builder and one teardown for both engines *)
+
+(* One sender group and one receiver group carry every TCP flow of the
+   slice: attaching a flow claims a row in each slab, so client count
+   scales without per-flow records, closures or hashtables. Group
+   creation and link creation consume no randomness and schedule
+   nothing, so only the attach order (client order, sender before
+   receiver) is visible in a trajectory or a recording. *)
+let build_clients ~recorder ~trace_clients cfg scenario sched pool ~lo ~n
+    ~up_delay ~down_delay ~data ~ack =
+  let access name i delay deliver =
+    Link.create sched
+      ~name:(Printf.sprintf "%s-%d" name i)
+      ~bandwidth:(Units.mbps cfg.Config.client_bandwidth_mbps)
+      ~delay
+      ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
+      ~pool ~deliver
+  in
+  let up_links =
+    Array.init n (fun j ->
+        let i = lo + j in
+        match data with
+        | Deliver deliver -> access "up" i (up_delay i) deliver
+        | Handoff handoff ->
+            let link = access "up" i (up_delay i) (fun _ -> assert false) in
+            Link.set_handoff link handoff;
+            link)
+  in
+  let flows =
+    match scenario.Scenario.transport with
+    | Scenario.Udp -> None
+    | Scenario.Tcp { cc; delayed_ack } ->
+        let sack = cc = Scenario.Sack in
+        let variant, vegas = make_cc cfg cc in
+        let senders =
+          Transport.Tcp_sender.create_group
+            ~ecn_capable:(scenario.Scenario.gateway = Scenario.Red_ecn)
+            ~sack ~cwnd_validation:cfg.Config.cwnd_validation
+            ~pacing:cfg.Config.pacing ?recorder ?vegas ~capacity:n sched ~pool
+            ~cc:variant ~rto_params:cfg.Config.rto
+            ~mss_bytes:cfg.Config.packet_bytes
+            ~adv_window:cfg.Config.adv_window
+            ~transmit:(fun ~flow p -> Link.send up_links.(flow - lo) p)
+        in
+        let receivers =
+          Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity:n sched
+            ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
+            ~adv_window:cfg.Config.adv_window
+            ~transmit:(fun ~flow:_ p -> ack p)
+        in
+        Some (senders, receivers)
+  in
+  let endpoints =
+    Array.init n (fun j ->
+        let i = lo + j in
+        match flows with
+        | None ->
+            let sender =
+              Transport.Udp.create_sender sched ~pool ~flow:i ~src:(client_id i)
+                ~dst:server_id ~size_bytes:cfg.Config.packet_bytes
+                ~transmit:(Link.send up_links.(j))
+            in
+            Udp_end (sender, Transport.Udp.create_receiver ~pool ())
+        | Some (senders, receivers) ->
+            let sender =
+              Transport.Tcp_sender.attach senders ~flow:i ~src:(client_id i)
+                ~dst:server_id
+                ~trace_cwnd:(List.mem i trace_clients) ()
+            in
+            let receiver =
+              Transport.Tcp_receiver.attach receivers ~flow:i ~src:server_id
+                ~dst:(client_id i) ()
+            in
+            Tcp_end (sender, receiver))
+  in
+  (* A client is the sink of its down link: the sender reads the ACK,
+     then the slot goes back to the pool. *)
+  let down_links =
+    Array.init n (fun j ->
+        access "down" (lo + j) (down_delay (lo + j))
+          (match endpoints.(j) with
+          | Tcp_end (sender, _) ->
+              fun h ->
+                Transport.Tcp_sender.handle_packet sender h;
+                Packet_pool.free pool h
+          | Udp_end _ -> Packet_pool.free pool))
+  in
+  {
+    lo;
+    csched = sched;
+    cpool = pool;
+    up_links;
+    down_links;
+    endpoints;
+    flows;
+    sources = [];
+  }
+
+let write c j n =
+  match c.endpoints.(j) with
+  | Tcp_end (sender, _) -> Transport.Tcp_sender.write sender n
+  | Udp_end (sender, _) -> Transport.Udp.write sender n
+
+let start_poisson cfg ~master c =
+  c.sources <-
+    List.init (Array.length c.endpoints) (fun j ->
+        poisson_source cfg ~master c.csched (c.lo + j) ~sink:(write c j))
+
+let deliver_data c h =
+  (match c.endpoints.(Packet_pool.flow c.cpool h - c.lo) with
+  | Tcp_end (_, receiver) -> Transport.Tcp_receiver.handle_packet receiver h
+  | Udp_end (_, receiver) -> Transport.Udp.handle_packet receiver h);
+  Packet_pool.free c.cpool h
+
+let deliver_ack c h =
+  Link.send c.down_links.(Packet_pool.flow c.cpool h - c.lo) h
+
+let delivered = function
+  | Tcp_end (_, receiver) -> Transport.Tcp_receiver.delivered receiver
+  | Udp_end (_, receiver) -> Transport.Udp.received receiver
+
+let endpoints ~trace_clients cs eps =
+  let tcp_stats =
+    Array.fold_left
+      (fun acc ep ->
+        match ep with
+        | Tcp_end (sender, _) ->
+            Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats sender)
+        | Udp_end _ -> acc)
+      (Transport.Tcp_stats.create ()) eps
+  in
+  let sum f = Array.fold_left (fun acc ep -> acc + f ep) 0 eps in
+  {
+    Meter.offered =
+      List.fold_left
+        (fun acc c ->
+          List.fold_left
+            (fun acc s -> acc + s.Traffic.Source.generated ())
+            acc c.sources)
+        0 cs;
+    per_client_delivered = Array.map delivered eps;
+    tcp_stats;
+    segments_sent =
+      tcp_stats.Transport.Tcp_stats.segments_sent
+      + sum (function
+          | Udp_end (sender, _) -> Transport.Udp.sent sender
+          | Tcp_end _ -> 0);
+    ecn_reactions =
+      sum (function
+        | Tcp_end (sender, _) -> Transport.Tcp_sender.ecn_reactions sender
+        | Udp_end _ -> 0);
+    cwnd_traces =
+      List.filter_map
+        (fun i ->
+          match eps.(i) with
+          | Tcp_end (sender, _) ->
+              Some (i, Transport.Tcp_sender.cwnd_trace sender)
+          | Udp_end _ -> None)
+        trace_clients;
+  }
+
+(* A flow-table figure summed over the sender and receiver tables; 0 for
+   UDP. *)
+let table_sum f c =
+  match c.flows with
+  | None -> 0
+  | Some (sg, rg) ->
+      f (Transport.Tcp_sender.table sg) + f (Transport.Tcp_receiver.table rg)
+
+(* The end-of-run sweeps, then the endpoint totals, then the flow rows.
+   Links free whatever the horizon left queued or in flight, so a
+   nonzero live count afterwards means some layer dropped a handle
+   without freeing it; detaching every endpoint must likewise drain the
+   slabs. Either leak fails loudly. *)
+let finish_clients ~links ~pool ~trace_clients cs collect =
+  List.iter Link.reclaim links;
+  List.iter
+    (fun c ->
+      Array.iter Link.reclaim c.up_links;
+      Array.iter Link.reclaim c.down_links)
+    cs;
+  let live =
+    List.fold_left
+      (fun acc c ->
+        if c.cpool == pool then acc else acc + Packet_pool.live c.cpool)
+      (Packet_pool.live pool) cs
+  in
+  if live <> 0 then
+    failwith
+      (Printf.sprintf "Dumbbell: %d packet(s) leaked from the pools" live);
+  (* Flow [i] is entry [i] of the slices' endpoints laid end to end. *)
+  let eps = Array.concat (List.map (fun c -> c.endpoints) cs) in
+  let result = collect (endpoints ~trace_clients cs eps) in
+  Array.iter
+    (function
+      | Tcp_end (sender, receiver) ->
+          Transport.Tcp_sender.detach sender;
+          Transport.Tcp_receiver.detach receiver
+      | Udp_end _ -> ())
+    eps;
+  let rows =
+    List.fold_left (fun acc c -> acc + table_sum Netsim.Flow_table.live c) 0 cs
+  in
+  if rows <> 0 then
+    failwith
+      (Printf.sprintf "Dumbbell: %d flow row(s) leaked from the flow tables"
+         rows);
+  result
+
+(* ------------------------------------------------------------------ *)
+(* The classic single-domain dumbbell *)
+
 let create ?recorder ?(trace_clients = []) cfg scenario =
   Config.validate cfg;
   let n = cfg.Config.clients in
@@ -126,18 +351,9 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
       ()
   in
   let router = Router.create ?recorder ~name:"gateway" ~pool () in
-  let server = Node.create ~id:server_id ~pool in
-  let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
-  let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  let delays = client_delays cfg in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let gateway = gateway_queue ?recorder cfg scenario rng pool in
-  let bottleneck =
-    Link.create sched ~name:"bottleneck" ~bandwidth:bottleneck_bw
-      ~delay:bottleneck_delay ~queue:gateway ~pool
-      ~deliver:(Node.receive server)
-  in
   let reverse_bottleneck =
     Link.create sched ~name:"bottleneck-rev" ~bandwidth:bottleneck_bw
       ~delay:bottleneck_delay
@@ -145,100 +361,30 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
       ~pool
       ~deliver:(Router.receive router)
   in
+  let delays = client_delays cfg in
+  let clients =
+    build_clients ~recorder ~trace_clients cfg scenario sched pool ~lo:0 ~n
+      ~up_delay:(Array.get delays) ~down_delay:(Array.get delays)
+      ~data:(Deliver (Router.receive router))
+      ~ack:(Link.send reverse_bottleneck)
+  in
+  let bottleneck =
+    Link.create sched ~name:"bottleneck" ~bandwidth:bottleneck_bw
+      ~delay:bottleneck_delay ~queue:gateway ~pool
+      ~deliver:(deliver_data clients)
+  in
   Router.set_default router bottleneck;
-  let up_links =
-    Array.init n (fun i ->
-        Link.create sched
-          ~name:(Printf.sprintf "up-%d" i)
-          ~bandwidth:client_bw ~delay:delays.(i)
-          ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-          ~pool
-          ~deliver:(Router.receive router))
-  in
-  let down_links =
-    Array.init n (fun i ->
-        Link.create sched
-          ~name:(Printf.sprintf "down-%d" i)
-          ~bandwidth:client_bw ~delay:delays.(i)
-          ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-          ~pool
-          ~deliver:(Node.receive client_nodes.(i)))
-  in
-  Array.iteri (fun i link -> Router.add_route router ~dst:(client_id i) link) down_links;
-  (* One sender group and one receiver group carry every TCP flow:
-     attaching a flow claims a row in each slab, so client count scales
-     without per-flow records, closures or hashtables. Group creation
-     consumes no randomness and schedules nothing, so seed-for-seed
-     behaviour is unchanged from the per-flow-record construction. *)
-  let flows =
-    match scenario.Scenario.transport with
-    | Scenario.Udp -> None
-    | Scenario.Tcp { cc; delayed_ack } ->
-        let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
-        let sack = cc = Scenario.Sack in
-        let variant, vegas = make_cc cfg cc in
-        let sender_group =
-          Transport.Tcp_sender.create_group ~ecn_capable ~sack
-            ~cwnd_validation:cfg.Config.cwnd_validation
-            ~pacing:cfg.Config.pacing ?recorder ?vegas ~capacity:n sched
-            ~pool ~cc:variant ~rto_params:cfg.Config.rto
-            ~mss_bytes:cfg.Config.packet_bytes
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow p -> Link.send up_links.(flow) p)
-        in
-        let receiver_group =
-          Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity:n
-            sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow:_ p -> Link.send reverse_bottleneck p)
-        in
-        Some (sender_group, receiver_group)
-  in
-  let endpoints =
-    Array.init n (fun i ->
-        match (flows, scenario.Scenario.transport) with
-        | None, _ | _, Scenario.Udp ->
-            let sender =
-              Transport.Udp.create_sender sched ~pool ~flow:i ~src:(client_id i)
-                ~dst:server_id ~size_bytes:cfg.Config.packet_bytes
-                ~transmit:(Link.send up_links.(i))
-            in
-            Udp_end (sender, Transport.Udp.create_receiver ~pool ())
-        | Some (sender_group, receiver_group), Scenario.Tcp _ ->
-            let sender =
-              Transport.Tcp_sender.attach sender_group ~flow:i
-                ~src:(client_id i) ~dst:server_id
-                ~trace_cwnd:(List.mem i trace_clients) ()
-            in
-            let receiver =
-              Transport.Tcp_receiver.attach receiver_group ~flow:i
-                ~src:server_id ~dst:(client_id i) ()
-            in
-            Tcp_end (sender, receiver))
-  in
-  Node.set_handler server (fun h ->
-      let flow = Packet_pool.flow pool h in
-      if flow >= 0 && flow < n then
-        match endpoints.(flow) with
-        | Tcp_end (_, receiver) -> Transport.Tcp_receiver.handle_packet receiver h
-        | Udp_end (_, receiver) -> Transport.Udp.handle_packet receiver h);
   Array.iteri
-    (fun i node ->
-      Node.set_handler node (fun h ->
-          match endpoints.(i) with
-          | Tcp_end (sender, _) -> Transport.Tcp_sender.handle_packet sender h
-          | Udp_end _ -> ()))
-    client_nodes;
+    (fun i link -> Router.add_route router ~dst:(client_id i) link)
+    clients.down_links;
   {
     sched;
     rng;
     pool;
     bottleneck;
     reverse_bottleneck;
-    up_links;
-    down_links;
-    endpoints;
-    flows;
+    clients;
+    trace_clients;
   }
 
 let scheduler t = t.sched
@@ -249,93 +395,23 @@ let pool t = t.pool
 
 let bottleneck t = t.bottleneck
 
-let reclaim t =
-  Link.reclaim t.bottleneck;
-  Link.reclaim t.reverse_bottleneck;
-  Array.iter Link.reclaim t.up_links;
-  Array.iter Link.reclaim t.down_links
+let clients t = t.clients
 
-let sink t i n =
-  match t.endpoints.(i) with
-  | Tcp_end (sender, _) -> Transport.Tcp_sender.write sender n
-  | Udp_end (sender, _) -> Transport.Udp.write sender n
+let sink t i n = write t.clients i n
 
-let tcp_sender t i =
-  match t.endpoints.(i) with
-  | Tcp_end (sender, _) -> Some sender
-  | Udp_end _ -> None
-
-let per_client_delivered t =
-  Array.map
-    (function
-      | Tcp_end (_, receiver) -> Transport.Tcp_receiver.delivered receiver
-      | Udp_end (_, receiver) -> Transport.Udp.received receiver)
-    t.endpoints
+let per_client_delivered t = Array.map delivered t.clients.endpoints
 
 let delivered_total t = Array.fold_left ( + ) 0 (per_client_delivered t)
 
-let tcp_stats_total t =
-  Array.fold_left
-    (fun acc ep ->
-      match ep with
-      | Tcp_end (sender, _) ->
-          Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats sender)
-      | Udp_end _ -> acc)
-    (Transport.Tcp_stats.create ()) t.endpoints
+let finish t collect =
+  finish_clients
+    ~links:[ t.bottleneck; t.reverse_bottleneck ]
+    ~pool:t.pool ~trace_clients:t.trace_clients [ t.clients ] collect
 
-let ecn_reactions_total t =
-  Array.fold_left
-    (fun acc ep ->
-      match ep with
-      | Tcp_end (sender, _) -> acc + Transport.Tcp_sender.ecn_reactions sender
-      | Udp_end _ -> acc)
-    0 t.endpoints
-
-let segments_sent_total t =
-  Array.fold_left
-    (fun acc ep ->
-      match ep with
-      | Tcp_end (sender, _) ->
-          acc + (Transport.Tcp_sender.stats sender).Transport.Tcp_stats.segments_sent
-      | Udp_end (sender, _) -> acc + Transport.Udp.sent sender)
-    0 t.endpoints
-
-(* ------------------------------------------------------------------ *)
-(* Flow-table accounting (0 / no-op for UDP scenarios) *)
-
-let release_flows t =
-  Array.iter
-    (function
-      | Tcp_end (sender, receiver) ->
-          Transport.Tcp_sender.detach sender;
-          Transport.Tcp_receiver.detach receiver
-      | Udp_end _ -> ())
-    t.endpoints
-
-let flows_live t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.live (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.live (Transport.Tcp_receiver.table rg)
-
-let flow_table_growths t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.growth_count (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.growth_count (Transport.Tcp_receiver.table rg)
+let flow_table_growths t = table_sum Netsim.Flow_table.growth_count t.clients
 
 let flow_table_bytes_per_flow t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.bytes_per_flow (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.bytes_per_flow (Transport.Tcp_receiver.table rg)
+  table_sum Netsim.Flow_table.bytes_per_flow t.clients
 
 let flow_table_footprint_bytes t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.footprint_bytes (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.footprint_bytes (Transport.Tcp_receiver.table rg)
+  table_sum Netsim.Flow_table.footprint_bytes t.clients

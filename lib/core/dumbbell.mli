@@ -1,13 +1,14 @@
 (** The paper's network model (Figure 1): N clients on dedicated access
     links into a common gateway, one bottleneck link to the server.
 
-    Building a dumbbell wires nodes, links, the gateway router, the queue
-    discipline under test and one transport connection per client; traffic
-    sources are attached separately through {!sink}, so the same topology
-    serves the paper's Poisson workload and the bulk-transfer examples.
-    The sharded {!Pdes} engine builds its own split topology from the
-    same {!gateway_queue}, {!make_cc}, {!client_delays} and
-    {!poisson_source}. *)
+    The clients — their access links and transport endpoints — have one
+    builder ({!build_clients}) and one teardown ({!finish_clients}),
+    which both engines call: {!create} builds the classic single-domain
+    dumbbell around one slice [\[0, N)], and the sharded {!Pdes} engine
+    builds one slice per shard around its own hub. Traffic sources are
+    attached separately ({!start_poisson}, or any source through
+    {!sink}), so the same topology serves the paper's Poisson workload
+    and the bulk-transfer examples. *)
 
 type t
 
@@ -47,7 +48,7 @@ val make_cc :
   Scenario.cc_kind ->
   Transport.Cc.variant * Transport.Cc.vegas_params option
 (** The congestion-control variant tag plus its parameters, if any —
-    shared with the sharded {!Pdes} builder and {!Twoway}. *)
+    shared with {!Twoway}. *)
 
 val gateway_queue :
   ?recorder:Telemetry.Recorder.t ->
@@ -60,6 +61,75 @@ val gateway_queue :
     ["red-gateway"] off the given master RNG), its decisions logged to
     [recorder] as ["gateway"] when one is given — shared with {!Pdes}. *)
 
+(** {2 Clients} *)
+
+type clients
+(** Clients [\[lo, lo + n)] of one engine domain: their up and down
+    access links and their transport endpoints, all on one scheduler
+    and packet pool. *)
+
+type exit =
+  | Deliver of (Netsim.Packet_pool.handle -> unit)
+      (** the far end is in this domain: deliver after the propagation
+          delay *)
+  | Handoff of (Sim_engine.Time.t -> Netsim.Packet_pool.handle -> unit)
+      (** the far end is another domain: hand each packet over at
+          serialization end with its arrival time
+          ({!Netsim.Link.set_handoff}) *)
+
+val build_clients :
+  recorder:Telemetry.Recorder.t option ->
+  trace_clients:int list ->
+  Config.t ->
+  Scenario.t ->
+  Sim_engine.Scheduler.t ->
+  Netsim.Packet_pool.t ->
+  lo:int ->
+  n:int ->
+  up_delay:(int -> Sim_engine.Time.span) ->
+  down_delay:(int -> Sim_engine.Time.span) ->
+  data:exit ->
+  ack:(Netsim.Packet_pool.handle -> unit) ->
+  clients
+(** Build clients [\[lo, lo + n)] in client order: for TCP one sender
+    and one receiver group of [n] rows (each client's sender attached
+    before its receiver, with a cwnd trace when its index is in
+    [trace_clients]), for UDP one sender/receiver pair per client.
+    Client [i]'s up link has delay [up_delay i] and leaves through
+    [data]; its down link has delay [down_delay i] and ends at its
+    sender. Receivers' ACKs leave through [ack]. [recorder], if any, is
+    given to both TCP groups, as in {!create}. *)
+
+val start_poisson : Config.t -> master:Sim_engine.Rng.t -> clients -> unit
+(** Start every client's {!poisson_source} on the slice's scheduler, in
+    client order; {!finish_clients} counts what they offered. *)
+
+val deliver_data : clients -> Netsim.Packet_pool.handle -> unit
+(** A data packet at the server: its flow's receiver reads it, then the
+    handle is freed. *)
+
+val deliver_ack : clients -> Netsim.Packet_pool.handle -> unit
+(** An ACK entering its flow's down link. *)
+
+val finish_clients :
+  links:Netsim.Link.t list ->
+  pool:Netsim.Packet_pool.t ->
+  trace_clients:int list ->
+  clients list ->
+  (Meter.endpoints -> 'a) ->
+  'a
+(** The end-of-run teardown, after the scheduler(s) stopped. The slices
+    must tile [\[0, N)] in order; [links] are the engine's own links and
+    [pool] theirs. In order: reclaim [links] and every access link, and
+    check that [pool] and every slice pool hold no live packet; build
+    the {!Meter.endpoints} ([offered] counts the sources
+    {!start_poisson} started; [cwnd_traces] follows [trace_clients],
+    TCP only) and pass them to the continuation; detach every endpoint
+    and check that no flow-table row is left.
+    @raise Failure when a packet or a flow-table row leaked. *)
+
+(** {2 The classic dumbbell} *)
+
 val scheduler : t -> Sim_engine.Scheduler.t
 
 val rng : t -> Sim_engine.Rng.t
@@ -69,50 +139,31 @@ val pool : t -> Netsim.Packet_pool.t
 (** The packet pool every node, link and transport of this topology
     allocates from. *)
 
-val reclaim : t -> unit
-(** Free every packet still queued or in flight on any link — call after
-    the scheduler stops so {!Netsim.Packet_pool.live} returns 0 for a
-    leak-free run. *)
-
 val bottleneck : t -> Netsim.Link.t
 (** The gateway → server link whose queue is the discipline under test
     ({!Netsim.Link.queue_disc}); {!Meter} reads every metric off it. *)
+
+val clients : t -> clients
+(** The one slice, clients [\[0, N)]. *)
 
 val sink : t -> int -> int -> unit
 (** [sink t i n] submits [n] application packets on client [i]'s
     transport. *)
 
-val tcp_sender : t -> int -> Transport.Tcp_sender.t option
-(** [None] for UDP scenarios. *)
-
 val per_client_delivered : t -> int array
-(** In-order segments (TCP) or datagrams (UDP) delivered per client. *)
+(** In-order segments (TCP) or datagrams (UDP) delivered per client so
+    far. *)
 
 val delivered_total : t -> int
 
-val tcp_stats_total : t -> Transport.Tcp_stats.t
-(** All-zero for UDP scenarios. *)
-
-val segments_sent_total : t -> int
-(** Data packets put on the wire by all clients (TCP: includes
-    retransmissions; UDP: datagrams). *)
-
-val ecn_reactions_total : t -> int
-(** Window reductions the senders performed in response to ECE echoes. *)
+val finish : t -> (Meter.endpoints -> 'a) -> 'a
+(** {!finish_clients} over the bottleneck pair and the one slice, with
+    the [trace_clients] given to {!create}. *)
 
 (** {2 Flow-table accounting}
 
     TCP endpoints live as rows of two shared struct-of-arrays slabs
-    (one sender table, one receiver table); UDP scenarios report 0 and
-    release is a no-op. *)
-
-val release_flows : t -> unit
-(** Detach every TCP endpoint, cancelling its timers and freeing its
-    rows — call after metrics are collected so {!flows_live} returns 0
-    for a leak-free run. *)
-
-val flows_live : t -> int
-(** Rows still allocated across both tables. *)
+    (one sender table, one receiver table); UDP scenarios report 0. *)
 
 val flow_table_growths : t -> int
 (** Capacity doublings across both tables; 0 means the client-count

@@ -41,13 +41,11 @@ let measure cfg scenario ~flows =
     (Scheduler.at sched (Time.of_sec half) (fun () ->
          delivered_at_half := Dumbbell.delivered_total net));
   Scheduler.run ~until:horizon sched;
-  let mean_window =
-    let per_flow =
-      List.filter_map
-        (fun i ->
-          match Dumbbell.tcp_sender net i with
-          | Some sender ->
-              let trace = Transport.Tcp_sender.cwnd_trace sender in
+  Dumbbell.finish net (fun e ->
+      let mean_window =
+        let per_flow =
+          List.filter_map
+            (fun (_, trace) ->
               let steady =
                 List.map snd
                   (Netstats.Series.between trace half cfg.Config.duration_s)
@@ -55,22 +53,26 @@ let measure cfg scenario ~flows =
               if steady = [] then None
               else
                 Some
-                  (List.fold_left ( +. ) 0. steady /. float_of_int (List.length steady))
-          | None -> None)
-        (List.init flows Fun.id)
-    in
-    List.fold_left ( +. ) 0. per_flow /. float_of_int (List.length per_flow)
-  in
-  let mean_queue =
-    let steady = Netstats.Series.between queue_series half cfg.Config.duration_s in
-    List.fold_left (fun acc (_, v) -> acc +. v) 0. steady
-    /. float_of_int (Stdlib.max 1 (List.length steady))
-  in
-  let throughput =
-    float_of_int (Dumbbell.delivered_total net - !delivered_at_half)
-    /. (cfg.Config.duration_s -. half)
-  in
-  (mean_window, mean_queue, throughput)
+                  (List.fold_left ( +. ) 0. steady
+                  /. float_of_int (List.length steady)))
+            e.Meter.cwnd_traces
+        in
+        List.fold_left ( +. ) 0. per_flow /. float_of_int (List.length per_flow)
+      in
+      let mean_queue =
+        let steady =
+          Netstats.Series.between queue_series half cfg.Config.duration_s
+        in
+        List.fold_left (fun acc (_, v) -> acc +. v) 0. steady
+        /. float_of_int (Stdlib.max 1 (List.length steady))
+      in
+      let throughput =
+        float_of_int
+          (Array.fold_left ( + ) 0 e.Meter.per_client_delivered
+          - !delivered_at_half)
+        /. (cfg.Config.duration_s -. half)
+      in
+      (mean_window, mean_queue, throughput))
 
 let compare_reno cfg ~flows =
   let params =

@@ -140,18 +140,10 @@ let sort_prefix a n cmp =
 (* Domain-local topology halves *)
 
 type shard = {
-  lo : int;
-  n_local : int;
   sched : Scheduler.t;
   pool : Packet_pool.t;
-  up_links : Link.t array; (* handoff: propagation simulated sender-side *)
-  down_links : Link.t array; (* delay 0: propagation already applied *)
-  sender_group : Transport.Tcp_sender.group;
-  receiver_group : Transport.Tcp_receiver.group;
-  senders : Transport.Tcp_sender.t array;
-  receivers : Transport.Tcp_receiver.t array;
+  clients : Dumbbell.clients;
   out : Msgs.t; (* to the hub; drained by rank 0 between windows *)
-  sources : Traffic.Source.t array;
 }
 
 type hub = {
@@ -254,12 +246,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     ?(measure_sync = false) cfg scenario =
   Config.validate cfg;
   if cfg.Config.shards < 1 then invalid_arg "Pdes.run: shards < 1";
-  let cc, delayed_ack =
-    match scenario.Scenario.transport with
-    | Scenario.Tcp { cc; delayed_ack } -> (cc, delayed_ack)
-    | Scenario.Udp ->
-        invalid_arg "Pdes.run: UDP scenarios need the classic engine (shards = 0)"
-  in
   let n = cfg.Config.clients in
   let shards_n = Stdlib.min cfg.Config.shards n in
   let time name f = Telemetry.Probe.time probe name f in
@@ -290,11 +276,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     uid_count.(flow) <- uid_count.(flow) + 1;
     u
   in
-  let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let server_id = 0 in
-  let client_id i = i + 1 in
   (* One parity recorder per domain (the hub, then each shard) while the
      probe's bus has subscribers, replayed after the run. *)
   let trace_recorder () = Option.bind probe Telemetry.Probe.trace_recorder in
@@ -348,9 +331,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
         Option.iter (Link.record bottleneck) hrec;
         let hub = { hsched; hpool; bottleneck; reverse; hout } in
         (* --- shards ---------------------------------------------- *)
-        let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
-        let sack = cc = Scenario.Sack in
-        let variant, vegas = Dumbbell.make_cc cfg cc in
         let shards =
           Array.init shards_n (fun s ->
               let lo = lo_of s in
@@ -368,88 +348,26 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               in
               Packet_pool.set_uid_source pool (Some uid_source);
               let out = Msgs.create () in
-              let up_links =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    let link =
-                      Link.create sched
-                        ~name:(Printf.sprintf "up-%d" i)
-                        ~bandwidth:client_bw ~delay:delays.(i)
-                        ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-                        ~pool
-                        ~deliver:(fun _ -> assert false)
-                    in
-                    Link.set_handoff link (fun arrival h ->
-                        Msgs.ship out pool arrival h);
-                    link)
-              in
-              let sender_group =
-                Transport.Tcp_sender.create_group ~ecn_capable ~sack
-                  ~cwnd_validation:cfg.Config.cwnd_validation
-                  ~pacing:cfg.Config.pacing ?recorder:srecs.(s) ?vegas
-                  ~capacity:n_local sched
-                  ~pool ~cc:variant ~rto_params:cfg.Config.rto
-                  ~mss_bytes:cfg.Config.packet_bytes
-                  ~adv_window:cfg.Config.adv_window
-                  ~transmit:(fun ~flow p -> Link.send up_links.(flow - lo) p)
-              in
-              (* The receiver's ACK leaves the server for the reverse
-                 bottleneck; that crossing's propagation is pre-applied
-                 here so the hub half can serialize with zero delay. *)
-              let receiver_group =
-                Transport.Tcp_receiver.create_group ~sack ~capacity:n_local
-                  sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
-                  ~adv_window:cfg.Config.adv_window
-                  ~transmit:(fun ~flow:_ p ->
+              (* Both client crossings ship to the hub. The down links'
+                 propagation was already applied on the hub side, and the
+                 reverse bottleneck's is pre-applied to each ACK here, so
+                 the hub half can serialize with zero delay. *)
+              let clients =
+                Dumbbell.build_clients ~recorder:srecs.(s) ~trace_clients cfg
+                  scenario sched pool ~lo ~n:n_local
+                  ~up_delay:(Array.get delays)
+                  ~down_delay:(fun _ -> Time.zero)
+                  ~data:(Dumbbell.Handoff (Msgs.ship out pool))
+                  ~ack:(fun p ->
                     Msgs.ship out pool
                       (Time.add (Scheduler.now sched) bottleneck_delay)
                       p)
               in
-              let senders =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    Transport.Tcp_sender.attach sender_group ~flow:i
-                      ~src:(client_id i) ~dst:server_id
-                      ~trace_cwnd:(List.mem i trace_clients) ())
-              in
-              let receivers =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    Transport.Tcp_receiver.attach receiver_group ~flow:i
-                      ~src:server_id ~dst:(client_id i) ())
-              in
-              let down_links =
-                Array.init n_local (fun j ->
-                    Link.create sched
-                      ~name:(Printf.sprintf "down-%d" (lo + j))
-                      ~bandwidth:client_bw ~delay:Time.zero
-                      ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-                      ~pool
-                      ~deliver:(fun h ->
-                        Transport.Tcp_sender.handle_packet senders.(j) h;
-                        Packet_pool.free pool h))
-              in
               (* Per-client named streams, as in the classic engine. *)
-              let master = Rng.create ~seed:cfg.Config.seed in
-              let sources =
-                Array.init n_local (fun j ->
-                    Dumbbell.poisson_source cfg ~master sched (lo + j)
-                      ~sink:(Transport.Tcp_sender.write senders.(j)))
-              in
-              {
-                lo;
-                n_local;
-                sched;
-                pool;
-                up_links;
-                down_links;
-                sender_group;
-                receiver_group;
-                senders;
-                receivers;
-                out;
-                sources;
-              })
+              Dumbbell.start_poisson cfg
+                ~master:(Rng.create ~seed:cfg.Config.seed)
+                clients;
+              { sched; pool; clients; out })
         in
         (* Every bottleneck monitor lives on the hub, the hybrid quantum
            tick included: it reads only hub-local state, so hybrid runs
@@ -481,13 +399,9 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 let buf = bufs.(key lsr 40).Msgs.buf in
                 let o = (key land idx_mask) * stride in
                 let h = import_packet sh.pool buf o in
-                let j = Packet_pool.flow sh.pool h - sh.lo in
                 if Packet_pool.kind sh.pool h = Packet_pool.Tcp_ack then
-                  Link.send sh.down_links.(j) h
-                else begin
-                  Transport.Tcp_receiver.handle_packet sh.receivers.(j) h;
-                  Packet_pool.free sh.pool h
-                end
+                  Dumbbell.deliver_ack sh.clients h
+                else Dumbbell.deliver_data sh.clients h
               in
               {
                 bufs;
@@ -558,102 +472,50 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   | Some p, (_ :: _ as recs) ->
       time "trace-merge" (fun () -> Telemetry.Probe.replay_canonical p recs)
   | _ -> ());
-  (* Reclaim and leak-check every pool: shard access links, then the hub
-     links. Messages still sitting in cross-domain rings were freed when
-     shipped, so a clean run drains to zero everywhere. *)
-  Array.iter
-    (fun sh ->
-      Array.iter Link.reclaim sh.up_links;
-      Array.iter Link.reclaim sh.down_links)
-    shards;
-  Link.reclaim hub.bottleneck;
-  Link.reclaim hub.reverse;
-  let live =
-    Packet_pool.live hub.hpool
-    + Array.fold_left (fun acc sh -> acc + Packet_pool.live sh.pool) 0 shards
-  in
-  if live <> 0 then
-    failwith (Printf.sprintf "Pdes.run: %d packet(s) leaked from the pools" live);
-  (* Flow [i] is row [i] of the shards' endpoint arrays laid end to end. *)
-  let all f = Array.concat (List.map f (Array.to_list shards)) in
-  let senders = all (fun sh -> sh.senders) in
-  let metrics =
-    time "collect" (fun () ->
-        let tcp_stats =
-          Array.fold_left Transport.Tcp_stats.add (Transport.Tcp_stats.create ())
-            (Array.map Transport.Tcp_sender.stats senders)
-        in
-        Meter.metrics meter scenario
-          {
-            Meter.offered =
-              Array.fold_left
-                (fun acc s -> acc + s.Traffic.Source.generated ())
-                0
-                (all (fun sh -> sh.sources));
-            per_client_delivered =
-              Array.map Transport.Tcp_receiver.delivered
-                (all (fun sh -> sh.receivers));
-            tcp_stats;
-            segments_sent = tcp_stats.Transport.Tcp_stats.segments_sent;
-            ecn_reactions =
-              Array.fold_left ( + ) 0
-                (Array.map Transport.Tcp_sender.ecn_reactions senders);
-            cwnd_traces =
-              List.map
-                (fun i -> (i, Transport.Tcp_sender.cwnd_trace senders.(i)))
-                trace_clients;
-          })
-  in
-  Option.iter (fun p -> Meter.export meter p ~label:run_label metrics) probe;
-  (match probe with
-  | Some p ->
-      (* Shard-side telemetry rides worker probes through the sweep-
-         proven merge path: per-shard boundary-message counters and the
-         shard-run phase timers fold into the main registry here. *)
-      Array.iteri
-        (fun s wp ->
-          let c =
-            Telemetry.Registry.counter wp.Telemetry.Probe.registry
-              ~help:"Packets shipped across PDES shard boundaries"
-              ~labels:[ ("shard", string_of_int s) ]
-              "pdes_boundary_packets_total"
+  (* Messages still sitting in cross-domain rings were freed when
+     shipped, so a clean run drains every pool to zero. *)
+  Dumbbell.finish_clients
+    ~links:[ hub.bottleneck; hub.reverse ]
+    ~pool:hub.hpool ~trace_clients
+    (Array.to_list (Array.map (fun sh -> sh.clients) shards))
+    (fun endpoints ->
+      let metrics =
+        time "collect" (fun () -> Meter.metrics meter scenario endpoints)
+      in
+      Option.iter (fun p -> Meter.export meter p ~label:run_label metrics) probe;
+      (match probe with
+      | Some p ->
+          (* Shard-side telemetry rides worker probes through the sweep-
+             proven merge path: per-shard boundary-message counters and
+             the shard-run phase timers fold into the main registry
+             here. *)
+          Array.iteri
+            (fun s wp ->
+              let c =
+                Telemetry.Registry.counter wp.Telemetry.Probe.registry
+                  ~help:"Packets shipped across PDES shard boundaries"
+                  ~labels:[ ("shard", string_of_int s) ]
+                  "pdes_boundary_packets_total"
+              in
+              Telemetry.Registry.inc
+                ~by:(shards.(s).out.Msgs.total + hub.hout.(s).Msgs.total)
+                c;
+              Telemetry.Probe.merge ~into:p wp)
+            worker_probes;
+          let events =
+            Scheduler.events_processed hub.hsched
+            + Array.fold_left
+                (fun acc sh -> acc + Scheduler.events_processed sh.sched)
+                0 shards
           in
-          Telemetry.Registry.inc
-            ~by:(shards.(s).out.Msgs.total + hub.hout.(s).Msgs.total)
-            c;
-          Telemetry.Probe.merge ~into:p wp)
-        worker_probes;
-      let events =
-        Scheduler.events_processed hub.hsched
-        + Array.fold_left
-            (fun acc sh -> acc + Scheduler.events_processed sh.sched)
-            0 shards
-      in
-      let eq_hwm =
-        Array.fold_left
-          (fun acc sh -> Stdlib.max acc (Scheduler.queue_high_water_mark sh.sched))
-          (Scheduler.queue_high_water_mark hub.hsched)
-          shards
-      in
-      Meter.note_run meter p ~label:run_label ~wall_s:run_wall ~events
-        ~event_queue_hwm:eq_hwm ~gc:run_gc
-  | None -> ());
-  Array.iter
-    (fun sh ->
-      Array.iter Transport.Tcp_sender.detach sh.senders;
-      Array.iter Transport.Tcp_receiver.detach sh.receivers)
-    shards;
-  let flows_live =
-    Array.fold_left
-      (fun acc sh ->
-        acc
-        + Netsim.Flow_table.live (Transport.Tcp_sender.table sh.sender_group)
-        + Netsim.Flow_table.live
-            (Transport.Tcp_receiver.table sh.receiver_group))
-      0 shards
-  in
-  if flows_live <> 0 then
-    failwith
-      (Printf.sprintf "Pdes.run: %d flow row(s) leaked from the flow tables"
-         flows_live);
-  metrics
+          let eq_hwm =
+            Array.fold_left
+              (fun acc sh ->
+                Stdlib.max acc (Scheduler.queue_high_water_mark sh.sched))
+              (Scheduler.queue_high_water_mark hub.hsched)
+              shards
+          in
+          Meter.note_run meter p ~label:run_label ~wall_s:run_wall ~events
+            ~event_queue_hwm:eq_hwm ~gc:run_gc
+      | None -> ());
+      metrics)

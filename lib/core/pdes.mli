@@ -11,9 +11,11 @@
     width and exchange sorted packet batches at window boundaries — a
     conservative schedule with zero rollback.
 
-    Only the topology and the scheduling loop are this module's own: the
-    hub measures through the classic engine's {!Meter}, and the gateway,
-    delays and sources come from the same {!Dumbbell} definitions.
+    Only the topology crossings and the window loop are this module's
+    own: each shard's clients come from {!Dumbbell.build_clients} and
+    are torn down by {!Dumbbell.finish_clients}, the hub measures
+    through the classic engine's {!Meter}, and the gateway, delays and
+    sources come from the same {!Dumbbell} definitions.
 
     A [K]-shard run is bit-identical to a 1-shard run of the same seed
     (both run the same windowed machinery; batches are merged in a
@@ -37,10 +39,12 @@ val run :
   Metrics.t
 (** Like {!Run.run} but sharded over [cfg.shards] domains (clamped to
     the client count; rank 0 simulates shard 0 and the hub, so
-    [cfg.shards = K] uses [K] domains in total). Restrictions: TCP
-    scenarios only, and flight recording ([Probe.set_recording]) is not
-    kept. The probe's bus still hears the run: each domain records
-    parity events while it has subscribers, replayed after the run in
-    canonical [(time, NDJSON line)] order. Call it through {!Run.run},
-    which checks [trace_clients] against the client count first.
-    @raise Invalid_argument on [cfg.shards < 1] or a UDP scenario. *)
+    [cfg.shards = K] uses [K] domains in total). Every scenario runs,
+    UDP included. Restriction: flight recording ([Probe.set_recording])
+    is not kept. The probe's bus still hears the run: each domain
+    records parity events while it has subscribers, replayed after the
+    run in canonical [(time, NDJSON line)] order. Call it through
+    {!Run.run}, which checks [trace_clients] against the client count
+    first.
+    @raise Invalid_argument on [cfg.shards < 1].
+    @raise Failure when a packet or flow-table row leaked. *)

@@ -15,7 +15,7 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
     | Some p -> Telemetry.Probe.run_recorder p ~label:run_label
     | None -> None
   in
-  let net, sched, meter, sources =
+  let net, sched, meter =
     time "setup" (fun () ->
         let net = Dumbbell.create ?recorder ~trace_clients cfg scenario in
         prepare net;
@@ -43,12 +43,9 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
           Meter.attach ?probe ~sample_queue ~measure_sync ~sched
             ~pool:(Dumbbell.pool net) bottleneck cfg
         in
-        let sources =
-          List.init cfg.Config.clients (fun i ->
-              Dumbbell.poisson_source cfg ~master:(Dumbbell.rng net) sched i
-                ~sink:(Dumbbell.sink net i))
-        in
-        (net, sched, meter, sources))
+        Dumbbell.start_poisson cfg ~master:(Dumbbell.rng net)
+          (Dumbbell.clients net);
+        (net, sched, meter))
   in
   let run_wall, run_gc =
     let g0 = Telemetry.Perf.gc_read () in
@@ -61,65 +58,33 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
     | None -> ());
     (dt, gc)
   in
-  (* End-of-run sweep: links free whatever the horizon left queued or in
-     flight, and a nonzero live count afterwards means some layer dropped
-     a handle without freeing it — fail loudly rather than leak. *)
-  Dumbbell.reclaim net;
-  let live = Netsim.Packet_pool.live (Dumbbell.pool net) in
-  if live <> 0 then
-    failwith (Printf.sprintf "Run.run: %d packet(s) leaked from the pool" live);
-  let metrics =
-    time "collect" (fun () ->
-        Meter.metrics meter scenario
-          {
-            Meter.offered =
-              List.fold_left
-                (fun acc s -> acc + s.Traffic.Source.generated ())
-                0 sources;
-            per_client_delivered = Dumbbell.per_client_delivered net;
-            tcp_stats = Dumbbell.tcp_stats_total net;
-            segments_sent = Dumbbell.segments_sent_total net;
-            ecn_reactions = Dumbbell.ecn_reactions_total net;
-            cwnd_traces =
-              List.filter_map
-                (fun i ->
-                  Option.map
-                    (fun s -> (i, Transport.Tcp_sender.cwnd_trace s))
-                    (Dumbbell.tcp_sender net i))
-                trace_clients;
-          })
-  in
-  (* Exposition and lifecycle spans while the recorder is still live (tick
-     counters restart per segment, so this must happen per run). *)
-  Option.iter
-    (fun p -> Meter.export ?recorder meter p ~label:run_label metrics)
-    probe;
-  (match (probe, recorder) with
-  | Some p, Some r when Telemetry.Recorder.lifecycle r ->
-      time "spans" (fun () ->
-          Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
-  | _ -> ());
-  (* The bus hears the run only now, from its recorded parity records. *)
-  (match (probe, recorder) with
-  | Some p, Some r -> Telemetry.Probe.replay p r
-  | _ -> ());
-  Option.iter
-    (fun p ->
-      Meter.note_run meter p ~label:run_label ~wall_s:run_wall
-        ~events:(Scheduler.events_processed sched)
-        ~event_queue_hwm:(Scheduler.queue_high_water_mark sched)
-        ~gc:run_gc)
-    probe;
-  (* Flow-table sweep, after every metric that reads sender/receiver
-     rows: detach all endpoints and assert the slabs drained — the
-     flow-level twin of the packet-pool leak check above. *)
-  Dumbbell.release_flows net;
-  let flows_live = Dumbbell.flows_live net in
-  if flows_live <> 0 then
-    failwith
-      (Printf.sprintf "Run.run: %d flow row(s) leaked from the flow tables"
-         flows_live);
-  metrics
+  Dumbbell.finish net (fun endpoints ->
+      let metrics =
+        time "collect" (fun () -> Meter.metrics meter scenario endpoints)
+      in
+      (* Exposition and lifecycle spans while the recorder is still live
+         (tick counters restart per segment, so this must happen per
+         run). *)
+      Option.iter
+        (fun p -> Meter.export ?recorder meter p ~label:run_label metrics)
+        probe;
+      (match (probe, recorder) with
+      | Some p, Some r when Telemetry.Recorder.lifecycle r ->
+          time "spans" (fun () ->
+              Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
+      | _ -> ());
+      (* The bus hears the run only now, from its recorded parity records. *)
+      (match (probe, recorder) with
+      | Some p, Some r -> Telemetry.Probe.replay p r
+      | _ -> ());
+      Option.iter
+        (fun p ->
+          Meter.note_run meter p ~label:run_label ~wall_s:run_wall
+            ~events:(Scheduler.events_processed sched)
+            ~event_queue_hwm:(Scheduler.queue_high_water_mark sched)
+            ~gc:run_gc)
+        probe;
+      metrics)
 
 (* [cfg.shards] selects the engine: 0 keeps the classic single-domain
    scheduler (and its pinned trace digests); K >= 1 runs the sharded

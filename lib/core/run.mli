@@ -31,9 +31,13 @@ val run :
     conservative-PDES engine ({!Pdes.run}), which parallelises this one
     run over [K] domains with K-invariant bit-identical results.
 
+    Both engines run every scenario, UDP included, and build and tear
+    down the clients through {!Dumbbell.build_clients} and
+    {!Dumbbell.finish_clients}.
+
     @raise Invalid_argument before anything is built, on either engine,
     when a [trace_clients] index is outside [\[0, cfg.clients)], or when
     [prepare] is given with [cfg.shards >= 1] (there is no single
     topology object to hook into); and from the engine on an invalid
-    config or a UDP scenario with [cfg.shards >= 1].
+    config.
     @raise Failure when a packet or flow-table row leaked. *)

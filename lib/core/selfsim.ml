@@ -74,6 +74,7 @@ let measure cfg kind scenario =
   Netsim.Monitor.arrival_burst pool bottleneck rtt;
   attach_sources cfg kind net sched horizon;
   Scheduler.run ~until:horizon sched;
+  Dumbbell.finish net ignore;
   Telemetry.Burst.advance fine ~upto:cfg.Config.duration_s;
   Telemetry.Burst.advance rtt ~upto:cfg.Config.duration_s;
   {

@@ -43,7 +43,10 @@ type t = {
 }
 
 let create ?(levels = default_levels) ~origin ~width () =
-  if width <= 0. then invalid_arg "Burst.create: width <= 0";
+  if not (width > 0. && Float.is_finite width) then
+    invalid_arg "Burst.create: width must be finite and > 0";
+  if not (Float.is_finite origin) then
+    invalid_arg "Burst.create: origin must be finite";
   if levels < 1 || levels > 40 then invalid_arg "Burst.create: bad levels";
   {
     origin;

@@ -28,8 +28,9 @@ val default_config : config
 type t
 
 val create : ?levels:int -> origin:float -> width:float -> unit -> t
-(** [levels] defaults to 16. Raises [Invalid_argument] if [width <= 0]
-    or [levels] is outside [1, 40]. *)
+(** [levels] defaults to 16. Raises [Invalid_argument], naming the
+    argument, if [width] is not finite and positive, [origin] is not
+    finite, or [levels] is outside [1, 40]. *)
 
 val observe : t -> float -> unit
 (** [observe t at] counts one event at time [at] (seconds). Events

@@ -168,7 +168,9 @@ let dumbbell_tcp_roundtrip () =
   Alcotest.(check (array int)) "per-client delivery" [| 5; 3 |]
     (Dumbbell.per_client_delivered net);
   Alcotest.(check int) "total" 8 (Dumbbell.delivered_total net);
-  Alcotest.(check bool) "tcp sender exposed" true (Dumbbell.tcp_sender net 0 <> None)
+  Dumbbell.finish net (fun e ->
+      Alcotest.(check int) "tcp segments sent" 8
+        e.Meter.tcp_stats.Transport.Tcp_stats.segments_sent)
 
 let dumbbell_udp_roundtrip () =
   let cfg = tiny ~clients:3 () in
@@ -178,9 +180,10 @@ let dumbbell_udp_roundtrip () =
     ~until:(Sim_engine.Time.of_sec 10.)
     (Dumbbell.scheduler net);
   Alcotest.(check int) "all arrive" 30 (Dumbbell.delivered_total net);
-  Alcotest.(check bool) "no tcp sender" true (Dumbbell.tcp_sender net 0 = None);
-  Alcotest.(check int) "zero tcp stats" 0
-    (Dumbbell.tcp_stats_total net).Transport.Tcp_stats.segments_sent
+  Dumbbell.finish net (fun e ->
+      Alcotest.(check int) "datagrams sent" 30 e.Meter.segments_sent;
+      Alcotest.(check int) "zero tcp stats" 0
+        e.Meter.tcp_stats.Transport.Tcp_stats.segments_sent)
 
 let dumbbell_delivery_latency () =
   (* One packet: 2 serializations (1500B at 10 and 5 Mbps) + 0.5 s one-way
@@ -470,7 +473,9 @@ let run_metrics_digest_pinned () =
   pin "sharded reno/ecn" ~observed:false ~shards:[ 1; 2 ] Scenario.reno_ecn
     "5437e2538d5e8070bfa0b43349ab7424";
   pin "sharded reno/sfq + background" ~observed:true ~shards:[ 1; 2 ]
-    ~background:30 Scenario.reno_sfq "1fb8780efdfd9e32e10e1df4d71b555b"
+    ~background:30 Scenario.reno_sfq "1fb8780efdfd9e32e10e1df4d71b555b";
+  pin "sharded udp" ~observed:true ~shards:[ 1; 2 ] Scenario.udp
+    "1fb524a0a91780e3752922e1f6f0a500"
 
 let run_recorder_parity_with_live_tracer () =
   (* One observation path, pinned end to end: the bus hears a run only
@@ -1156,8 +1161,7 @@ let hybrid_attach_validates () =
   Alcotest.check_raises "background < 1"
     (Invalid_argument "Hybrid.attach: cfg.background < 1") (fun () ->
       ignore (Hybrid.attach ~sched ~bottleneck cfg));
-  Dumbbell.reclaim net;
-  Dumbbell.release_flows net
+  Dumbbell.finish net ignore
 
 let hybrid_run_summary_presence () =
   (* background = 0 keeps the pure-packet path untouched (no summary,
@@ -1221,8 +1225,7 @@ let hybrid_matches_packet_1e3 () =
       if arr = 0 then 0. else float_of_int drops /. float_of_int arr
     in
     ignore hybrid;
-    Dumbbell.reclaim net;
-    Dumbbell.release_flows net;
+    Dumbbell.finish net ignore;
     (per_flow_pps, loss_rate)
   in
   let base = mean_field_cfg n duration_s in

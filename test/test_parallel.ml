@@ -277,7 +277,7 @@ let pdes_deterministic_across_shards () =
         ("1-shard vs 4-shard bit-identical: "
         ^ Burstcore.Scenario.label scenario)
         one four)
-    [ Burstcore.Scenario.reno; Burstcore.Scenario.reno_red ]
+    Burstcore.Scenario.[ reno; reno_red; udp ]
 
 let pdes_shards_exceeding_clients_clamp () =
   (* More shards than clients must clamp, not crash or diverge. *)
@@ -301,18 +301,13 @@ let pdes_hybrid_deterministic_across_shards () =
     "1-shard vs 4-shard bit-identical with background load" (fingerprint 1)
     (fingerprint 4)
 
-let pdes_rejects_prepare_and_udp () =
+let pdes_rejects_prepare () =
   Alcotest.(check bool) "?prepare rejected under shards >= 1" true
     (try
        ignore
          (Burstcore.Run.run
             ~prepare:(fun _ -> ())
             (pdes_cfg 2) Burstcore.Scenario.reno);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "UDP rejected under shards >= 1" true
-    (try
-       ignore (Burstcore.Run.run (pdes_cfg 2) Burstcore.Scenario.udp);
        false
      with Invalid_argument _ -> true)
 
@@ -363,7 +358,6 @@ let suite =
           pdes_shards_exceeding_clients_clamp;
         Alcotest.test_case "hybrid background bit-identical across shards"
           `Quick pdes_hybrid_deterministic_across_shards;
-        Alcotest.test_case "rejects prepare and UDP" `Quick
-          pdes_rejects_prepare_and_udp;
+        Alcotest.test_case "rejects prepare" `Quick pdes_rejects_prepare;
       ] );
   ]

@@ -1200,6 +1200,22 @@ let burst_matches_binned () =
   check_float "level-0 cov" s.Netstats.Summary.cov
     (Option.get (Burst.cov burst 0))
 
+let burst_create_rejects_bad_bins () =
+  let rejects msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Burst.create: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun width ->
+      rejects "width must be finite and > 0" (fun () ->
+          Burst.create ~origin:0. ~width ()))
+    [ nan; infinity; neg_infinity; 0.; -1. ];
+  List.iter
+    (fun origin ->
+      rejects "origin must be finite" (fun () ->
+          Burst.create ~origin ~width:1. ()))
+    [ nan; infinity; neg_infinity ]
+
 (* The streaming per-scale moments against the offline estimators on
    the same (integer-valued, so float-exact) count array. *)
 let burst_matches_offline_per_scale =
@@ -1532,6 +1548,8 @@ let suite =
     ( "telemetry.burst",
       [
         Alcotest.test_case "observe matches Binned" `Quick burst_matches_binned;
+        Alcotest.test_case "create rejects bad bins" `Quick
+          burst_create_rejects_bad_bins;
         Alcotest.test_case "haar energies by hand" `Quick
           burst_haar_energy_direct;
         Alcotest.test_case "white noise H ~ 0.5" `Quick
