@@ -698,7 +698,7 @@ let run_alloc_bench () =
 
 (* One replicated Reno sweep, run twice: sequentially and fanned over
    [Domain.recommended_domain_count ()] domains. The two result lists
-   must compare equal — the pool guarantees bit-identical metrics — so
+   must compare equal — a team-fanned sweep is bit-identical — so
    the only thing allowed to change is wall time. Speedup depends on the
    machine; the recorded [domains] field says what was available. *)
 let run_parallel_bench () =
@@ -716,17 +716,14 @@ let run_parallel_bench () =
   let seq, seq_wall =
     timed (fun () -> Burstcore.Sweep.replicated cfg scenario ~replicates ns)
   in
-  (* Cap the pool: beyond 8 domains this sweep has fewer points than
-     workers, so extra domains only add spawn cost and scheduler noise. *)
+  (* Cap the team: beyond 8 domains this sweep has fewer points than
+     ranks, so extra domains only add spawn cost and scheduler noise. *)
   let domains = min 8 (max 1 (Domain.recommended_domain_count ())) in
-  let pool_size = ref 1 in
   let par, par_wall =
     timed (fun () ->
-        Parallel.Pool.with_pool ~domains (fun pool ->
-            pool_size := Parallel.Pool.size pool;
+        Parallel.Pool.Team.with_team ~domains (fun pool ->
             Burstcore.Sweep.replicated ~pool cfg scenario ~replicates ns))
   in
-  let domains = !pool_size in
   (* With one domain the "parallel" path degrades to an inline map, so
      the ratio measures nothing but noise — record null rather than a
      meaningless (often < 1) figure. *)

@@ -37,14 +37,18 @@ let base_config ~duration ~seed ~fast =
   (* Keep the warm-up inside short custom durations. *)
   { cfg with warmup_s = Stdlib.min cfg.warmup_s (cfg.duration_s /. 4.) }
 
+(* Print one "burstsim: ..." line on stderr and exit 1. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Format.eprintf "burstsim: %s@." msg;
+      exit 1)
+    fmt
+
 (* Reject a bad configuration before any run starts: one
    [Config.validate] of every config the command will run, the field it
    names mapped back to the flag that set it. *)
 let check_configs cfgs =
-  let fail msg =
-    Format.eprintf "burstsim: %s@." msg;
-    exit 1
-  in
   List.iter
     (fun (cfg : Burstcore.Config.t) ->
       (try Burstcore.Config.validate cfg
@@ -59,9 +63,9 @@ let check_configs cfgs =
            | "Config.validate: shards" -> ("--shards", ">= 0", float cfg.shards)
            | "Config.validate: background" ->
                ("--background", ">= 0", float cfg.background)
-           | _ -> fail msg
+           | _ -> fail "%s" msg
          in
-         fail (Printf.sprintf "%s must be %s (got %g)" flag bound got)))
+         fail "%s must be %s (got %g)" flag bound got))
     cfgs
 
 let with_clients_each (cfg : Burstcore.Config.t) counts =
@@ -181,26 +185,22 @@ let tele_term =
         { report_out; trace_out; record_out; burst_out; want_progress })
     $ report_out $ trace_out $ record_out $ burst_out $ want_progress)
 
-(* Run [f] with a pool of [jobs] domains, or without one when sequential. *)
+(* Run [f] with a worker team of [jobs] domains, or without one when
+   sequential. *)
 let with_jobs ~jobs f =
   if jobs <= 1 then f None
-  else Parallel.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
+  else Parallel.Pool.Team.with_team ~domains:jobs (fun team -> f (Some team))
 
 (* Build the probe + sinks a subcommand asked for, run [f probe notify]
    under the "total" phase, emit the report, and return [f]'s result.
    [notify] is the after-each-run hook; it feeds the progress reporter. *)
 let open_sink path =
-  try open_out path
-  with Sys_error msg ->
-    Format.eprintf "burstsim: cannot open %s@." msg;
-    exit 1
+  try open_out path with Sys_error msg -> fail "cannot open %s" msg
 
 let with_telemetry ~label ?(total_runs = 0) opts f =
   (match (opts.record_out, opts.trace_out) with
   | Some r, Some t when r = t ->
-      Format.eprintf
-        "burstsim: --record-out and --trace-out name the same file %s@." r;
-      exit 1
+      fail "--record-out and --trace-out name the same file %s" r
   | _ -> ());
   if
     opts.report_out = None && opts.trace_out = None && opts.record_out = None
@@ -257,9 +257,7 @@ let with_telemetry ~label ?(total_runs = 0) opts f =
     | Some path -> (
         match Burstcore.Export.write_run_report path report with
         | () -> Format.eprintf "wrote telemetry report to %s@." path
-        | exception Sys_error msg ->
-            Format.eprintf "burstsim: cannot write %s@." msg;
-            exit 1)
+        | exception Sys_error msg -> fail "cannot write %s" msg)
     | None -> ());
     result
   end
@@ -283,8 +281,10 @@ let sweep_metrics (sweep : Burstcore.Figures.sweep_result) =
 
 let table1_cmd =
   let run duration seed fast tele =
+    let cfg = base_config ~duration ~seed ~fast in
+    check_configs [ cfg ];
     with_telemetry ~label:"table1" tele (fun _probe _notify ->
-        Burstcore.Figures.table1 std (base_config ~duration ~seed ~fast))
+        Burstcore.Figures.table1 std cfg)
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Print the simulation parameters (Table 1).")
@@ -313,24 +313,23 @@ let replicates_opt =
   let doc = "Independent seeds per point (figure 2 only)." in
   Arg.(value & opt int 1 & info [ "replicates" ] ~docv:"R" ~doc)
 
-(* Like [check_configs]: one line naming the flag, before any run. *)
-let check_replicates n replicates =
-  let fail msg =
-    Format.eprintf "burstsim: %s@." msg;
-    exit 1
-  in
-  if replicates < 1 then
-    fail (Printf.sprintf "--replicates must be >= 1 (got %d)" replicates)
+(* Like [check_configs]: one line naming the flag, before any run. A
+   flag the figure would not read is rejected, not ignored. *)
+let check_fig_flags n ~replicates ~clients_list =
+  if replicates < 1 then fail "--replicates must be >= 1 (got %d)" replicates
   else if replicates > 1 && n <> 2 then
-    fail
-      (Printf.sprintf
-         "--replicates applies to figure 2 only (got figure %d); drop \
-          --replicates"
-         n)
+    fail "--replicates applies to figure 2 only (got figure %d); drop \
+          --replicates" n
+  else if
+    clients_list <> None
+    && List.exists (fun (k, _, _) -> k = n) Burstcore.Figures.cwnd_figures
+  then
+    fail "--clients applies to figures 2, 3, 4 and 13 only (got figure %d); \
+          drop --clients" n
 
 let fig_cmd =
   let run n duration seed fast clients_list replicates jobs tele =
-    check_replicates n replicates;
+    check_fig_flags n ~replicates ~clients_list;
     let cfg = base_config ~duration ~seed ~fast in
     let counts = sweep_counts cfg ~fast ~clients_list in
     let sweep_runs = n_paper_series * List.length counts in
@@ -481,14 +480,11 @@ let run_cmd =
       { (base_config ~duration ~seed ~fast) with clients; shards; background }
     in
     check_configs [ cfg ];
-    if shards > 0 && tele.record_out <> None then begin
-      Format.eprintf
-        "burstsim: --record-out needs the classic single-domain engine and \
-         cannot be combined with --shards; drop --shards, or use --trace-out \
-         (its NDJSON stream is merged deterministically across shard \
-         domains)@.";
-      exit 1
-    end;
+    if shards > 0 && tele.record_out <> None then
+      fail
+        "--record-out needs the classic single-domain engine and cannot be \
+         combined with --shards; drop --shards, or use --trace-out (its \
+         NDJSON stream is merged deterministically across shard domains)";
     let m =
       with_telemetry ~label:(Burstcore.Scenario.label scenario)
         ~total_runs:1 tele (fun probe notify ->
@@ -536,23 +532,16 @@ let query_out =
 
 let read_recording path =
   let ic =
-    try open_in_bin path
-    with Sys_error msg ->
-      Format.eprintf "burstsim: cannot read %s@." msg;
-      exit 1
+    try open_in_bin path with Sys_error msg -> fail "cannot read %s" msg
   in
   match
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> Telemetry.Recorder.read_segments ic)
   with
-  | [] ->
-      Format.eprintf "burstsim: %s: empty recording@." path;
-      exit 1
+  | [] -> fail "%s: empty recording" path
   | segments -> segments
-  | exception Failure msg ->
-      Format.eprintf "burstsim: %s: %s@." path msg;
-      exit 1
+  | exception Failure msg -> fail "%s: %s" path msg
 
 let with_query_out out f =
   match out with
@@ -656,9 +645,7 @@ let trace_grep_cmd =
       | Some label -> (
           match Telemetry.Record.kind_of_label label with
           | Some c -> Some c
-          | None ->
-              Format.eprintf "burstsim: unknown record kind %S@." label;
-              exit 1)
+          | None -> fail "unknown record kind %S" label)
     in
     let segments = read_recording file in
     with_query_out out (fun oc ->
@@ -799,9 +786,7 @@ let trace_cmd =
    both input formats. *)
 let looks_like_recording path =
   match open_in_bin path with
-  | exception Sys_error msg ->
-      Format.eprintf "burstsim: cannot read %s@." msg;
-      exit 1
+  | exception Sys_error msg -> fail "cannot read %s" msg
   | ic ->
       let n = String.length Telemetry.Recorder.magic in
       let b = Bytes.create n in
@@ -857,9 +842,7 @@ let burst_cmd =
     in
     let burst =
       try Telemetry.Burst.create ~levels ~origin ~width ()
-      with Invalid_argument msg ->
-        Format.eprintf "burstsim: %s@." msg;
-        exit 1
+      with Invalid_argument msg -> fail "%s" msg
     in
     let osc = Telemetry.Burst.Osc.create () in
     let depth = [| 0. |] in
@@ -894,10 +877,7 @@ let burst_cmd =
       let ic =
         if file = "-" then stdin
         else
-          try open_in file
-          with Sys_error msg ->
-            Format.eprintf "burstsim: cannot read %s@." msg;
-            exit 1
+          try open_in file with Sys_error msg -> fail "cannot read %s" msg
       in
       let lineno = ref 0 in
       Fun.protect
@@ -909,9 +889,7 @@ let burst_cmd =
               incr lineno;
               if String.length line > 0 then
                 match Telemetry.Event_bus.of_ndjson_line line with
-                | Error msg ->
-                    Format.eprintf "burstsim: %s:%d: %s@." file !lineno msg;
-                    exit 1
+                | Error msg -> fail "%s:%d: %s" file !lineno msg
                 | Ok
                     (Telemetry.Event_bus.Packet
                       { time; kind = Arrival; link = l; seq; _ })
@@ -1065,7 +1043,13 @@ let parking_cmd =
 let twoway_cmd =
   let run duration seed fast clients_list =
     let cfg = base_config ~duration ~seed ~fast in
-    let n = match clients_list with Some (n :: _) -> n | _ -> 30 in
+    let n =
+      match clients_list with
+      | None -> 30
+      | Some [ n ] -> n
+      | Some ns ->
+          fail "--clients takes one count for twoway (got %d)" (List.length ns)
+    in
     check_configs (with_clients_each cfg [ n ]);
     Burstcore.Twoway.report std (Burstcore.Config.with_clients cfg n)
   in
@@ -1085,10 +1069,7 @@ let report_check_cmd =
   in
   let run file =
     let ic =
-      try open_in file
-      with Sys_error msg ->
-        Format.eprintf "burstsim: cannot read %s@." msg;
-        exit 1
+      try open_in file with Sys_error msg -> fail "cannot read %s" msg
     in
     let contents =
       Fun.protect
@@ -1120,7 +1101,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.16.0"
+    (Cmd.info "burstsim" ~version:"1.17.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

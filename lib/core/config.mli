@@ -1,10 +1,10 @@
 (** Experiment configuration — Table 1 of the paper.
 
     Defaults reconstruct the paper's parameters (see DESIGN.md for the
-    OCR-reconstruction rationale): 10 Mbps / 20 ms client links, a
-    5 Mbps / 20 ms bottleneck, a 20-packet advertised window, a 50-packet
-    gateway buffer, 1500-byte packets, Poisson sources with 0.1 s mean
-    spacing, and a 200 s test. *)
+    OCR-reconstruction rationale): 10 Mbps / 250 ms client links, a
+    5 Mbps / 250 ms bottleneck (a 1 s propagation RTT), a 20-packet
+    advertised window, a 50-packet gateway buffer, 1500-byte packets,
+    Poisson sources with 0.1 s mean spacing, and a 200 s test. *)
 
 type t = {
   clients : int;  (** number of client nodes, the swept variable *)

@@ -10,7 +10,7 @@ val default_client_counts : int list
 (** The swept x-axis: 2..60 clients, denser around the 38/39 crossover. *)
 
 val run_sweep :
-  ?pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.Team.t ->
   ?probe:Telemetry.Probe.t ->
   ?notify:(string -> unit) ->
   ?progress:(string -> unit) ->
@@ -20,9 +20,10 @@ val run_sweep :
 (** Runs the six paper scenarios over the given client counts.
     [progress] is called with a scenario label before each series;
     [notify] with a point label after each individual run (see
-    {!Sweep.over_clients}); [probe] instruments every run. With [pool],
-    points from every series run concurrently (results unchanged — see
-    {!Sweep}); [progress] then fires for all series up front. *)
+    {!Sweep.over_clients}); [probe] instruments every run. With a worker
+    team as [pool], points from every series run concurrently (results
+    unchanged — see {!Sweep}); [progress] then fires for all series up
+    front. *)
 
 val table1 : Format.formatter -> Config.t -> unit
 
@@ -31,7 +32,7 @@ val fig2 : Format.formatter -> sweep_result -> Config.t -> unit
     including the analytic Poisson baseline. *)
 
 val fig2_replicated :
-  ?pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.Team.t ->
   ?probe:Telemetry.Probe.t ->
   ?notify:(string -> unit) ->
   Format.formatter ->
@@ -41,7 +42,7 @@ val fig2_replicated :
   unit
 (** Figure 2 with [replicates] independent seeds per point, reported as
     mean +/- sample standard deviation. Runs its own sweep, fanned over
-    [pool] when given. *)
+    the worker team [pool] when given (see {!Sweep}). *)
 
 val fig3 : Format.formatter -> sweep_result -> unit
 (** Total packets successfully delivered vs #clients (TCP variants). *)

@@ -12,9 +12,6 @@ type comparison = {
   measured_throughput_pps : float;
 }
 
-let capacity_pps cfg =
-  cfg.Config.bottleneck_bandwidth_mbps *. 1e6 /. float_of_int (8 * cfg.Config.packet_bytes)
-
 (* Run greedy flows and measure steady state over the second half. The
    fluid models assume windows are congestion-limited, so the advertised
    window is lifted well above the bandwidth-delay product. *)
@@ -78,7 +75,7 @@ let compare_reno cfg ~flows =
   let params =
     {
       Fluidmodel.Reno_fluid.flows;
-      capacity_pps = capacity_pps cfg;
+      capacity_pps = Hybrid.capacity_pps cfg;
       base_rtt_s = Config.rtt_prop_s cfg;
       buffer_packets = float_of_int cfg.Config.buffer_packets;
       red_min_th = cfg.Config.red_min_th;
@@ -104,7 +101,7 @@ let compare_vegas cfg ~flows =
   let params =
     {
       Fluidmodel.Vegas_fluid.flows;
-      capacity_pps = capacity_pps cfg;
+      capacity_pps = Hybrid.capacity_pps cfg;
       base_rtt_s = Config.rtt_prop_s cfg;
       buffer_packets = float_of_int cfg.Config.buffer_packets;
       alpha = cfg.Config.vegas.Transport.Cc.alpha;

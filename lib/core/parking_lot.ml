@@ -195,11 +195,7 @@ let run cfg ~cc ~hops ~cross_per_hop =
   let long_rate, cross_rates =
     match rates with r :: rest -> (r, rest) | [] -> assert false
   in
-  let capacity =
-    cfg.Config.bottleneck_bandwidth_mbps *. 1e6
-    /. float_of_int (8 * cfg.Config.packet_bytes)
-  in
-  let fair = capacity /. float_of_int (1 + cross_per_hop) in
+  let fair = Hybrid.capacity_pps cfg /. float_of_int (1 + cross_per_hop) in
   {
     hops;
     long_throughput_pps = long_rate;

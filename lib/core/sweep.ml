@@ -4,16 +4,16 @@ let seed_for cfg scenario n =
 
 let point_label scenario n = Printf.sprintf "%s n=%d" (Scenario.label scenario) n
 
-(* Run [f] once per element of [items]. Without a pool (or with a
-   one-domain pool) this is [List.map] with the caller's [probe] shared
-   by every run and [notify] fired inline after each. With a pool, the
-   points fan out across domains: every point gets a private probe (when
-   the caller passed one) so no registry cell is shared between domains,
-   [notify] is serialized behind a mutex, and once all points are done
-   the worker probes fold into the caller's probe in input order. Each
-   point derives its own seed, so the metric list is bit-identical to
-   the sequential path — only wall-clock telemetry and the interleaving
-   of [notify] calls differ. *)
+(* Run [f] once per element of [items]. Without a team (or with a
+   one-domain team) this is [List.map] with the caller's [probe] shared
+   by every run and [notify] fired inline after each. With a team, the
+   points are one [Team.map] across its domains: every point gets a
+   private probe (when the caller passed one) so no registry cell is
+   shared between domains, [notify] is serialized behind a mutex, and
+   once all points are done the worker probes fold into the caller's
+   probe in input order. Each point derives its own seed, so the metric
+   list is bit-identical to the sequential path — only wall-clock
+   telemetry and the interleaving of [notify] calls differ. *)
 let fan ?pool ?probe ~notify ~label items f =
   let sequential () =
     List.map
@@ -25,14 +25,14 @@ let fan ?pool ?probe ~notify ~label items f =
   in
   match pool with
   | None -> sequential ()
-  | Some pool when Parallel.Pool.size pool <= 1 -> sequential ()
+  | Some pool when Parallel.Pool.Team.size pool <= 1 -> sequential ()
   | Some pool ->
       let note =
         let m = Mutex.create () in
         fun l -> Mutex.protect m (fun () -> notify l)
       in
       let tagged =
-        Parallel.Pool.map pool
+        Parallel.Pool.Team.map pool
           (fun x ->
             let worker = Option.map Telemetry.Probe.create_like probe in
             let r = f ?probe:worker x in
@@ -81,7 +81,7 @@ let grid ?pool ?probe ?(notify = fun (_ : string) -> ()) cfg scenarios ns =
   match ns with
   | [] -> List.map (fun scenario -> (scenario, [])) scenarios
   | _ ->
-      (* Flatten to (scenario, clients) points so a pool spans the whole
+      (* Flatten to (scenario, clients) points so a team spans the whole
          grid rather than one series at a time. *)
       let points =
         List.concat_map (fun s -> List.map (fun n -> (s, n)) ns) scenarios

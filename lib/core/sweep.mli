@@ -4,12 +4,14 @@
     configuration's seed, the scenario label and the client count, so
     series are independent but reproducible.
 
-    {b Parallel execution.} Each sweep takes an optional
-    {!Parallel.Pool.t}. Without one (or with a one-domain pool) points
-    run sequentially on the calling domain. With a pool, points fan out
-    across its domains; because every point derives its own seed and
-    owns its own simulation state, the returned metric lists and
-    {!replicated} records are bit-identical to the sequential path.
+    {b Parallel execution.} Each sweep takes an optional worker team,
+    [?pool] ({!Parallel.Pool.Team.t}, the one domain runtime that also
+    runs [--shards]). Without one (or with a one-domain team) points run
+    sequentially on the calling domain. With a team, the points are one
+    {!Parallel.Pool.Team.map}: every rank claims the next point, and
+    because every point derives its own seed and owns its own simulation
+    state, the returned metric lists and {!replicated} records are
+    bit-identical to the sequential path.
     When a [probe] is given, each point records into a private probe
     and the workers' telemetry folds into [probe] (in input order) when
     the sweep returns; [notify] may fire from worker domains, serialized
@@ -18,7 +20,7 @@
 val seed_for : Config.t -> Scenario.t -> int -> int64
 
 val over_clients :
-  ?pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.Team.t ->
   ?probe:Telemetry.Probe.t ->
   ?notify:(string -> unit) ->
   Config.t ->
@@ -30,7 +32,7 @@ val over_clients :
     after each run completes — hook progress reporting there. *)
 
 val grid :
-  ?pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.Team.t ->
   ?probe:Telemetry.Probe.t ->
   ?notify:(string -> unit) ->
   Config.t ->
@@ -38,7 +40,7 @@ val grid :
   int list ->
   (Scenario.t * Metrics.t list) list
 (** The full (scenario x clients) grid driving Figures 2, 3, 4 and 13.
-    With a pool, the grid is flattened so every (scenario, clients)
+    With a team, the grid is flattened so every (scenario, clients)
     point can run concurrently, not just points within one series. *)
 
 (** {2 Replicated runs}
@@ -60,7 +62,7 @@ type replicated = {
 }
 
 val replicated :
-  ?pool:Parallel.Pool.t ->
+  ?pool:Parallel.Pool.Team.t ->
   ?probe:Telemetry.Probe.t ->
   ?notify:(string -> unit) ->
   Config.t ->
@@ -70,6 +72,6 @@ val replicated :
   replicated list
 (** [replicates] independent seeds per (scenario, client-count) point;
     [notify] fires after every replicate ("scenario n=N r=R"). With a
-    pool, individual replicates run concurrently and the per-point
+    team, individual replicates run concurrently and the per-point
     summaries are folded afterwards in replicate order.
     @raise Invalid_argument if [replicates < 1]. *)

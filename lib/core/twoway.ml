@@ -175,8 +175,7 @@ let run cfg ~cc ~reverse_clients =
   }
 
 let report ppf cfg =
-  let n = if cfg.Config.clients > 1 then cfg.Config.clients else 30 in
-  let cfg = Config.with_clients cfg n in
+  let n = cfg.Config.clients in
   Format.fprintf ppf
     "Two-way traffic: %d forward clients, reverse flows share the ACK path@.@." n;
   let rows =
@@ -195,7 +194,7 @@ let report ppf cfg =
               Printf.sprintf "%.2f%%" r.forward_loss_pct;
               string_of_int r.reverse_delivered;
             ])
-          [ 0; n / 2; n ])
+          (List.sort_uniq compare [ 0; n / 2; n ]))
       [ ("Reno", Scenario.Reno); ("Vegas", Scenario.Vegas) ]
   in
   Render.table ppf

@@ -27,5 +27,5 @@ val run :
     [reverse_clients < 0]. *)
 
 val report : Format.formatter -> Config.t -> unit
-(** Forward burstiness and performance with 0, N/2 and N reverse flows,
-    for Reno and Vegas, at a moderately loaded forward direction. *)
+(** Forward burstiness and performance with 0, N/2 and N reverse flows
+    (N = [cfg.clients] forward clients), for Reno and Vegas. *)

@@ -1,143 +1,12 @@
-type t = {
-  domains : int;
-  tasks : (unit -> unit) Queue.t; (* guarded by [mutex] *)
-  mutex : Mutex.t;
-  work_ready : Condition.t; (* signalled when tasks arrive or on shutdown *)
-  all_done : Condition.t; (* signalled when a map's last task finishes *)
-  mutable shutting_down : bool;
-  mutable workers : unit Domain.t array;
-}
+(* The domain runtime: one long-lived worker team with a reusable
+   barrier.
 
-let rec worker_loop pool =
-  Mutex.lock pool.mutex;
-  let rec next () =
-    match Queue.take_opt pool.tasks with
-    | Some task -> Some task
-    | None ->
-        if pool.shutting_down then None
-        else begin
-          Condition.wait pool.work_ready pool.mutex;
-          next ()
-        end
-  in
-  let task = next () in
-  Mutex.unlock pool.mutex;
-  match task with
-  | None -> ()
-  | Some task ->
-      task ();
-      worker_loop pool
-
-let create ~domains =
-  if domains < 1 then invalid_arg "Pool.create: domains < 1";
-  let pool =
-    {
-      domains;
-      tasks = Queue.create ();
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      all_done = Condition.create ();
-      shutting_down = false;
-      workers = [||];
-    }
-  in
-  pool.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
-
-let size pool = pool.domains
-
-(* One map call: every input element becomes a task that writes its
-   result into the slot fixed by its position. [remaining] counts tasks
-   not yet finished (queued or running, on any domain); the caller helps
-   drain the queue, then blocks until the stragglers running on workers
-   have finished too. The final decrement-to-zero happens under the
-   mutex, so every [results] write is visible to the caller once
-   [remaining] reads 0. *)
-let check_alive pool =
-  Mutex.lock pool.mutex;
-  let dead = pool.shutting_down in
-  Mutex.unlock pool.mutex;
-  if dead then invalid_arg "Pool.map: pool is shut down"
-
-let map pool f xs =
-  check_alive pool;
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when pool.domains = 1 -> List.map f xs
-  | _ ->
-      let inputs = Array.of_list xs in
-      let n = Array.length inputs in
-      let results = Array.make n None in
-      let first_error = ref None in
-      let remaining = ref n in
-      let run i =
-        (try results.(i) <- Some (f inputs.(i))
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.lock pool.mutex;
-           if !first_error = None then first_error := Some (e, bt);
-           Mutex.unlock pool.mutex);
-        Mutex.lock pool.mutex;
-        decr remaining;
-        if !remaining = 0 then Condition.broadcast pool.all_done;
-        Mutex.unlock pool.mutex
-      in
-      Mutex.lock pool.mutex;
-      if pool.shutting_down then begin
-        Mutex.unlock pool.mutex;
-        invalid_arg "Pool.map: pool is shut down"
-      end;
-      for i = 0 to n - 1 do
-        Queue.add (fun () -> run i) pool.tasks
-      done;
-      Condition.broadcast pool.work_ready;
-      Mutex.unlock pool.mutex;
-      (* The caller is one of the pool's domains: steal tasks until the
-         queue is empty, then wait for workers still mid-task. *)
-      let rec help () =
-        Mutex.lock pool.mutex;
-        let task = Queue.take_opt pool.tasks in
-        Mutex.unlock pool.mutex;
-        match task with
-        | Some task ->
-            task ();
-            help ()
-        | None -> ()
-      in
-      help ();
-      Mutex.lock pool.mutex;
-      while !remaining > 0 do
-        Condition.wait pool.all_done pool.mutex
-      done;
-      let error = !first_error in
-      Mutex.unlock pool.mutex;
-      (match error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ());
-      Array.to_list (Array.map Option.get results)
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  let already = pool.shutting_down in
-  pool.shutting_down <- true;
-  Condition.broadcast pool.work_ready;
-  Mutex.unlock pool.mutex;
-  if not already then Array.iter Domain.join pool.workers
-
-let with_pool ~domains f =
-  let pool = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* ------------------------------------------------------------------ *)
-(* Long-lived worker teams with a reusable barrier.
-
-   [map] above is built for independent coarse tasks; the sharded PDES
-   engine instead needs K domains that stay alive across hundreds of
-   bounded time windows, meeting at a barrier twice per window. A team
-   pins one body per rank (rank 0 is the caller), and [barrier] is a
-   generation-counted rendezvous: no tasks, no queue, no per-window
-   domain spawns.
+   A team pins one body per rank (rank 0 is the caller) on domains that
+   stay parked between runs. A sharded PDES run is one team run whose K
+   ranks meet at the barrier twice per time window, for hundreds of
+   windows; a parallel sweep ([map]) is one team run whose ranks claim
+   list indices. Neither spawns a domain per window or per element, and
+   nothing is queued. [barrier] is a generation-counted rendezvous.
 
    Exception discipline: the first body to raise poisons the team
    ([aborted]), and every other member's next (or current) [barrier]
@@ -293,6 +162,34 @@ module Team = struct
     Condition.broadcast t.cond;
     Mutex.unlock t.mutex;
     if not already then Array.iter Domain.join t.workers
+
+  (* Every rank claims the next index from [next] until the inputs run
+     out. A failing element is recorded (the first failure wins) and its
+     rank moves on, so the body itself never raises and no rank aborts.
+     Every [results] write is visible here once [run] returns: ranks
+     finish their body under the team mutex. *)
+  let map t f xs =
+    let inputs = Array.of_list xs in
+    let n = Array.length inputs in
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let failed = Atomic.make None in
+    run t (fun _rank ->
+        let rec claim () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            (try results.(i) <- Some (f inputs.(i))
+             with e ->
+               let bt = Printexc.get_raw_backtrace () in
+               ignore (Atomic.compare_and_set failed None (Some (e, bt))));
+            claim ()
+          end
+        in
+        claim ());
+    (match Atomic.get failed with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    List.init n (fun i -> Option.get results.(i))
 
   let with_team ~domains f =
     let t = create ~domains in

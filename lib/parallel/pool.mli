@@ -1,55 +1,13 @@
-(** A fixed-size pool of OCaml 5 domains with an order-preserving map.
+(** The domain runtime: a long-lived team of OCaml 5 domains.
 
-    The pool owns [domains - 1] worker domains plus the calling domain,
-    which participates in every {!map}, so [create ~domains:1] spawns
-    nothing and {!map} degrades to [List.map]. Work is distributed
-    through a shared FIFO task queue: each list element becomes one task,
-    workers pull the next task as they finish the last, and results are
-    written into a slot fixed by the element's input position — so the
-    returned list is always in input order no matter which domain ran
-    which element, and a pure [f] makes [map] observationally identical
-    to [List.map f].
-
-    The pool is built for coarse tasks (whole simulation runs, tens of
-    milliseconds and up); the per-task cost is a couple of mutex
-    operations, so do not feed it per-packet work.
-
-    A pool is not reentrant: call {!map} from one domain at a time, and
-    never from inside a task running on the same pool. *)
-
-type t
-
-val create : domains:int -> t
-(** Spawn a pool of [domains] total domains ([domains - 1] workers).
-    @raise Invalid_argument when [domains < 1]. *)
-
-val size : t -> int
-(** The [domains] the pool was created with. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] applies [f] to every element of [xs], fanning the
-    calls out across the pool's domains, and returns the results in
-    input order. If any call raises, the first exception observed is
-    re-raised in the caller after all in-flight tasks have finished;
-    the remaining queued tasks still run. [f] must not touch mutable
-    state shared between elements.
-    @raise Invalid_argument if the pool has been {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Join all worker domains. Idempotent; the pool is unusable after. *)
-
-val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] with a fresh pool and shuts it down
-    afterwards, also on exception. *)
-
-(** A long-lived worker team with a reusable barrier, for SPMD phases.
-
-    Where {!map} distributes independent tasks, a team runs {e one} body
-    per rank across [domains] domains (rank 0 is the calling domain) and
-    lets the bodies meet at {!Team.barrier} as many times as they like —
-    the shape a windowed conservative PDES run needs: K domains
-    simulating in lockstep time windows, rendezvousing twice per window,
-    with no per-window domain spawns or task queues.
+    A {!Team} runs one body per rank across [domains] domains (rank 0 is
+    the calling domain) and lets the bodies meet at {!Team.barrier} as
+    many times as they like — the shape a windowed conservative PDES run
+    needs: K domains simulating in lockstep time windows, rendezvousing
+    twice per window, with no per-window domain spawns. A parallel sweep
+    is one team run too: {!Team.map} lets every rank claim the next
+    unclaimed list element, so [-j] sweeps and [--shards] runs share the
+    same parked domains and the same failure handling.
 
     Exceptions propagate mid-window: the first body to raise marks the
     team aborted and wakes every rank blocked in (or later entering)
@@ -85,6 +43,19 @@ module Team : sig
       Returns once every rank has arrived. Mutations made by any rank
       before the barrier are visible to every rank after it.
       @raise Aborted when another rank's body raised. *)
+
+  val map : t -> ('a -> 'b) -> 'a list -> 'b list
+  (** [map t f xs] is [List.map f xs] computed as one {!run}: every rank
+      claims the next unclaimed element until none is left, and each
+      result lands at its input position, so the returned list is in
+      input order whichever rank ran which element; on a one-domain team
+      the caller runs the elements in order. An element whose [f] raises
+      is recorded and its rank moves on, so every other element still
+      runs; the first exception recorded is re-raised once the run has
+      returned. Built for coarse elements (whole simulation runs); [f]
+      must not touch mutable state shared between elements.
+      @raise Invalid_argument if the team is shut down or a run is in
+      progress — so also when [f] calls [map] on the same team. *)
 
   val shutdown : t -> unit
   (** Join all worker domains. Idempotent; the team is unusable after. *)

@@ -39,8 +39,9 @@ val create : unit -> t
 val set_recording : t -> Recorder.config -> unit
 
 val create_like : t -> t
-(** A fresh probe for a pool worker, inheriting the recording and burst
-    configurations. Workers always buffer with [Grow]; their segments
+(** A fresh probe for one point of a parallel sweep (or one rank of a
+    sharded run), inheriting the recording and burst configurations.
+    Workers always buffer with [Grow]; their segments
     travel via {!merge}. When the source has no recording but its bus
     has subscribers, the worker gets a parity recording so {!merge} can
     replay the worker's runs onto that bus. *)

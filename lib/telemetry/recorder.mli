@@ -2,7 +2,7 @@
     fixed-width {!Record} words.
 
     A recorder owns one intern table and one or more {e lanes} (one
-    per domain when recording under the parallel pool). The hot path
+    per domain when recording under a parallel sweep). The hot path
     ({!record}) performs only unboxed 64-bit stores into a
     preallocated [Bytes] buffer — zero minor words per record in ring
     mode, and the buffer is opaque to the GC, so a multi-megabyte lane

@@ -536,6 +536,51 @@ let run_recorder_parity_with_live_tracer () =
   check "reno/red" ~clients:20 Scenario.reno_red ~queue_events:true;
   check "reno, dropping" ~clients:20 Scenario.reno ~queue_events:true
 
+let run_lifecycle_recording_pinned () =
+  (* Lifecycle-equivalence gate: the pins above see only the parity
+     records the bus replays, so the lifecycle records (congestion
+     phases, RTT samples, receiver reordering and duplicates, the
+     router's forwarded retransmissions, run markers) are pinned here,
+     as the bytes of the segment a congested classic run writes — what
+     `run --scenario reno -n 40 --duration 20 --record-out` writes with
+     the CLI's default seed. *)
+  let cfg =
+    { (tiny ~clients:40 ~duration:20. ~warmup:5. ()) with Config.seed = 0x1CDC5L }
+  in
+  let probe = Telemetry.Probe.create () in
+  Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config;
+  ignore (Run.run ~probe ~trace_clients:[ 0 ] cfg Scenario.reno);
+  let path = Filename.temp_file "burstsim_lifecycle" ".bin" in
+  let bytes, segments =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (Telemetry.Probe.write_segments probe);
+        In_channel.with_open_bin path (fun ic ->
+            let bytes = In_channel.input_all ic in
+            seek_in ic 0;
+            (bytes, Telemetry.Recorder.read_segments ic)))
+  in
+  let counts = Array.make (Telemetry.Record.max_kind + 1) 0 in
+  List.iter
+    (fun seg ->
+      Telemetry.Recorder.iter_segment seg (fun ~lane:_ ~seq:_ words off ->
+          let kind = words.(off + 1) in
+          counts.(kind) <- counts.(kind) + 1))
+    segments;
+  List.iter
+    (fun (kind, expected) ->
+      Alcotest.(check int) (Telemetry.Record.kind_label kind) expected counts.(kind))
+    Telemetry.Record.
+      [
+        (tcp_timeout, 26); (router_rtx_forward, 199); (rcv_duplicate, 77);
+        (rcv_out_of_order, 239); (tcp_phase, 167); (tcp_rtt, 4809);
+        (run_start, 1); (run_end, 1);
+      ];
+  Alcotest.(check int) "segment length" 1091875 (String.length bytes);
+  Alcotest.(check string) "segment digest" "52c7dde607b35f2173e8e9ed26fcefe3"
+    (Digest.to_hex (Digest.string bytes))
+
 let run_releases_every_pooled_packet () =
   (* Run.run drains the network at the horizon and fails loudly if any
      packet slot is still live; a normal run across queue disciplines must
@@ -1309,6 +1354,8 @@ let suite =
         Alcotest.test_case "sack end to end" `Slow run_sack_end_to_end;
         Alcotest.test_case "m/d/1 queue validation" `Slow run_md1_queue_validation;
         Alcotest.test_case "sfq end to end" `Slow run_sfq_end_to_end;
+        Alcotest.test_case "pinned lifecycle recording" `Quick
+          run_lifecycle_recording_pinned;
       ] );
     ( "core.hybrid",
       [

@@ -1,64 +1,109 @@
-(* Tests for the domain pool and the determinism guarantee of parallel
+(* Tests for the worker team and the determinism guarantee of parallel
    sweeps: fanning points across domains must change nothing but wall
    time. *)
 
-module Pool = Parallel.Pool
+module Team = Parallel.Pool.Team
 
 (* ------------------------------------------------------------------ *)
-(* Pool *)
+(* Team.map: the parallel map a sweep fans its points through *)
 
 let pool_create_validates () =
   Alcotest.(check bool) "domains < 1 raises" true
     (try
-       ignore (Pool.create ~domains:0);
+       ignore (Team.create ~domains:0);
        false
      with Invalid_argument _ -> true);
-  let pool = Pool.create ~domains:1 in
-  Alcotest.(check int) "size" 1 (Pool.size pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *)
+  let team = Team.create ~domains:1 in
+  Alcotest.(check int) "size" 1 (Team.size team);
+  Alcotest.(check (list int)) "one-domain map" [ 2; 3 ]
+    (Team.map team succ [ 1; 2 ]);
+  Team.shutdown team;
+  Team.shutdown team (* idempotent *)
 
 let pool_map_basics () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map pool (fun x -> x) []);
-      Alcotest.(check (list int)) "singleton" [ 9 ] (Pool.map pool (fun x -> x * x) [ 3 ]);
+  Team.with_team ~domains:3 (fun team ->
+      Alcotest.(check (list int)) "empty" [] (Team.map team (fun x -> x) []);
+      Alcotest.(check (list int)) "singleton" [ 9 ] (Team.map team (fun x -> x * x) [ 3 ]);
       Alcotest.(check (list int))
         "order preserved" [ 2; 4; 6; 8; 10 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3; 4; 5 ]))
+        (Team.map team (fun x -> 2 * x) [ 1; 2; 3; 4; 5 ]))
 
 let pool_map_reusable () =
-  Pool.with_pool ~domains:2 (fun pool ->
+  Team.with_team ~domains:2 (fun team ->
       for i = 1 to 5 do
         let n = 10 * i in
         let expected = List.init n (fun j -> j + 1) in
         Alcotest.(check (list int))
           (Printf.sprintf "map #%d" i)
           expected
-          (Pool.map pool (fun x -> x + 1) (List.init n Fun.id))
+          (Team.map team (fun x -> x + 1) (List.init n Fun.id))
       done)
 
 exception Boom of int
 
 let pool_map_propagates_exception () =
-  Pool.with_pool ~domains:3 (fun pool ->
+  Team.with_team ~domains:3 (fun team ->
       Alcotest.(check bool) "exception re-raised" true
         (try
            ignore
-             (Pool.map pool
+             (Team.map team
                 (fun x -> if x = 7 then raise (Boom x) else x)
                 (List.init 20 Fun.id));
            false
          with Boom 7 -> true);
-      (* The pool survives a failed map. *)
+      (* The team survives a failed map. *)
       Alcotest.(check (list int)) "still usable" [ 1; 2; 3 ]
-        (Pool.map pool Fun.id [ 1; 2; 3 ]))
+        (Team.map team Fun.id [ 1; 2; 3 ]))
+
+let pool_map_runs_every_element () =
+  (* A raising element costs only itself: its rank moves on, so every
+     other element still runs — on one domain as on three. *)
+  List.iter
+    (fun domains ->
+      Team.with_team ~domains (fun team ->
+          let ran = Array.make 20 0 in
+          let raised =
+            try
+              ignore
+                (Team.map team
+                   (fun x ->
+                     ran.(x) <- ran.(x) + 1;
+                     if x mod 7 = 3 then raise (Boom x) else x)
+                   (List.init 20 Fun.id));
+              None
+            with Boom x -> Some x
+          in
+          let label = Printf.sprintf "%d domain(s): %s" domains in
+          Alcotest.(check bool) (label "a raising element re-raised") true
+            (match raised with Some x -> List.mem x [ 3; 10; 17 ] | None -> false);
+          Alcotest.(check (list int)) (label "every element ran once")
+            (List.init 20 (fun _ -> 1))
+            (Array.to_list ran)))
+    [ 1; 3 ]
+
+let pool_nested_map_raises () =
+  (* A map from inside a running map on the same team cannot be served
+     by ranks that are all busy: it raises instead of deadlocking. *)
+  List.iter
+    (fun domains ->
+      Team.with_team ~domains (fun team ->
+          let label = Printf.sprintf "%d domain(s): %s" domains in
+          Alcotest.(check bool) (label "nested map raises") true
+            (try
+               ignore
+                 (Team.map team (fun x -> Team.map team succ [ x ]) [ 1; 2; 3 ]);
+               false
+             with Invalid_argument _ -> true);
+          Alcotest.(check (list int)) (label "team usable after") [ 2; 3 ]
+            (Team.map team succ [ 1; 2 ])))
+    [ 1; 2 ]
 
 let pool_map_after_shutdown_raises () =
-  let pool = Pool.create ~domains:2 in
-  Pool.shutdown pool;
+  let team = Team.create ~domains:2 in
+  Team.shutdown team;
   Alcotest.(check bool) "map after shutdown raises" true
     (try
-       ignore (Pool.map pool Fun.id [ 1 ]);
+       ignore (Team.map team Fun.id [ 1 ]);
        false
      with Invalid_argument _ -> true)
 
@@ -67,7 +112,7 @@ let pool_map_equals_list_map =
     QCheck.(pair (int_range 1 4) (small_list small_int))
     (fun (domains, xs) ->
       let f x = (x * 31) + 7 in
-      Pool.with_pool ~domains (fun pool -> Pool.map pool f xs) = List.map f xs)
+      Team.with_team ~domains (fun team -> Team.map team f xs) = List.map f xs)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep determinism: domains must not change any result *)
@@ -91,7 +136,7 @@ let metrics_fingerprint ms =
 
 let sweep_deterministic_across_domains () =
   let run domains =
-    Pool.with_pool ~domains (fun pool ->
+    Team.with_team ~domains (fun pool ->
         Burstcore.Sweep.over_clients ~pool tiny_config Burstcore.Scenario.reno ns)
   in
   let seq = run 1 and par = run 4 in
@@ -101,7 +146,7 @@ let sweep_deterministic_across_domains () =
 let grid_deterministic_across_domains () =
   let scenarios = [ Burstcore.Scenario.reno; Burstcore.Scenario.vegas ] in
   let run domains =
-    Pool.with_pool ~domains (fun pool ->
+    Team.with_team ~domains (fun pool ->
         Burstcore.Sweep.grid ~pool tiny_config scenarios ns)
   in
   let seq = run 1 and par = run 4 in
@@ -116,7 +161,7 @@ let grid_deterministic_across_domains () =
 
 let replicated_deterministic_across_domains () =
   let run domains =
-    Pool.with_pool ~domains (fun pool ->
+    Team.with_team ~domains (fun pool ->
         Burstcore.Sweep.replicated ~pool tiny_config Burstcore.Scenario.reno
           ~replicates:3 ns)
   in
@@ -127,7 +172,7 @@ let replicated_deterministic_across_domains () =
 let parallel_probe_totals_match_sequential () =
   let totals domains =
     let probe = Telemetry.Probe.create () in
-    Pool.with_pool ~domains (fun pool ->
+    Team.with_team ~domains (fun pool ->
         ignore
           (Burstcore.Sweep.over_clients ~pool ~probe tiny_config
              Burstcore.Scenario.reno ns));
@@ -155,7 +200,7 @@ let grid_bus_stream_matches_sequential () =
     Buffer.contents buf
   in
   let seq = stream None in
-  let par = Pool.with_pool ~domains:2 (fun pool -> stream (Some pool)) in
+  let par = Team.with_team ~domains:2 (fun pool -> stream (Some pool)) in
   Alcotest.(check bool) "queue decisions on the bus" true
     (Astring_like.contains seq "\"event\":\"queue\"");
   Alcotest.(check string) "2-domain stream equals sequential" seq par
@@ -163,7 +208,7 @@ let grid_bus_stream_matches_sequential () =
 let parallel_notify_counts_match () =
   let count domains =
     let seen = Atomic.make 0 in
-    Pool.with_pool ~domains (fun pool ->
+    Team.with_team ~domains (fun pool ->
         ignore
           (Burstcore.Sweep.replicated ~pool
              ~notify:(fun _ -> Atomic.incr seen)
@@ -178,43 +223,43 @@ let parallel_notify_counts_match () =
 let team_create_validates () =
   Alcotest.(check bool) "domains < 1 raises" true
     (try
-       ignore (Pool.Team.create ~domains:0);
+       ignore (Team.create ~domains:0);
        false
      with Invalid_argument _ -> true);
-  let team = Pool.Team.create ~domains:1 in
-  Alcotest.(check int) "size" 1 (Pool.Team.size team);
+  let team = Team.create ~domains:1 in
+  Alcotest.(check int) "size" 1 (Team.size team);
   (* A one-domain team runs the body inline on the caller. *)
   let ran = ref false in
-  Pool.Team.run team (fun rank ->
+  Team.run team (fun rank ->
       Alcotest.(check int) "solo rank" 0 rank;
       ran := true);
   Alcotest.(check bool) "body ran" true !ran;
-  Pool.Team.shutdown team;
-  Pool.Team.shutdown team (* idempotent *)
+  Team.shutdown team;
+  Team.shutdown team (* idempotent *)
 
 let team_lockstep_windows () =
   (* The PDES shape: every rank must see every other rank's pre-barrier
      writes after the rendezvous, window after window, on one team. *)
-  Pool.Team.with_team ~domains:4 (fun team ->
+  Team.with_team ~domains:4 (fun team ->
       let windows = 8 in
       let arrived = Array.init windows (fun _ -> Atomic.make 0) in
       let ok = Atomic.make true in
-      Pool.Team.run team (fun _rank ->
+      Team.run team (fun _rank ->
           for w = 0 to windows - 1 do
             Atomic.incr arrived.(w);
-            Pool.Team.barrier team;
+            Team.barrier team;
             if Atomic.get arrived.(w) <> 4 then Atomic.set ok false;
             (* Second barrier keeps a fast rank from racing into the
                next window's increment before everyone has checked. *)
-            Pool.Team.barrier team
+            Team.barrier team
           done);
       Alcotest.(check bool) "all 4 ranks seen at every window boundary" true
         (Atomic.get ok))
 
 let team_runs_every_rank () =
-  Pool.Team.with_team ~domains:3 (fun team ->
+  Team.with_team ~domains:3 (fun team ->
       let seen = Array.make 3 false in
-      Pool.Team.run team (fun rank -> seen.(rank) <- true);
+      Team.run team (fun rank -> seen.(rank) <- true);
       Alcotest.(check (list bool))
         "ranks 0..2 each ran" [ true; true; true ]
         (Array.to_list seen))
@@ -223,19 +268,19 @@ let team_abort_wakes_blocked_ranks () =
   (* One rank raising mid-window must wake the ranks already parked in
      the barrier with Aborted (no deadlock), re-raise the original
      exception in the caller, and leave the team reusable. *)
-  Pool.Team.with_team ~domains:3 (fun team ->
+  Team.with_team ~domains:3 (fun team ->
       let aborted_seen = Atomic.make 0 in
       let raised =
         try
-          Pool.Team.run team (fun rank ->
+          Team.run team (fun rank ->
               if rank = 1 then raise (Boom 41)
               else begin
                 try
-                  Pool.Team.barrier team;
-                  Pool.Team.barrier team
-                with Pool.Team.Aborted ->
+                  Team.barrier team;
+                  Team.barrier team
+                with Team.Aborted ->
                   Atomic.incr aborted_seen;
-                  raise Pool.Team.Aborted
+                  raise Team.Aborted
               end);
           false
         with Boom 41 -> true
@@ -244,18 +289,18 @@ let team_abort_wakes_blocked_ranks () =
       Alcotest.(check int) "both surviving ranks woken with Aborted" 2
         (Atomic.get aborted_seen);
       let sum = Atomic.make 0 in
-      Pool.Team.run team (fun rank ->
+      Team.run team (fun rank ->
           ignore (Atomic.fetch_and_add sum rank);
-          Pool.Team.barrier team);
+          Team.barrier team);
       Alcotest.(check int) "team reusable after a failed run" 3
         (Atomic.get sum))
 
 let team_run_after_shutdown_raises () =
-  let team = Pool.Team.create ~domains:2 in
-  Pool.Team.shutdown team;
+  let team = Team.create ~domains:2 in
+  Team.shutdown team;
   Alcotest.(check bool) "run after shutdown raises" true
     (try
-       Pool.Team.run team (fun _ -> ());
+       Team.run team (fun _ -> ());
        false
      with Invalid_argument _ -> true)
 
@@ -325,7 +370,12 @@ let suite =
         Alcotest.test_case "map after shutdown raises" `Quick
           pool_map_after_shutdown_raises;
       ]
-      @ qsuite [ pool_map_equals_list_map ] );
+      @ qsuite [ pool_map_equals_list_map ]
+      @ [
+          Alcotest.test_case "map runs every element when one raises" `Quick
+            pool_map_runs_every_element;
+          Alcotest.test_case "nested map raises" `Quick pool_nested_map_raises;
+        ] );
     ( "parallel.determinism",
       [
         Alcotest.test_case "over_clients 1 vs 4 domains" `Quick
