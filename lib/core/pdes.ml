@@ -174,13 +174,15 @@ let make_cmp srcs a b =
   else if ba.(oa + 2) <> bb.(ob + 2) then compare ba.(oa + 2) bb.(ob + 2)
   else compare (a land idx_mask) (b land idx_mask)
 
-let read_sack buf o =
-  let n = buf.(o + 9) in
-  let rec build k acc =
-    if k < 0 then acc
-    else build (k - 1) ((buf.(o + 10 + (2 * k)), buf.(o + 11 + (2 * k))) :: acc)
-  in
-  if n = 0 then [] else build (n - 1) []
+(* Top-level, not a local closure over [buf] and [o]: a crossing with
+   no SACK block then allocates nothing. *)
+let rec sack_blocks buf o k acc =
+  if k < 0 then acc
+  else
+    sack_blocks buf o (k - 1)
+      ((buf.(o + 10 + (2 * k)), buf.(o + 11 + (2 * k))) :: acc)
+
+let read_sack buf o = sack_blocks buf o (buf.(o + 9) - 1) []
 
 let import_packet pool buf o =
   Packet_pool.import pool ~uid:buf.(o + 1) ~flow:buf.(o + 2) ~src:buf.(o + 3)

@@ -26,16 +26,20 @@
    slot being reused under it. [drain] needs no deferral: it reads the
    action, recycles the slot, then runs the action.
 
-   Far-out events — timers, mostly: RTOs, pacing gaps, delayed ACKs —
-   are parked in a hierarchical {!Timer_wheel} instead of the heap, so
-   scheduling them is O(1) instead of O(log heap). The wheel is purely
-   a staging area: before any pop, [ready] advances it to the pop
-   frontier and every due slot is flushed {e into the heap}, which
-   still decides firing order by (time, seq). Observable behaviour is
-   therefore bit-identical to a heap-only queue; the wheel only absorbs
-   the churn of timers that are cancelled or re-armed long before they
-   fire (a cancelled wheel slot is recycled when the cursor passes its
-   bucket, the same lazy discipline as a cancelled heap slot). *)
+   Far-out events — link hops a propagation delay out, RTOs, pacing
+   gaps, delayed ACKs — are parked in a hierarchical {!Timer_wheel}
+   instead of the heap, so scheduling them is O(1) instead of
+   O(log heap). The wheel is purely a staging area: before any pop,
+   [ready] advances it to the pop frontier and every due slot is
+   flushed {e into the heap}, which still decides firing order by
+   (time, seq). Observable behaviour is therefore bit-identical to a
+   heap-only queue; the wheel keeps the heap down to the events due
+   within about a quantum, and absorbs the churn of timers that are
+   cancelled or re-armed long before they fire (a cancelled wheel slot
+   is recycled when the cursor passes its bucket, the same lazy
+   discipline as a cancelled heap slot). "Far" is measured from the
+   wheel's cursor, so [ready] never lets the cursor run more than one
+   quantum past the next event to fire. *)
 
 (* A handle packs the generation in the low [gen_bits] bits and the slot
    index above them. Generations wrap at 2^30, so mistaking a stale
@@ -253,6 +257,11 @@ let create ?(capacity = 64) () =
 (* ------------------------------------------------------------------ *)
 (* Wheel staging *)
 
+let sync_wdue q =
+  q.wdue <-
+    (if Timer_wheel.count q.wheel > 0 then Timer_wheel.cursor_ns q.wheel
+     else wheel_idle)
+
 (* Drop dead slots sitting at the top of the heap; they leave the heap
    here and only here, so recycling them is immediate and safe. *)
 let rec skim q =
@@ -268,28 +277,32 @@ let rec skim q =
 (* Advance the wheel far enough that the heap top is the true earliest
    live event among everything due by [limit_ns]: flush wheel slots
    into the heap up to min(limit, live heap top). When the heap is
-   empty the wheel is drained one full horizon — which covers every
-   parked slot — so the next event surfaces. Each [advance] strictly
-   raises the cursor (or empties the wheel), so this terminates. The
-   common case — an empty wheel, or a cursor past the limit or the heap
-   top — costs two compares and no call into the wheel. *)
+   empty the wheel flushes only its first occupied bucket due by the
+   limit, so the next event surfaces and the cursor stops within one
+   quantum of it: a cursor that ran further ahead of the clock would
+   send every new timer due before it to the heap instead of the wheel.
+   Each call into the wheel flushes a bucket, moves the cursor past the
+   limit or the heap top, or empties the wheel, so this terminates.
+   The common case — an empty wheel, or a cursor past the limit or the
+   heap top — costs two compares and no call into the wheel. *)
 let rec ready q limit_ns =
   skim q;
   let cursor = q.wdue in
-  if cursor <= limit_ns && cursor <> wheel_idle then begin
-    let top_ns =
-      if q.heap_size = 0 then cursor + Timer_wheel.horizon_ns
-      else Time.to_ns q.hkey.(0)
-    in
-    if cursor <= top_ns then begin
-      let target = if limit_ns < top_ns then limit_ns else top_ns in
-      Timer_wheel.advance q.wheel ~upto_ns:target ~flush:q.wflush;
-      q.wdue <-
-        (if Timer_wheel.count q.wheel > 0 then Timer_wheel.cursor_ns q.wheel
-         else wheel_idle);
+  if cursor <= limit_ns && cursor <> wheel_idle then
+    if q.heap_size = 0 then begin
+      Timer_wheel.advance_first q.wheel ~upto_ns:limit_ns ~flush:q.wflush;
+      sync_wdue q;
       ready q limit_ns
     end
-  end
+    else begin
+      let top_ns = Time.to_ns q.hkey.(0) in
+      if cursor <= top_ns then begin
+        let target = if limit_ns < top_ns then limit_ns else top_ns in
+        Timer_wheel.advance q.wheel ~upto_ns:target ~flush:q.wflush;
+        sync_wdue q;
+        ready q limit_ns
+      end
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Public operations *)

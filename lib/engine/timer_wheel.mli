@@ -2,13 +2,16 @@
 
     The wheel holds opaque [int] items (the event queue's slab slots),
     each tagged with a nanosecond firing time, in a hierarchy of four
-    rings of 64 buckets: level 0 buckets spans of one {e quantum}
-    (2{^20} ns, about 1.05 ms), each higher level buckets spans 64
-    times coarser — an addressable horizon of 2{^44} ns, about 4.9
-    simulated hours, far beyond the 64 s maximum RTO backoff. Insert
-    and removal are O(1) list pushes; a lazily-advanced cursor expires
+    rings of 128 buckets: level 0 buckets spans of one {e quantum}
+    (2{^21} ns, about 2.1 ms), so its ring spans 2{^28} ns (about
+    268 ms, one 250 ms link hop), and each higher level buckets spans
+    128 times coarser — an addressable horizon of 2{^49} ns, about 6.5
+    simulated days, far beyond the 64 s maximum RTO backoff. Insert and
+    removal are O(1) list pushes; a lazily-advanced cursor expires
     level-0 buckets and {e cascades} higher-level buckets downward as
-    their start boundary is crossed.
+    their start boundary is crossed, jumping between occupied bucket
+    boundaries found from one occupancy bitmap per level. Parking and
+    advancing allocate nothing.
 
     The wheel is deliberately {e not} an ordered queue: {!advance}
     hands back every item due by [upto_ns] — possibly up to one quantum
@@ -16,7 +19,8 @@
     (see {!Event_queue}) re-inserts flushed items into its comparison
     heap, so observable firing order is decided there; the wheel only
     absorbs the schedule/cancel churn of the many timers that never
-    fire (RTO re-arms, pacing gaps, delayed ACKs).
+    fire (RTO re-arms, pacing gaps, delayed ACKs) and the link hops
+    that are due a propagation delay out.
 
     Items whose delay from the cursor exceeds {!horizon_ns}, or whose
     time is within one quantum (due "now"), are rejected by {!add} and
@@ -37,10 +41,14 @@ val cursor_ns : t -> int
     been flushed. Advances monotonically. *)
 
 val quantum_ns : int
-(** The level-0 bucket span, 2{^20} ns. *)
+(** The level-0 bucket span, 2{^21} ns. *)
+
+val buckets_per_level : int
+(** Buckets in each level's ring, 128: level [l] spans
+    [quantum_ns * buckets_per_level{^(l+1)}] nanoseconds. *)
 
 val horizon_ns : int
-(** Width of the addressable window above the cursor, 2{^44} ns. *)
+(** Width of the addressable window above the cursor, 2{^49} ns. *)
 
 val ensure_capacity : t -> int -> unit
 (** Grow the per-item arrays so items in [0, n) are addressable. *)
@@ -62,3 +70,9 @@ val advance : t -> upto_ns:int -> flush:(int -> unit) -> unit
     the final bucket may be flushed up to one quantum early). [flush]
     must not re-enter the wheel. Cost is amortised: the cursor jumps
     directly between occupied bucket boundaries. *)
+
+val advance_first : t -> upto_ns:int -> flush:(int -> unit) -> unit
+(** Like {!advance}, but stop after flushing the first level-0 bucket
+    that held any item, with the cursor on that bucket's end — within
+    one quantum of the flushed items' times. If no item is due by
+    [upto_ns], the same as {!advance}. *)

@@ -1,5 +1,5 @@
 type t = {
-  q : Packet_pool.handle Ring.t;
+  q : Ring.t;
   capacity : int;
   mutable hwm : int;
   (* Optional flight-recorder wiring (set post-construction): records

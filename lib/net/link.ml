@@ -10,7 +10,7 @@ type t = {
   pool : Packet_pool.t;
   deliver : Packet_pool.handle -> unit;
   mutable busy : bool;
-  in_flight : Packet_pool.handle Ring.t;
+  in_flight : Ring.t;
   (* Packets serializing or propagating, in serialization order. The two
      continuations below are allocated once per link instead of once per
      packet: serialization completions and deliveries each fire in FIFO

@@ -11,7 +11,7 @@ type params = {
 
 type t = {
   p : params;
-  q : Packet_pool.handle Ring.t;
+  q : Ring.t;
   pool : Packet_pool.t;
   rng : Sim_engine.Rng.t;
   (* Optional flight-recorder wiring (set post-construction), as for

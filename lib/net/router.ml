@@ -1,7 +1,7 @@
 type t = {
   name : string;
   pool : Packet_pool.t;
-  routes : (int, Link.t) Hashtbl.t;
+  mutable routes : Link.t option array; (* indexed by [dst]; None = no route *)
   mutable default : Link.t option;
   mutable forwarded : int;
   (* Optional flight-recorder wiring: retransmitted data segments
@@ -24,7 +24,7 @@ let create ?recorder ~name ~pool () =
   {
     name;
     pool;
-    routes = Hashtbl.create 16;
+    routes = [||];
     default = None;
     forwarded = 0;
     rlane;
@@ -32,9 +32,17 @@ let create ?recorder ~name ~pool () =
   }
 
 let add_route t ~dst link =
-  if Hashtbl.mem t.routes dst then
+  if dst < 0 then
+    invalid_arg (Printf.sprintf "Router.add_route(%s): negative destination %d" t.name dst);
+  let n = Array.length t.routes in
+  if dst >= n then begin
+    let routes = Array.make (max (dst + 1) (2 * n)) None in
+    Array.blit t.routes 0 routes 0 n;
+    t.routes <- routes
+  end;
+  if Option.is_some t.routes.(dst) then
     invalid_arg (Printf.sprintf "Router.add_route(%s): duplicate route for %d" t.name dst);
-  Hashtbl.add t.routes dst link
+  t.routes.(dst) <- Some link
 
 let set_default t link = t.default <- Some link
 
@@ -52,19 +60,21 @@ let record_rtx t h =
           ~c:(Packet_pool.seq t.pool h)
           ~sid:t.rsid ~depth:0
 
+(* One bounds check and one load per packet: reading a stored [Some]
+   allocates nothing, and a miss (every data packet at the gateway)
+   falls through to the default route without raising. *)
+let route t dst =
+  match if dst >= 0 && dst < Array.length t.routes then t.routes.(dst) else None with
+  | Some _ as hit -> hit
+  | None -> t.default
+
 let receive t h =
   t.forwarded <- t.forwarded + 1;
   record_rtx t h;
-  (* [find], not [find_opt]: a hit (every ACK at the gateway) must not
-     allocate a [Some]. *)
-  match Hashtbl.find t.routes (Packet_pool.dst t.pool h) with
-  | link -> Link.send link h
-  | exception Not_found -> (
-      match t.default with
-      | Some link -> Link.send link h
-      | None ->
-          failwith
-            (Printf.sprintf "Router %s: no route for destination %d" t.name
-               (Packet_pool.dst t.pool h)))
+  let dst = Packet_pool.dst t.pool h in
+  match route t dst with
+  | Some link -> Link.send link h
+  | None ->
+      failwith (Printf.sprintf "Router %s: no route for destination %d" t.name dst)
 
 let forwarded t = t.forwarded

@@ -16,7 +16,10 @@ val create :
 
 val add_route : t -> dst:int -> Link.t -> unit
 (** Packets addressed to node [dst] are forwarded on the given link.
-    @raise Invalid_argument if a route for [dst] already exists. *)
+    Routes live in an array indexed by [dst], so node ids should be
+    small and dense.
+    @raise Invalid_argument if [dst < 0] or a route for [dst] already
+    exists. *)
 
 val set_default : t -> Link.t -> unit
 (** Route for destinations with no explicit entry. *)

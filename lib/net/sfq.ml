@@ -1,7 +1,7 @@
 (* Buckets need head access (service and longest-queue drop) and tail
    insertion; rings do both without a per-push cell. *)
 type t = {
-  buckets : Packet_pool.handle Ring.t array;
+  buckets : Ring.t array;
   pool : Packet_pool.t;
   capacity : int;
   mutable total : int;

@@ -467,11 +467,13 @@ let wheel_cascades_levels () =
   (* An item far enough out to live in a level >= 1 bucket must cascade
      down and still flush by its deadline, whether the cursor gets there
      in one jump or in many small steps. *)
+  let n = Timer_wheel.buckets_per_level in
   let steps_of stride =
     let w = Timer_wheel.create ~capacity:8 () in
     let q = Timer_wheel.quantum_ns in
-    (* 64 buckets per level-0 ring: 300 quanta needs level 1 or higher. *)
-    let deadline = 300 * q in
+    (* n buckets per level-0 ring: 4n + 44 quanta needs level 1 or
+       higher. *)
+    let deadline = ((4 * n) + 44) * q in
     Alcotest.(check bool) "parked high" true
       (Timer_wheel.add w ~item:7 ~time_ns:deadline);
     let flushed_at = ref (-1) in
@@ -490,7 +492,7 @@ let wheel_cascades_levels () =
       (!flushed_at > deadline - (2 * q))
   in
   steps_of (Timer_wheel.quantum_ns / 3);
-  steps_of (64 * Timer_wheel.quantum_ns)
+  steps_of (n * Timer_wheel.quantum_ns)
 
 let wheel_bounded_advance_straddles_rollover () =
   (* The sharded PDES engine drains its schedulers in bounded time
@@ -498,15 +500,20 @@ let wheel_bounded_advance_straddles_rollover () =
      instead of one event-to-event jump — including advances that stop
      exactly on, one shy of, and one past a ring-rollover boundary.
      Items parked just around those boundaries (level-0 ring wraps at
-     64 quanta, level-1 at 64*64) must each flush exactly once, never
-     more than one quantum early and never after deadline + stride. *)
+     n quanta, level-1 at n*n, for n buckets per level) must each flush
+     exactly once, never more than one quantum early and never after
+     deadline + stride. *)
   let strides = [ Timer_wheel.quantum_ns / 2; Timer_wheel.quantum_ns ] in
+  let n = Timer_wheel.buckets_per_level in
   let run_with stride =
     let w = Timer_wheel.create ~capacity:16 () in
     let q = Timer_wheel.quantum_ns in
-    (* Deadlines bracketing the level-0 ring wrap (64 q) and the
-       level-1 wrap (4096 q), plus one mid-ring control point. *)
-    let deadlines = [ 63 * q; 64 * q; 65 * q; 300 * q; 4095 * q; 4096 * q; 4097 * q ] in
+    (* Deadlines bracketing the level-0 ring wrap (n q) and the
+       level-1 wrap (n*n q), plus one mid-ring control point. *)
+    let deadlines =
+      List.map (fun k -> k * q)
+        [ n - 1; n; n + 1; (4 * n) + 44; (n * n) - 1; n * n; (n * n) + 1 ]
+    in
     let items = List.mapi (fun i d -> (i, d)) deadlines in
     List.iter
       (fun (i, d) ->
@@ -514,7 +521,7 @@ let wheel_bounded_advance_straddles_rollover () =
       items;
     let flushed_at = Array.make (List.length items) (-1) in
     let t = ref 0 in
-    let horizon = (4097 * q) + (2 * stride) in
+    let horizon = (((n * n) + 1) * q) + (2 * stride) in
     while !t <= horizon do
       let upto = !t in
       Timer_wheel.advance w ~upto_ns:upto ~flush:(fun i ->
@@ -536,6 +543,79 @@ let wheel_bounded_advance_straddles_rollover () =
     Alcotest.(check int) "wheel drained" 0 (Timer_wheel.count w)
   in
   List.iter run_with strides
+
+(* Items parked from many cursor positions — so the cursor is often
+   unaligned to a level-1 bucket — at delays around the level-0 and
+   level-1 ring rollovers (n and n*n quanta for n buckets per level),
+   with advances of random stride, short and long: every item flushes
+   exactly once, in an advance whose [upto] is less than one quantum
+   short of its deadline and no later than the first [advance] to reach
+   the deadline, and the wheel ends empty. An [advance_first] flushes
+   nothing only when nothing parked is due by its [upto], and leaves
+   parked only items due after everything it flushed. A rejected add
+   must be one due within a quantum of the cursor. *)
+let wheel_random_strides_flush_once_property =
+  let q = Timer_wheel.quantum_ns and n = Timer_wheel.buckets_per_level in
+  let bases = [| q; (n - 1) * q; n * q; ((n * n) - n) * q; n * n * q |] in
+  let strides = [| 1; q / 2; q; 3 * q; n * q; n * n * q |] in
+  let interpret ops =
+    let w = Timer_wheel.create ~capacity:4 () in
+    (* Per item: deadline, and the [upto] it flushed at (-1: not yet). *)
+    let deadline = ref [||] and flushed_at = ref [||] in
+    let now = ref 0 and ok = ref true in
+    let parked () =
+      List.filter (fun i -> !flushed_at.(i) < 0) (List.init (Array.length !deadline) Fun.id)
+    in
+    let flush upto i =
+      if !flushed_at.(i) >= 0 || !deadline.(i) - upto >= q then ok := false;
+      !flushed_at.(i) <- upto
+    in
+    let advance upto =
+      (* The items due by this [upto] that are still parked: each must
+         flush in this very call. *)
+      let due = List.filter (fun i -> !deadline.(i) <= upto) (parked ()) in
+      Timer_wheel.advance w ~upto_ns:upto ~flush:(flush upto);
+      if List.exists (fun i -> !flushed_at.(i) <> upto) due then ok := false;
+      now := upto
+    in
+    let advance_first upto =
+      let before = parked () in
+      Timer_wheel.advance_first w ~upto_ns:upto ~flush:(flush upto);
+      let left = parked () in
+      let taken = List.filter (fun i -> !flushed_at.(i) = upto) before in
+      let latest = List.fold_left (fun m i -> max m !deadline.(i)) min_int taken in
+      if taken = [] && List.exists (fun i -> !deadline.(i) <= upto) left then ok := false;
+      if List.exists (fun i -> !deadline.(i) <= latest) left then ok := false;
+      now := upto
+    in
+    List.iter
+      (fun (kind, a, b) ->
+        if kind = 0 then begin
+          let item = Array.length !deadline in
+          let t =
+            !now + max 0 (bases.(a mod Array.length bases) + ((b mod (4 * q)) - (2 * q)))
+          in
+          Timer_wheel.ensure_capacity w (item + 1);
+          if Timer_wheel.add w ~item ~time_ns:t then begin
+            deadline := Array.append !deadline [| t |];
+            flushed_at := Array.append !flushed_at [| -1 |]
+          end
+          else if t >= Timer_wheel.cursor_ns w + q then ok := false
+        end
+        else begin
+          let upto = !now + strides.(a mod Array.length strides) + (b mod q) in
+          if kind = 1 then advance upto else advance_first upto
+        end)
+      ops;
+    advance (Array.fold_left max (!now + 1) !deadline);
+    !ok && Timer_wheel.count w = 0 && Array.for_all (fun at -> at >= 0) !flushed_at
+  in
+  QCheck2.Test.make ~name:"wheel flushes each item once, on time" ~count:300
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(
+      list_size (int_range 1 60)
+        (triple (int_range 0 2) (int_range 0 1_000) (int_range 0 max_int)))
+    interpret
 
 (* The windowed-drain equivalence the PDES engine rests on: running a
    scheduler to [until] in many bounded windows must fire exactly the
@@ -721,22 +801,53 @@ let eq_time_of_through_wheel () =
   Alcotest.(check int) "its time" (Time.to_ns later)
     (Time.to_ns (Event_queue.time_of q popped2))
 
+(* A queue whose heap has drained must not flush the wheel far ahead of
+   the clock: with the cursor past the next hop, a timer due 250 ms out
+   would land in the heap instead of parking. Two events park; popping
+   the first empties the heap; a third, 250 ms after the first, must
+   park too. *)
+let eq_drained_heap_keeps_parking () =
+  let q = Event_queue.create () in
+  ignore (Event_queue.schedule q (Time.of_sec 1.) ignore);
+  ignore (Event_queue.schedule q (Time.of_sec 5.) ignore);
+  Alcotest.(check int) "both parked" 2 (Event_queue.wheel_parked q);
+  let h = Event_queue.pop_if_before q Time.never in
+  Alcotest.(check int) "the first pops" (Time.to_ns (Time.of_sec 1.))
+    (Time.to_ns (Event_queue.time_of q h));
+  Event_queue.fire q h;
+  ignore (Event_queue.schedule q (Time.of_sec 1.25) ignore);
+  Alcotest.(check int) "the 250 ms hop parks" 3 (Event_queue.wheel_parked q);
+  let times = ref [] in
+  let rec drain () =
+    let h = Event_queue.pop_if_before q Time.never in
+    if not (Event_queue.is_nil h) then begin
+      times := Time.to_ns (Event_queue.time_of q h) :: !times;
+      Event_queue.fire q h;
+      drain ()
+    end
+  in
+  drain ();
+  Alcotest.(check (list int)) "the rest pop in time order"
+    [ Time.to_ns (Time.of_sec 1.25); Time.to_ns (Time.of_sec 5.) ]
+    (List.rev !times)
+
 (* Equal times are the only case in which the heap reads [seq], and the
    property above spaces its times ~97 us apart, so ties are rare there.
    Here every time comes from a handful of offsets, some within one
-   wheel quantum (2^20 ns) of each other and some far enough out to
-   park, taken either from zero or from the last popped time, so most
-   schedules tie with another. Plain and keyed schedules, cancels and
+   wheel quantum of each other and some far enough out to park, taken
+   either from zero or from the last popped time, so most schedules tie
+   with another. Plain and keyed schedules, cancels and
    pops at random horizons interleave; after every pop the event and
    [time_of] must match the head of a stable sort of the live events by
    time, and a pop must return nil exactly when that head is beyond the
    horizon. *)
 let eq_dense_ties_match_stable_sort_property =
+  let q = Timer_wheel.quantum_ns in
   let offsets =
-    [| 0; 0; 1; 1_000; 1_048_575; 1_048_576; 1_048_577; 2_097_152;
-       50_000_000; 50_000_001; 3_000_000_000 |]
+    [| 0; 0; 1; 1_000; q - 1; q; q + 1; 2 * q; 50_000_000; 50_000_001;
+       3_000_000_000 |]
   in
-  let horizons = [| 0; 1; 1_048_576; 10_000_000; max_int |] in
+  let horizons = [| 0; 1; q; 10_000_000; max_int |] in
   let interpret ops =
     let q = Event_queue.create ~capacity:2 () in
     (* Live events in schedule order: (time_ns, id, alive). *)
@@ -837,7 +948,11 @@ let suite =
           [
             eq_wheel_matches_reference_property;
             eq_dense_ties_match_stable_sort_property;
-          ] );
+          ]
+      @ [
+          Alcotest.test_case "drained heap keeps parking" `Quick
+            eq_drained_heap_keeps_parking;
+        ] );
     ( "engine.timer_wheel",
       [
         Alcotest.test_case "rejects near and far times" `Quick wheel_rejects_near_and_far;
@@ -846,7 +961,11 @@ let suite =
         Alcotest.test_case "bounded advances straddle ring rollover" `Quick
           wheel_bounded_advance_straddles_rollover;
       ]
-      @ qsuite [ sched_windowed_matches_monolithic_property ] );
+      @ qsuite
+          [
+            sched_windowed_matches_monolithic_property;
+            wheel_random_strides_flush_once_property;
+          ] );
     ( "engine.scheduler",
       [
         Alcotest.test_case "runs and advances clock" `Quick sched_runs_and_advances_clock;

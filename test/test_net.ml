@@ -605,6 +605,43 @@ let router_duplicate_route_rejected () =
     (Invalid_argument "Router.add_route(gw): duplicate route for 1") (fun () ->
       Router.add_route r ~dst:1 l)
 
+(* Routes live in an array indexed by destination, grown on demand.
+   Added sparse and out of order, a routed destination still reaches
+   its link, a hole in the array and a destination past its end both
+   fall back to the default route, and duplicate, missing and negative
+   routes fail with the same messages as before. *)
+let router_dense_routes () =
+  let sched = Scheduler.create () in
+  let pool = Pool.create () in
+  let counts = Array.make 3 0 in
+  let mk i =
+    mk_link ~capacity:10 sched pool ~bandwidth:(Units.mbps 10.) ~delay:(Time.of_ms 1.)
+      ~deliver:(fun h ->
+        counts.(i) <- counts.(i) + 1;
+        Pool.free pool h)
+  in
+  let l40 = mk 0 and l3 = mk 1 and ldef = mk 2 in
+  let r = Router.create ~name:"gw" ~pool () in
+  Router.add_route r ~dst:40 l40;
+  Router.add_route r ~dst:3 l3;
+  Alcotest.check_raises "duplicate after growth"
+    (Invalid_argument "Router.add_route(gw): duplicate route for 40") (fun () ->
+      Router.add_route r ~dst:40 l3);
+  Alcotest.check_raises "negative destination"
+    (Invalid_argument "Router.add_route(gw): negative destination -1") (fun () ->
+      Router.add_route r ~dst:(-1) l3);
+  Alcotest.check_raises "hole without default"
+    (Failure "Router gw: no route for destination 7") (fun () ->
+      Router.receive r (mk_packet ~dst:7 pool));
+  Alcotest.check_raises "past the end without default"
+    (Failure "Router gw: no route for destination 1000") (fun () ->
+      Router.receive r (mk_packet ~dst:1000 pool));
+  Router.set_default r ldef;
+  List.iter (fun dst -> Router.receive r (mk_packet ~dst pool)) [ 40; 3; 7; 1000; 3 ];
+  Scheduler.run sched;
+  Alcotest.(check (array int)) "40, 3, default" [| 1; 2; 2 |] counts;
+  Alcotest.(check int) "forwarded" 7 (Router.forwarded r)
+
 (* ------------------------------------------------------------------ *)
 (* Node and Monitor *)
 
@@ -780,6 +817,30 @@ let sfq_conservation_property =
           end)
         ops;
       Sfq.length q = !enqueued - !evicted - !dequeued && Sfq.length q <= cap)
+
+(* The int ring against Stdlib.Queue: random pushes and pops, two
+   pushes to a pop on average, so the ring doubles past 8, 16, 32, ...
+   while its head has wrapped round. Every pop, length and emptiness
+   must agree, and popping an empty ring raises. *)
+let ring_matches_queue_property =
+  QCheck2.Test.make ~name:"int ring pops like Stdlib.Queue" ~count:200
+    ~print:QCheck2.Print.(list (pair bool int))
+    QCheck2.Gen.(
+      list_size (int_range 0 400) (pair (frequencyl [ (2, true); (1, false) ]) int))
+    (fun ops ->
+      let r = Ring.create () and m = Queue.create () in
+      List.for_all
+        (fun (push, x) ->
+          if push then begin
+            Ring.push r x;
+            Queue.push x m
+          end
+          else if Queue.is_empty m then
+            Alcotest.check_raises "empty pop" (Invalid_argument "Ring.pop_exn: empty")
+              (fun () -> ignore (Ring.pop_exn r))
+          else if Ring.pop_exn r <> Queue.pop m then Alcotest.fail "popped out of order";
+          Ring.length r = Queue.length m && Ring.is_empty r = Queue.is_empty m)
+        ops)
 
 let red_capacity_property =
   QCheck.Test.make ~name:"red never exceeds capacity" ~count:100
@@ -978,6 +1039,7 @@ let suite =
         Alcotest.test_case "routes by destination" `Quick router_routes_by_destination;
         Alcotest.test_case "missing route fails" `Quick router_no_route_fails;
         Alcotest.test_case "duplicate route rejected" `Quick router_duplicate_route_rejected;
+        Alcotest.test_case "dense routes and default" `Quick router_dense_routes;
       ] );
     ( "net.node",
       [ Alcotest.test_case "handler dispatch" `Quick node_handler_dispatch ] );
@@ -986,6 +1048,7 @@ let suite =
         QCheck_alcotest.to_alcotest sfq_conservation_property;
         QCheck_alcotest.to_alcotest red_capacity_property;
         QCheck_alcotest.to_alcotest pool_handle_roundtrip_property;
+        QCheck_alcotest.to_alcotest ring_matches_queue_property;
       ] );
     ( "net.monitor",
       [
