@@ -120,23 +120,65 @@ let poisson_source cfg ~master sched i ~sink =
     ~sink
 
 (* ------------------------------------------------------------------ *)
+(* Hosts: the pieces every topology wires its endpoints from *)
+
+let access_link cfg sched pool ~name ~delay ~deliver =
+  Link.create sched ~name
+    ~bandwidth:(Units.mbps cfg.Config.client_bandwidth_mbps)
+    ~delay
+    ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
+    ~pool ~deliver
+
+(* Group creation consumes no randomness and schedules nothing, so where
+   it sits among the link constructors does not change a trajectory. *)
+let tcp_groups ~recorder cfg scenario sched pool ~capacity ~data ~ack =
+  match scenario.Scenario.transport with
+  | Scenario.Udp -> invalid_arg "Dumbbell.tcp_groups: UDP scenario"
+  | Scenario.Tcp { cc; delayed_ack } ->
+      let sack = cc = Scenario.Sack in
+      let variant, vegas = make_cc cfg cc in
+      let senders =
+        Transport.Tcp_sender.create_group
+          ~ecn_capable:(scenario.Scenario.gateway = Scenario.Red_ecn)
+          ~sack ~cwnd_validation:cfg.Config.cwnd_validation
+          ~pacing:cfg.Config.pacing ?recorder ?vegas ~capacity sched ~pool
+          ~cc:variant ~rto_params:cfg.Config.rto
+          ~mss_bytes:cfg.Config.packet_bytes ~adv_window:cfg.Config.adv_window
+          ~transmit:data
+      in
+      let receivers =
+        Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity sched
+          ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
+          ~adv_window:cfg.Config.adv_window ~transmit:ack
+      in
+      (senders, receivers)
+
+(* A host is the sink of its down link: its endpoint reads the packet,
+   then the slot goes back to the pool. Inlined, so the down link's
+   deliver closure in {!build_clients} is the sink itself and each ACK
+   costs one closure call. *)
+let[@inline] sender_sink pool sender h =
+  Transport.Tcp_sender.handle_packet sender h;
+  Packet_pool.free pool h
+
+let receiver_sink pool receiver h =
+  Transport.Tcp_receiver.handle_packet receiver h;
+  Packet_pool.free pool h
+
+(* ------------------------------------------------------------------ *)
 (* Clients: one builder and one teardown for both engines *)
 
 (* One sender group and one receiver group carry every TCP flow of the
    slice: attaching a flow claims a row in each slab, so client count
-   scales without per-flow records, closures or hashtables. Group
-   creation and link creation consume no randomness and schedule
-   nothing, so only the attach order (client order, sender before
-   receiver) is visible in a trajectory or a recording. *)
+   scales without per-flow records, closures or hashtables. Only the
+   attach order (client order, sender before receiver) is visible in a
+   trajectory or a recording. *)
 let build_clients ~recorder ~trace_clients cfg scenario sched pool ~lo ~n
     ~up_delay ~down_delay ~data ~ack =
   let access name i delay deliver =
-    Link.create sched
+    access_link cfg sched pool
       ~name:(Printf.sprintf "%s-%d" name i)
-      ~bandwidth:(Units.mbps cfg.Config.client_bandwidth_mbps)
-      ~delay
-      ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-      ~pool ~deliver
+      ~delay ~deliver
   in
   let up_links =
     Array.init n (fun j ->
@@ -149,28 +191,12 @@ let build_clients ~recorder ~trace_clients cfg scenario sched pool ~lo ~n
             link)
   in
   let flows =
-    match scenario.Scenario.transport with
-    | Scenario.Udp -> None
-    | Scenario.Tcp { cc; delayed_ack } ->
-        let sack = cc = Scenario.Sack in
-        let variant, vegas = make_cc cfg cc in
-        let senders =
-          Transport.Tcp_sender.create_group
-            ~ecn_capable:(scenario.Scenario.gateway = Scenario.Red_ecn)
-            ~sack ~cwnd_validation:cfg.Config.cwnd_validation
-            ~pacing:cfg.Config.pacing ?recorder ?vegas ~capacity:n sched ~pool
-            ~cc:variant ~rto_params:cfg.Config.rto
-            ~mss_bytes:cfg.Config.packet_bytes
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow p -> Link.send up_links.(flow - lo) p)
-        in
-        let receivers =
-          Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity:n sched
-            ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow:_ p -> ack p)
-        in
-        Some (senders, receivers)
+    if Scenario.is_tcp scenario then
+      Some
+        (tcp_groups ~recorder cfg scenario sched pool ~capacity:n
+           ~data:(fun ~flow p -> Link.send up_links.(flow - lo) p)
+           ~ack:(fun ~flow:_ p -> ack p))
+    else None
   in
   let endpoints =
     Array.init n (fun j ->
@@ -195,16 +221,11 @@ let build_clients ~recorder ~trace_clients cfg scenario sched pool ~lo ~n
             in
             Tcp_end (sender, receiver))
   in
-  (* A client is the sink of its down link: the sender reads the ACK,
-     then the slot goes back to the pool. *)
   let down_links =
     Array.init n (fun j ->
         access "down" (lo + j) (down_delay (lo + j))
           (match endpoints.(j) with
-          | Tcp_end (sender, _) ->
-              fun h ->
-                Transport.Tcp_sender.handle_packet sender h;
-                Packet_pool.free pool h
+          | Tcp_end (sender, _) -> sender_sink pool sender
           | Udp_end _ -> Packet_pool.free pool))
   in
   {

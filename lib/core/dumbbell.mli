@@ -8,7 +8,13 @@
     builds one slice per shard around its own hub. Traffic sources are
     attached separately ({!start_poisson}, or any source through
     {!sink}), so the same topology serves the paper's Poisson workload
-    and the bulk-transfer examples. *)
+    and the bulk-transfer examples.
+
+    The pieces the builder wires each client from — the lossless access
+    link ({!access_link}), the TCP group pair ({!tcp_groups}) and the
+    endpoint sinks ({!sender_sink}, {!receiver_sink}) — are exported so
+    that other topologies ({!Twoway}, {!Parking_lot}) build their hosts
+    the same way. *)
 
 type t
 
@@ -47,8 +53,8 @@ val make_cc :
   Config.t ->
   Scenario.cc_kind ->
   Transport.Cc.variant * Transport.Cc.vegas_params option
-(** The congestion-control variant tag plus its parameters, if any —
-    shared with {!Twoway}. *)
+(** The congestion-control variant tag plus its parameters, if any, as
+    {!tcp_groups} passes them to {!Transport.Tcp_sender.create_group}. *)
 
 val gateway_queue :
   ?recorder:Telemetry.Recorder.t ->
@@ -60,6 +66,50 @@ val gateway_queue :
 (** Build the scenario's gateway queue discipline (RED splits
     ["red-gateway"] off the given master RNG), its decisions logged to
     [recorder] as ["gateway"] when one is given — shared with {!Pdes}. *)
+
+(** {2 Hosts} *)
+
+val access_link :
+  Config.t ->
+  Sim_engine.Scheduler.t ->
+  Netsim.Packet_pool.t ->
+  name:string ->
+  delay:Sim_engine.Time.span ->
+  deliver:(Netsim.Packet_pool.handle -> unit) ->
+  Netsim.Link.t
+(** A host's access link at [cfg.client_bandwidth_mbps]. It never drops:
+    in the paper's model only the gateway buffer is finite. *)
+
+val tcp_groups :
+  recorder:Telemetry.Recorder.t option ->
+  Config.t ->
+  Scenario.t ->
+  Sim_engine.Scheduler.t ->
+  Netsim.Packet_pool.t ->
+  capacity:int ->
+  data:(flow:int -> Netsim.Packet_pool.handle -> unit) ->
+  ack:(flow:int -> Netsim.Packet_pool.handle -> unit) ->
+  Transport.Tcp_sender.group * Transport.Tcp_receiver.group
+(** The one sender group and the one receiver group of a topology, with
+    table room for [capacity] flows. Their options come from [cfg] and
+    the scenario: its cc ({!make_cc}; SACK blocks when the cc is
+    [Sack]), its delayed ACKs, ECN when its gateway is [Red_ecn].
+    Senders transmit through [data ~flow], receivers' ACKs leave through
+    [ack ~flow]. [recorder], if any, is given to both groups.
+    @raise Invalid_argument on a UDP scenario. *)
+
+val sender_sink :
+  Netsim.Packet_pool.t -> Transport.Tcp_sender.t -> Netsim.Packet_pool.handle -> unit
+(** [sender_sink pool s] ends a down link at sender [s]: [s] reads each
+    packet, then the handle is freed. *)
+
+val receiver_sink :
+  Netsim.Packet_pool.t ->
+  Transport.Tcp_receiver.t ->
+  Netsim.Packet_pool.handle ->
+  unit
+(** [receiver_sink pool r] ends a down link at receiver [r], as
+    {!sender_sink}. *)
 
 (** {2 Clients} *)
 
@@ -91,14 +141,15 @@ val build_clients :
   data:exit ->
   ack:(Netsim.Packet_pool.handle -> unit) ->
   clients
-(** Build clients [\[lo, lo + n)] in client order: for TCP one sender
-    and one receiver group of [n] rows (each client's sender attached
+(** Build clients [\[lo, lo + n)] in client order: for TCP one
+    {!tcp_groups} pair of [n] rows (each client's sender attached
     before its receiver, with a cwnd trace when its index is in
     [trace_clients]), for UDP one sender/receiver pair per client.
-    Client [i]'s up link has delay [up_delay i] and leaves through
-    [data]; its down link has delay [down_delay i] and ends at its
-    sender. Receivers' ACKs leave through [ack]. [recorder], if any, is
-    given to both TCP groups, as in {!create}. *)
+    Client [i] is host [i + 1], the server host 0. Client [i]'s
+    {!access_link} up has delay [up_delay i] and leaves through [data];
+    its down link has delay [down_delay i] and ends at its
+    {!sender_sink}. Receivers' ACKs leave through [ack]. [recorder], if
+    any, is given to both TCP groups, as in {!create}. *)
 
 val start_poisson : Config.t -> master:Sim_engine.Rng.t -> clients -> unit
 (** Start every client's {!poisson_source} on the slice's scheduler, in

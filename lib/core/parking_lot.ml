@@ -1,7 +1,6 @@
 module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
 module Link = Netsim.Link
-module Node = Netsim.Node
 module Router = Netsim.Router
 module Units = Netsim.Units
 module Queue_disc = Netsim.Queue_disc
@@ -14,21 +13,7 @@ type result = {
   jain_all : float;
 }
 
-(* Node ids: the long flow's endpoints, then per-hop cross endpoints. *)
-let long_src_id = 1
-
-let long_dst_id = 2
-
-let cross_src_id k = 100 + k
-
-let cross_dst_id k = 200 + k
-
 let access_delay = Time.of_ms 10.
-
-type endpoint = {
-  sender : Transport.Tcp_sender.t option;
-  receiver : Transport.Tcp_receiver.t option;
-}
 
 (* Well above the multi-hop bandwidth-delay product, so flows are
    congestion-limited, not receiver-limited. *)
@@ -48,7 +33,6 @@ let run cfg ~cc ~hops ~cross_per_hop =
       ()
   in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  let access_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let hop_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let routers =
     Array.init (hops + 1) (fun k ->
@@ -73,122 +57,83 @@ let run cfg ~cc ~hops ~cross_per_hop =
           ~pool
           ~deliver:(Router.receive routers.(k)))
   in
-  (* Endpoint bookkeeping: node, its router, its access links. *)
-  let endpoints : (int, endpoint) Hashtbl.t = Hashtbl.create 16 in
-  let nodes : (int, Node.t) Hashtbl.t = Hashtbl.create 16 in
-  let attach ~id ~router_idx =
-    let node = Node.create ~id ~pool in
-    Hashtbl.replace nodes id node;
-    let up =
-      Link.create sched
-        ~name:(Printf.sprintf "up-%d" id)
-        ~bandwidth:access_bw ~delay:access_delay
-        ~queue:(Queue_disc.droptail ~capacity:1_000_000)
-        ~pool
-        ~deliver:(Router.receive routers.(router_idx))
-    in
-    let down =
-      Link.create sched
-        ~name:(Printf.sprintf "down-%d" id)
-        ~bandwidth:access_bw ~delay:access_delay
-        ~queue:(Queue_disc.droptail ~capacity:1_000_000)
-        ~pool
-        ~deliver:(Node.receive node)
-    in
-    (node, up, down)
-  in
-  (* Routing: walk the chain toward the router the destination hangs off,
-     then take its down link. *)
-  let route_all ~dst_id ~at_router ~down =
-    Array.iteri
-      (fun k router ->
-        if k = at_router then Router.add_route router ~dst:dst_id down
-        else if k < at_router then Router.add_route router ~dst:dst_id forward.(k)
-        else Router.add_route router ~dst:dst_id reverse.(k - 1))
-      routers
-  in
-  (* Connections in flow order, as (src, src router, dst, dst router):
-     the long flow, then hop by hop its cross flows. *)
-  let conns =
+  (* Flows in order, as (source router, sink router): the long flow,
+     then hop by hop its cross flows. Flow f's source is host 2f+1 and
+     its sink host 2f+2. *)
+  let ends =
     Array.of_list
-      ((long_src_id, 0, long_dst_id, hops)
+      ((0, hops)
       :: List.concat_map
-           (fun k ->
-             List.init cross_per_hop (fun j ->
-                 let idx = (k * cross_per_hop) + j in
-                 (cross_src_id idx, k, cross_dst_id idx, k + 1)))
+           (fun k -> List.init cross_per_hop (fun _ -> (k, k + 1)))
            (List.init hops Fun.id))
   in
-  let access =
-    Array.map
-      (fun (src_id, src_router, dst_id, dst_router) ->
-        let _, src_up, src_down = attach ~id:src_id ~router_idx:src_router in
-        let _, dst_up, dst_down = attach ~id:dst_id ~router_idx:dst_router in
-        route_all ~dst_id ~at_router:dst_router ~down:dst_down;
-        route_all ~dst_id:src_id ~at_router:src_router ~down:src_down;
-        (src_up, dst_up))
-      conns
+  let flows = Array.length ends in
+  let access dir host deliver =
+    Dumbbell.access_link cfg sched pool
+      ~name:(Printf.sprintf "%s-%d" dir host)
+      ~delay:access_delay ~deliver
   in
-  (* One sender group and one receiver group carry every connection, as
-     in {!Dumbbell}: [transmit ~flow] picks the flow's access link. *)
-  let variant, vegas = Dumbbell.make_cc cfg cc in
-  let sack = cc = Scenario.Sack in
-  let flows = Array.length conns in
-  let sender_group =
-    Transport.Tcp_sender.create_group ~sack ?vegas ~capacity:flows sched ~pool
-      ~cc:variant ~rto_params:cfg.Config.rto
-      ~mss_bytes:cfg.Config.packet_bytes ~adv_window
-      ~transmit:(fun ~flow p -> Link.send (fst access.(flow)) p)
+  let src_up =
+    Array.mapi
+      (fun f (r, _) -> access "up" ((2 * f) + 1) (Router.receive routers.(r)))
+      ends
   in
-  let receiver_group =
-    Transport.Tcp_receiver.create_group ~sack ~capacity:flows sched ~pool
-      ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false ~adv_window
-      ~transmit:(fun ~flow p -> Link.send (snd access.(flow)) p)
+  let dst_up =
+    Array.mapi
+      (fun f (_, r) -> access "up" ((2 * f) + 2) (Router.receive routers.(r)))
+      ends
   in
+  (* Routing: walk the chain toward the router the host hangs off, then
+     take its down link. *)
+  let route_all ~host ~at_router ~down =
+    Array.iteri
+      (fun k router ->
+        if k = at_router then Router.add_route router ~dst:host down
+        else if k < at_router then Router.add_route router ~dst:host forward.(k)
+        else Router.add_route router ~dst:host reverse.(k - 1))
+      routers
+  in
+  let senders, receivers =
+    Dumbbell.tcp_groups ~recorder:None cfg
+      { Scenario.transport = Scenario.Tcp { cc; delayed_ack = false };
+        gateway = Scenario.Fifo }
+      sched pool ~capacity:flows
+      ~data:(fun ~flow p -> Link.send src_up.(flow) p)
+      ~ack:(fun ~flow p -> Link.send dst_up.(flow) p)
+  in
+  (* Each host's down link ends at its endpoint. *)
   let connections =
     List.init flows (fun flow ->
-        let src_id, _, dst_id, _ = conns.(flow) in
-        let sender =
-          Transport.Tcp_sender.attach sender_group ~flow ~src:src_id
-            ~dst:dst_id ()
-        in
+        let src_router, dst_router = ends.(flow) in
+        let src = (2 * flow) + 1 and dst = (2 * flow) + 2 in
+        let sender = Transport.Tcp_sender.attach senders ~flow ~src ~dst () in
         let receiver =
-          Transport.Tcp_receiver.attach receiver_group ~flow ~src:dst_id
-            ~dst:src_id ()
+          Transport.Tcp_receiver.attach receivers ~flow ~src:dst ~dst:src ()
         in
-        Hashtbl.replace endpoints src_id { sender = Some sender; receiver = None };
-        Hashtbl.replace endpoints dst_id { sender = None; receiver = Some receiver };
+        route_all ~host:dst ~at_router:dst_router
+          ~down:(access "down" dst (Dumbbell.receiver_sink pool receiver));
+        route_all ~host:src ~at_router:src_router
+          ~down:(access "down" src (Dumbbell.sender_sink pool sender));
         (sender, receiver))
   in
-  (* Node handlers dispatch to the endpoint that lives there. *)
-  Hashtbl.iter
-    (fun id node ->
-      let ep = Hashtbl.find endpoints id in
-      Node.set_handler node (fun h ->
-          match ep with
-          | { sender = Some s; _ } -> Transport.Tcp_sender.handle_packet s h
-          | { receiver = Some r; _ } -> Transport.Tcp_receiver.handle_packet r h
-          | _ -> ()))
-    nodes;
   (* Greedy sources everywhere. *)
   List.iter
     (fun (sender, _) -> Transport.Tcp_sender.write sender Traffic.Bulk.infinite_backlog_size)
     connections;
   let duration_s = cfg.Config.duration_s in
   let half = duration_s /. 2. in
-  let at_half = Hashtbl.create 16 in
+  let at_half = Array.make flows 0 in
   ignore
     (Scheduler.at sched (Time.of_sec half) (fun () ->
          List.iteri
            (fun i (_, receiver) ->
-             Hashtbl.replace at_half i (Transport.Tcp_receiver.delivered receiver))
+             at_half.(i) <- Transport.Tcp_receiver.delivered receiver)
            connections));
   Scheduler.run ~until:(Time.of_sec duration_s) sched;
   let rates =
     List.mapi
       (fun i (_, receiver) ->
-        let before = Option.value (Hashtbl.find_opt at_half i) ~default:0 in
-        float_of_int (Transport.Tcp_receiver.delivered receiver - before)
+        float_of_int (Transport.Tcp_receiver.delivered receiver - at_half.(i))
         /. (duration_s -. half))
       connections
   in

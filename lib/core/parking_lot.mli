@@ -32,7 +32,8 @@ val run :
   result
 (** Runs for [cfg.duration_s] and measures throughput over its second
     half. Bottleneck links reuse Table 1's bandwidth/delay/buffer per
-    hop; access links are 10x faster. The advertised window is 600
+    hop; hosts are wired from {!Dumbbell}'s pieces, with 10 ms access
+    links. The advertised window is 600
     packets (well above the multi-hop bandwidth-delay product) so flows
     are congestion-limited, not receiver-limited.
     @raise Invalid_argument if [hops < 1] or [cross_per_hop < 0]. *)

@@ -2,7 +2,6 @@ module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
 module Rng = Sim_engine.Rng
 module Link = Netsim.Link
-module Node = Netsim.Node
 module Router = Netsim.Router
 module Units = Netsim.Units
 module Queue_disc = Netsim.Queue_disc
@@ -16,18 +15,6 @@ type result = {
   forward_loss_pct : float;
   reverse_delivered : int;
 }
-
-(* Node id blocks; gateway side holds forward sources and reverse sinks,
-   server side the opposites. *)
-let fwd_src_id i = 100 + i
-
-let fwd_dst_id i = 200 + i
-
-let rev_src_id j = 300 + j
-
-let rev_dst_id j = 400 + j
-
-let gateway_side id = (id >= 100 && id < 200) || id >= 400
 
 let run cfg ~cc ~reverse_clients =
   if reverse_clients < 0 then invalid_arg "Twoway.run: negative reverse_clients";
@@ -45,7 +32,6 @@ let run cfg ~cc ~reverse_clients =
   let gw = Router.create ~name:"gw" ~pool () in
   let svr = Router.create ~name:"svr" ~pool () in
   let bw_bottleneck = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  let bw_access = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let access_delay = Time.of_sec cfg.Config.client_delay_s in
   (* Both bottleneck directions carry data now: both get the finite
@@ -64,76 +50,47 @@ let run cfg ~cc ~reverse_clients =
   in
   Router.set_default gw fwd_bottleneck;
   Router.set_default svr rev_bottleneck;
-  let handlers : (int, Netsim.Packet_pool.handle -> unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let attach id =
-    let node = Node.create ~id ~pool in
-    Node.set_handler node (fun h ->
-        match Hashtbl.find_opt handlers id with Some f -> f h | None -> ());
-    let router = if gateway_side id then gw else svr in
-    let up =
-      Link.create sched
-        ~name:(Printf.sprintf "up-%d" id)
-        ~bandwidth:bw_access ~delay:access_delay
-        ~queue:(Queue_disc.droptail ~capacity:1_000_000)
-        ~pool
-        ~deliver:(Router.receive router)
-    in
-    let down =
-      Link.create sched
-        ~name:(Printf.sprintf "down-%d" id)
-        ~bandwidth:bw_access ~delay:access_delay
-        ~queue:(Queue_disc.droptail ~capacity:1_000_000)
-        ~pool
-        ~deliver:(Node.receive node)
-    in
-    Router.add_route router ~dst:id down;
-    up
-  in
-  (* Flows 0..n-1 run forward, n.. in reverse; each gets its source's
-     access link and then its sink's, in flow order. *)
+  (* Flows 0..n-1 run forward, from behind the gateway to behind the
+     server, and n.. in reverse. Flow f's source is host 2f+1 and its
+     sink host 2f+2. *)
   let flows = n + reverse_clients in
-  let ids flow =
-    if flow < n then (fwd_src_id flow, fwd_dst_id flow)
-    else (rev_src_id (flow - n), rev_dst_id (flow - n))
+  let src_router flow = if flow < n then gw else svr in
+  let dst_router flow = if flow < n then svr else gw in
+  let access dir host deliver =
+    Dumbbell.access_link cfg sched pool
+      ~name:(Printf.sprintf "%s-%d" dir host)
+      ~delay:access_delay ~deliver
   in
-  let access =
+  let src_up =
+    Array.init flows (fun f ->
+        access "up" ((2 * f) + 1) (Router.receive (src_router f)))
+  in
+  let dst_up =
+    Array.init flows (fun f ->
+        access "up" ((2 * f) + 2) (Router.receive (dst_router f)))
+  in
+  let senders, receivers =
+    Dumbbell.tcp_groups ~recorder:None cfg
+      { Scenario.transport = Scenario.Tcp { cc; delayed_ack = false };
+        gateway = Scenario.Fifo }
+      sched pool ~capacity:flows
+      ~data:(fun ~flow p -> Link.send src_up.(flow) p)
+      ~ack:(fun ~flow p -> Link.send dst_up.(flow) p)
+  in
+  (* Each host's down link ends at its endpoint. *)
+  let conns =
     Array.init flows (fun flow ->
-        let src_id, dst_id = ids flow in
-        let src_up = attach src_id in
-        (src_up, attach dst_id))
+        let src = (2 * flow) + 1 and dst = (2 * flow) + 2 in
+        let sender = Transport.Tcp_sender.attach senders ~flow ~src ~dst () in
+        let receiver =
+          Transport.Tcp_receiver.attach receivers ~flow ~src:dst ~dst:src ()
+        in
+        Router.add_route (src_router flow) ~dst:src
+          (access "down" src (Dumbbell.sender_sink pool sender));
+        Router.add_route (dst_router flow) ~dst
+          (access "down" dst (Dumbbell.receiver_sink pool receiver));
+        (sender, receiver))
   in
-  (* One sender group and one receiver group carry every connection, as
-     in {!Dumbbell}: [transmit ~flow] picks the flow's access link. *)
-  let variant, vegas = Dumbbell.make_cc cfg cc in
-  let sender_group =
-    Transport.Tcp_sender.create_group ?vegas ~capacity:flows sched ~pool
-      ~cc:variant ~rto_params:cfg.Config.rto
-      ~mss_bytes:cfg.Config.packet_bytes ~adv_window:cfg.Config.adv_window
-      ~transmit:(fun ~flow p -> Link.send (fst access.(flow)) p)
-  in
-  let receiver_group =
-    Transport.Tcp_receiver.create_group ~capacity:flows sched ~pool
-      ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false
-      ~adv_window:cfg.Config.adv_window
-      ~transmit:(fun ~flow p -> Link.send (snd access.(flow)) p)
-  in
-  let connect flow =
-    let src_id, dst_id = ids flow in
-    let sender =
-      Transport.Tcp_sender.attach sender_group ~flow ~src:src_id ~dst:dst_id ()
-    in
-    let receiver =
-      Transport.Tcp_receiver.attach receiver_group ~flow ~src:dst_id
-        ~dst:src_id ()
-    in
-    Hashtbl.replace handlers src_id (Transport.Tcp_sender.handle_packet sender);
-    Hashtbl.replace handlers dst_id (Transport.Tcp_receiver.handle_packet receiver);
-    (sender, receiver)
-  in
-  let forward = List.init n connect in
-  let rev = List.init reverse_clients (fun j -> connect (n + j)) in
   (* Burstiness of the forward aggregate only: data packets on the forward
      bottleneck (ACKs of reverse flows also cross it but are not data). *)
   let binner =
@@ -141,16 +98,15 @@ let run cfg ~cc ~reverse_clients =
       ~width:(Config.rtt_prop_s cfg)
   in
   let horizon = Time.of_sec cfg.Config.duration_s in
-  let poisson_into k (sender, _) =
-    let rng = Rng.split_named rng (Printf.sprintf "flow-%d" k) in
-    ignore
-      (Traffic.Poisson.start sched ~rng
-         ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
-         ~until:horizon
-         ~sink:(Transport.Tcp_sender.write sender))
-  in
-  List.iteri poisson_into forward;
-  List.iteri (fun j conn -> poisson_into (n + j) conn) rev;
+  Array.iteri
+    (fun flow (sender, _) ->
+      let rng = Rng.split_named rng (Printf.sprintf "flow-%d" flow) in
+      ignore
+        (Traffic.Poisson.start sched ~rng
+           ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
+           ~until:horizon
+           ~sink:(Transport.Tcp_sender.write sender)))
+    conns;
   Scheduler.run ~until:horizon sched;
   let counts = Netstats.Binned.counts binner ~upto:cfg.Config.duration_s in
   let cov =
@@ -158,7 +114,7 @@ let run cfg ~cc ~reverse_clients =
     else (Netstats.Summary.of_array counts).Netstats.Summary.cov
   in
   let delivered conns =
-    List.fold_left
+    Array.fold_left
       (fun acc (_, receiver) -> acc + Transport.Tcp_receiver.delivered receiver)
       0 conns
   in
@@ -168,10 +124,10 @@ let run cfg ~cc ~reverse_clients =
     reverse_clients;
     forward_cov = cov;
     analytic_cov = Analytic.poisson_cov cfg;
-    forward_delivered = delivered forward;
+    forward_delivered = delivered (Array.sub conns 0 n);
     forward_loss_pct =
       (if arrivals = 0 then 0. else 100. *. float_of_int drops /. float_of_int arrivals);
-    reverse_delivered = delivered rev;
+    reverse_delivered = delivered (Array.sub conns n reverse_clients);
   }
 
 let report ppf cfg =

@@ -23,8 +23,9 @@ val run :
   Config.t -> cc:Scenario.cc_kind -> reverse_clients:int -> result
 (** Forward clients come from [cfg.clients]; both directions run the same
     TCP variant over Table 1 links with drop-tail gateways on both
-    bottleneck directions. @raise Invalid_argument if
-    [reverse_clients < 0]. *)
+    bottleneck directions. Hosts are wired from {!Dumbbell}'s pieces,
+    so the groups take their options from [cfg] and [cc] as the
+    dumbbell's do. @raise Invalid_argument if [reverse_clients < 0]. *)
 
 val report : Format.formatter -> Config.t -> unit
 (** Forward burstiness and performance with 0, N/2 and N reverse flows

@@ -11,8 +11,8 @@
     The rare SACK block lists ride in a side table indexed by slot.
 
     Ownership is linear: whoever removes a packet from the datapath — a
-    dropping queue disc via its link, or the terminal {!Node} — must
-    {!free} it, which recycles the slot through a free list and bumps
+    dropping queue disc via its link, or the endpoint sink that ends a
+    host's last link — must {!free} it, which recycles the slot through a free list and bumps
     its generation. Using a handle after its slot was freed (or
     recycled) raises [Invalid_argument] from every accessor: a loud
     generation-check failure instead of silent corruption.

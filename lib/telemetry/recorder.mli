@@ -1,9 +1,13 @@
 (** Binary flight recorder: preallocated per-lane buffers of
     fixed-width {!Record} words.
 
-    A recorder owns one intern table and one or more {e lanes} (one
-    per domain when recording under a parallel sweep). The hot path
-    ({!record}) performs only unboxed 64-bit stores into a
+    A recorder owns one intern table and one or more {e lanes}, merged
+    by [(tick, lane, seq)] when read. Every recording site writes lane
+    0 of its run's own recorder; the runs of a parallel sweep each have
+    their own recorder, whose segments [Probe.merge] carries back in
+    input order.
+
+    The hot path ({!record}) performs only unboxed 64-bit stores into a
     preallocated [Bytes] buffer — zero minor words per record in ring
     mode, and the buffer is opaque to the GC, so a multi-megabyte lane
     adds nothing to major-collection work.

@@ -199,6 +199,48 @@ let dumbbell_delivery_latency () =
     (Sim_engine.Time.to_sec (Sim_engine.Scheduler.now sched));
   Alcotest.(check int) "delivered" 1 (Dumbbell.delivered_total net)
 
+(* A host's down link ends at a sink: the endpoint reads the packet,
+   then the handle is freed, so any later use of it raises. *)
+let dumbbell_endpoint_sinks () =
+  let module Pool = Netsim.Packet_pool in
+  let sched = Sim_engine.Scheduler.create () in
+  let pool = Pool.create () in
+  let sent = ref [] and acks = ref [] in
+  let senders, receivers =
+    Dumbbell.tcp_groups ~recorder:None (tiny ()) Scenario.reno sched pool
+      ~capacity:1
+      ~data:(fun ~flow:_ h -> sent := h :: !sent)
+      ~ack:(fun ~flow:_ h -> acks := h :: !acks)
+  in
+  let sender = Transport.Tcp_sender.attach senders ~flow:0 ~src:1 ~dst:2 () in
+  let receiver =
+    Transport.Tcp_receiver.attach receivers ~flow:0 ~src:2 ~dst:1 ()
+  in
+  let only what = function
+    | [ h ] -> h
+    | l -> Alcotest.failf "%d %s, expected one" (List.length l) what
+  in
+  Transport.Tcp_sender.write sender 1;
+  let data = only "segments" !sent in
+  Dumbbell.receiver_sink pool receiver data;
+  Alcotest.(check int) "receiver saw the segment" 1
+    (Transport.Tcp_receiver.delivered receiver);
+  let ack = only "ACKs" !acks in
+  Alcotest.(check int) "in flight before the ACK" 1
+    (Transport.Tcp_sender.flight sender);
+  Dumbbell.sender_sink pool sender ack;
+  Alcotest.(check int) "sender saw the ACK" 0
+    (Transport.Tcp_sender.flight sender);
+  Alcotest.(check int) "freed at the sinks" 0 (Pool.live pool);
+  List.iter
+    (fun (what, h) ->
+      match Pool.flow pool h with
+      | _ -> Alcotest.failf "%s handle survived its sink" what
+      | exception Invalid_argument _ -> ())
+    [ ("data", data); ("ACK", ack) ];
+  Transport.Tcp_sender.detach sender;
+  Transport.Tcp_receiver.detach receiver
+
 (* ------------------------------------------------------------------ *)
 (* Run + Metrics *)
 
@@ -862,6 +904,24 @@ let twoway_validates () =
     (fun () ->
       ignore (Twoway.run (tiny ()) ~cc:Scenario.Reno ~reverse_clients:(-1)))
 
+(* Host ids follow the flow index, so no flow count makes two hosts
+   share an id; both runs put more than 100 flows on one side. *)
+let twoway_and_parking_past_100_flows () =
+  let r =
+    Twoway.run
+      (tiny ~clients:4 ~duration:5. ~warmup:1. ())
+      ~cc:Scenario.Reno ~reverse_clients:101
+  in
+  Alcotest.(check int) "reverse flows" 101 r.Twoway.reverse_clients;
+  Alcotest.(check bool) "both directions deliver" true
+    (r.Twoway.forward_delivered > 0 && r.Twoway.reverse_delivered > 0);
+  let p =
+    Parking_lot.run { Config.default with Config.duration_s = 5. }
+      ~cc:Scenario.Reno ~hops:2 ~cross_per_hop:60
+  in
+  Alcotest.(check bool) "cross flows deliver" true
+    (p.Parking_lot.cross_throughput_pps > 0.)
+
 (* ------------------------------------------------------------------ *)
 (* Parking lot *)
 
@@ -1323,6 +1383,7 @@ let suite =
         Alcotest.test_case "tcp roundtrip" `Quick dumbbell_tcp_roundtrip;
         Alcotest.test_case "udp roundtrip" `Quick dumbbell_udp_roundtrip;
         Alcotest.test_case "delivery latency" `Quick dumbbell_delivery_latency;
+        Alcotest.test_case "endpoint sinks" `Quick dumbbell_endpoint_sinks;
       ] );
     ( "core.run",
       [
@@ -1403,6 +1464,8 @@ let suite =
         Alcotest.test_case "ack compression hurts reno" `Slow
           twoway_ack_compression_hurts_reno;
         Alcotest.test_case "validation" `Quick twoway_validates;
+        Alcotest.test_case "past 100 flows" `Quick
+          twoway_and_parking_past_100_flows;
       ] );
     ( "core.parking_lot",
       [

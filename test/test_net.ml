@@ -643,23 +643,7 @@ let router_dense_routes () =
   Alcotest.(check int) "forwarded" 7 (Router.forwarded r)
 
 (* ------------------------------------------------------------------ *)
-(* Node and Monitor *)
-
-let node_handler_dispatch () =
-  let pool = Pool.create () in
-  let n = Node.create ~id:3 ~pool in
-  let got = ref (-1) in
-  Node.set_handler n (fun h -> got := Pool.uid pool h);
-  let p = mk_packet ~dst:3 pool in
-  let uid = Pool.uid pool p in
-  Node.receive n p;
-  Alcotest.(check int) "received count" 1 (Node.received n);
-  Alcotest.(check int) "handler saw packet" uid !got;
-  (* The node is a sink: the handle is dead once the handler returns. *)
-  Alcotest.(check int) "freed at sink" 0 (Pool.live pool);
-  (match Pool.flow pool p with
-  | _ -> Alcotest.fail "handle survived the sink"
-  | exception Invalid_argument _ -> ())
+(* Monitor *)
 
 let monitor_arrival_binner_counts_data_only () =
   let sched = Scheduler.create () in
@@ -1041,8 +1025,6 @@ let suite =
         Alcotest.test_case "duplicate route rejected" `Quick router_duplicate_route_rejected;
         Alcotest.test_case "dense routes and default" `Quick router_dense_routes;
       ] );
-    ( "net.node",
-      [ Alcotest.test_case "handler dispatch" `Quick node_handler_dispatch ] );
     ( "net.properties",
       [
         QCheck_alcotest.to_alcotest sfq_conservation_property;
