@@ -395,9 +395,12 @@ let drive (cfg : Burstcore.Config.t) k =
    - the post-run NDJSON encode --trace-out pays, in ns per event: per
      rep, one Grow-mode parity recording of the same run replayed
      through [Probe.replay] into an [ndjson_writer] on /dev/null. On a
-     2-vCPU x86-64 host the printf-based encoder read 4100-5200 ns here
-     and the direct one 590-1140 ns, so the bound trips on a return to
-     per-number printf or a buffer per line. *)
+     2-vCPU x86-64 host the printf-based encoder read 4100-5200 ns here,
+     the encoder that built a [Json.t] tree per line 590-1140 ns, and
+     the renderer that writes each line straight from the event 190-270
+     ns (q1 180-265 over five runs). The gate is judged on q1, so its
+     450 ns bound keeps 1.7x headroom over the renderer and trips on a
+     return to a tree, or a buffer, per line. *)
 let run_telemetry_bench () =
   section "Telemetry overhead (events/sec)";
   let cfg =
@@ -527,7 +530,7 @@ let run_telemetry_bench () =
         gate "recorder_minor_words_per_event_delta" Report.Le 0.05
           (recorded_words -. probed_words);
         gate "recorder_records" Report.Ge 1. (float_of_int records);
-        timed_gate "trace_ndjson_ns_per_event" Report.Le 1500. encode_ns;
+        timed_gate "trace_ndjson_ns_per_event" Report.Le 450. encode_ns;
       ]
 
 (* ------------------------------------------------------------------ *)

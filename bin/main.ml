@@ -562,9 +562,9 @@ let trace_decode_cmd =
   let run file out =
     let segments = read_recording file in
     with_query_out out (fun oc ->
-        let write = Telemetry.Json.line_writer oc in
+        let write = Telemetry.Record.ndjson_writer oc in
         iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
-            write (Telemetry.Record.json_of_record ~lookup words off)))
+            write ~lookup words off))
   in
   Cmd.v
     (Cmd.info "decode"
@@ -649,7 +649,7 @@ let trace_grep_cmd =
     in
     let segments = read_recording file in
     with_query_out out (fun oc ->
-        let write = Telemetry.Json.line_writer oc in
+        let write = Telemetry.Record.ndjson_writer oc in
         iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
             let tick = words.(off) in
             let t = Telemetry.Record.time_of_tick tick in
@@ -661,8 +661,7 @@ let trace_grep_cmd =
               && (match tfrom with None -> true | Some s -> t >= s)
               && match tto with None -> true | Some s -> t <= s
             in
-            if keep then
-              write (Telemetry.Record.json_of_record ~lookup words off)))
+            if keep then write ~lookup words off))
   in
   Cmd.v
     (Cmd.info "grep"
@@ -1101,7 +1100,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.19.0"
+    (Cmd.info "burstsim" ~version:"1.20.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

@@ -310,27 +310,44 @@ let table_sum f c =
   | Some (sg, rg) ->
       f (Transport.Tcp_sender.table sg) + f (Transport.Tcp_receiver.table rg)
 
-(* The end-of-run sweeps, then the endpoint totals, then the flow rows.
-   Links free whatever the horizon left queued or in flight, so a
-   nonzero live count afterwards means some layer dropped a handle
-   without freeing it; detaching every endpoint must likewise drain the
-   slabs. Either leak fails loudly. *)
-let finish_clients ~links ~pool ~trace_clients cs collect =
+(* The end-of-run leak checks. Links free whatever the horizon left
+   queued or in flight, so a nonzero live count afterwards means some
+   layer dropped a handle without freeing it; detaching every endpoint
+   must likewise drain the slabs. Either leak fails loudly. *)
+let reclaim_links links ~pools =
   List.iter Link.reclaim links;
-  List.iter
-    (fun c ->
-      Array.iter Link.reclaim c.up_links;
-      Array.iter Link.reclaim c.down_links)
-    cs;
-  let live =
-    List.fold_left
-      (fun acc c ->
-        if c.cpool == pool then acc else acc + Packet_pool.live c.cpool)
-      (Packet_pool.live pool) cs
-  in
+  let live = List.fold_left (fun acc p -> acc + Packet_pool.live p) 0 pools in
   if live <> 0 then
     failwith
-      (Printf.sprintf "Dumbbell: %d packet(s) leaked from the pools" live);
+      (Printf.sprintf "Dumbbell: %d packet(s) leaked from the pools" live)
+
+let check_rows tables =
+  let rows = List.fold_left (fun acc t -> acc + Netsim.Flow_table.live t) 0 tables in
+  if rows <> 0 then
+    failwith
+      (Printf.sprintf "Dumbbell: %d flow row(s) leaked from the flow tables"
+         rows)
+
+let finish_tcp ~links ~pool (senders, receivers) conns =
+  reclaim_links links ~pools:[ pool ];
+  List.iter
+    (fun (sender, receiver) ->
+      Transport.Tcp_sender.detach sender;
+      Transport.Tcp_receiver.detach receiver)
+    conns;
+  check_rows
+    [ Transport.Tcp_sender.table senders; Transport.Tcp_receiver.table receivers ]
+
+(* The packet sweep, then the endpoint totals, then the flow rows. *)
+let finish_clients ~links ~pool ~trace_clients cs collect =
+  reclaim_links
+    (links
+    @ List.concat_map
+        (fun c -> Array.to_list c.up_links @ Array.to_list c.down_links)
+        cs)
+    ~pools:(pool :: List.filter_map
+                      (fun c -> if c.cpool == pool then None else Some c.cpool)
+                      cs);
   (* Flow [i] is entry [i] of the slices' endpoints laid end to end. *)
   let eps = Array.concat (List.map (fun c -> c.endpoints) cs) in
   let result = collect (endpoints ~trace_clients cs eps) in
@@ -341,13 +358,14 @@ let finish_clients ~links ~pool ~trace_clients cs collect =
           Transport.Tcp_receiver.detach receiver
       | Udp_end _ -> ())
     eps;
-  let rows =
-    List.fold_left (fun acc c -> acc + table_sum Netsim.Flow_table.live c) 0 cs
-  in
-  if rows <> 0 then
-    failwith
-      (Printf.sprintf "Dumbbell: %d flow row(s) leaked from the flow tables"
-         rows);
+  check_rows
+    (List.concat_map
+       (fun c ->
+         match c.flows with
+         | None -> []
+         | Some (sg, rg) ->
+             [ Transport.Tcp_sender.table sg; Transport.Tcp_receiver.table rg ])
+       cs);
   result
 
 (* ------------------------------------------------------------------ *)

@@ -162,6 +162,20 @@ val deliver_data : clients -> Netsim.Packet_pool.handle -> unit
 val deliver_ack : clients -> Netsim.Packet_pool.handle -> unit
 (** An ACK entering its flow's down link. *)
 
+val finish_tcp :
+  links:Netsim.Link.t list ->
+  pool:Netsim.Packet_pool.t ->
+  Transport.Tcp_sender.group * Transport.Tcp_receiver.group ->
+  (Transport.Tcp_sender.t * Transport.Tcp_receiver.t) list ->
+  unit
+(** The end-of-run teardown of a topology wired from these pieces
+    around one {!tcp_groups} pair and one pool, after its scheduler
+    stopped, with the leak checks of {!finish_clients}: reclaim every
+    link in [links] (freeing what the horizon left queued or in flight)
+    and check that [pool] holds no live packet, then detach each
+    connection's endpoints and check that neither group's table holds a
+    row. @raise Failure when a packet or a flow-table row leaked. *)
+
 val finish_clients :
   links:Netsim.Link.t list ->
   pool:Netsim.Packet_pool.t ->

@@ -102,6 +102,12 @@ let run cfg ~cc ~hops ~cross_per_hop =
       ~ack:(fun ~flow p -> Link.send dst_up.(flow) p)
   in
   (* Each host's down link ends at its endpoint. *)
+  let downs = ref [] in
+  let down host deliver =
+    let link = access "down" host deliver in
+    downs := link :: !downs;
+    link
+  in
   let connections =
     List.init flows (fun flow ->
         let src_router, dst_router = ends.(flow) in
@@ -111,9 +117,9 @@ let run cfg ~cc ~hops ~cross_per_hop =
           Transport.Tcp_receiver.attach receivers ~flow ~src:dst ~dst:src ()
         in
         route_all ~host:dst ~at_router:dst_router
-          ~down:(access "down" dst (Dumbbell.receiver_sink pool receiver));
+          ~down:(down dst (Dumbbell.receiver_sink pool receiver));
         route_all ~host:src ~at_router:src_router
-          ~down:(access "down" src (Dumbbell.sender_sink pool sender));
+          ~down:(down src (Dumbbell.sender_sink pool sender));
         (sender, receiver))
   in
   (* Greedy sources everywhere. *)
@@ -140,6 +146,11 @@ let run cfg ~cc ~hops ~cross_per_hop =
   let long_rate, cross_rates =
     match rates with r :: rest -> (r, rest) | [] -> assert false
   in
+  Dumbbell.finish_tcp
+    ~links:
+      (Array.to_list forward @ Array.to_list reverse @ Array.to_list src_up
+      @ Array.to_list dst_up @ List.rev !downs)
+    ~pool (senders, receivers) connections;
   let fair = Hybrid.capacity_pps cfg /. float_of_int (1 + cross_per_hop) in
   {
     hops;

@@ -68,14 +68,12 @@ let run_classic ?probe ?(trace_clients = []) ?(sample_queue = false)
       Option.iter
         (fun p -> Meter.export ?recorder meter p ~label:run_label metrics)
         probe;
+      (* The bus hears the run only now, from its recorded parity
+         records, in the one pass over them that also folds the spans. *)
       (match (probe, recorder) with
-      | Some p, Some r when Telemetry.Recorder.lifecycle r ->
-          time "spans" (fun () ->
-              Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
-      | _ -> ());
-      (* The bus hears the run only now, from its recorded parity records. *)
-      (match (probe, recorder) with
-      | Some p, Some r -> Telemetry.Probe.replay p r
+      | Some p, Some r ->
+          time "replay" (fun () ->
+              Telemetry.Probe.replay ~spans:(Telemetry.Recorder.lifecycle r) p r)
       | _ -> ());
       Option.iter
         (fun p ->

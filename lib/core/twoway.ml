@@ -78,6 +78,12 @@ let run cfg ~cc ~reverse_clients =
       ~ack:(fun ~flow p -> Link.send dst_up.(flow) p)
   in
   (* Each host's down link ends at its endpoint. *)
+  let downs = ref [] in
+  let down host deliver =
+    let link = access "down" host deliver in
+    downs := link :: !downs;
+    link
+  in
   let conns =
     Array.init flows (fun flow ->
         let src = (2 * flow) + 1 and dst = (2 * flow) + 2 in
@@ -86,9 +92,9 @@ let run cfg ~cc ~reverse_clients =
           Transport.Tcp_receiver.attach receivers ~flow ~src:dst ~dst:src ()
         in
         Router.add_route (src_router flow) ~dst:src
-          (access "down" src (Dumbbell.sender_sink pool sender));
+          (down src (Dumbbell.sender_sink pool sender));
         Router.add_route (dst_router flow) ~dst
-          (access "down" dst (Dumbbell.receiver_sink pool receiver));
+          (down dst (Dumbbell.receiver_sink pool receiver));
         (sender, receiver))
   in
   (* Burstiness of the forward aggregate only: data packets on the forward
@@ -119,16 +125,24 @@ let run cfg ~cc ~reverse_clients =
       0 conns
   in
   let arrivals = Link.arrivals fwd_bottleneck and drops = Link.drops fwd_bottleneck in
-  {
-    forward_clients = n;
-    reverse_clients;
-    forward_cov = cov;
-    analytic_cov = Analytic.poisson_cov cfg;
-    forward_delivered = delivered (Array.sub conns 0 n);
-    forward_loss_pct =
-      (if arrivals = 0 then 0. else 100. *. float_of_int drops /. float_of_int arrivals);
-    reverse_delivered = delivered (Array.sub conns n reverse_clients);
-  }
+  let result =
+    {
+      forward_clients = n;
+      reverse_clients;
+      forward_cov = cov;
+      analytic_cov = Analytic.poisson_cov cfg;
+      forward_delivered = delivered (Array.sub conns 0 n);
+      forward_loss_pct =
+        (if arrivals = 0 then 0. else 100. *. float_of_int drops /. float_of_int arrivals);
+      reverse_delivered = delivered (Array.sub conns n reverse_clients);
+    }
+  in
+  Dumbbell.finish_tcp
+    ~links:
+      (fwd_bottleneck :: rev_bottleneck
+      :: (Array.to_list src_up @ Array.to_list dst_up @ List.rev !downs))
+    ~pool (senders, receivers) (Array.to_list conns);
+  result
 
 let report ppf cfg =
   let n = cfg.Config.clients in

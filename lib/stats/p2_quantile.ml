@@ -20,8 +20,10 @@ let create ~q =
 
 let count t = t.n
 
-(* Piecewise-parabolic prediction of marker i moved by d in {-1,+1}. *)
-let parabolic t i d =
+(* Piecewise-parabolic prediction of marker i moved by d in {-1,+1}.
+   Both predictors are inlined into [add], so their float arguments and
+   results stay unboxed. *)
+let[@inline] parabolic t i d =
   let h = t.heights and p = t.positions in
   h.(i)
   +. d
@@ -29,7 +31,7 @@ let parabolic t i d =
      *. (((p.(i) -. p.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (p.(i + 1) -. p.(i)))
         +. ((p.(i + 1) -. p.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (p.(i) -. p.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let h = t.heights and p = t.positions in
   h.(i) +. (d *. (h.(i + int_of_float d) -. h.(i)) /. (p.(i + int_of_float d) -. p.(i)))
 
@@ -52,8 +54,13 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < h.(i + 1) then i else find (i + 1) in
-        find 0
+        (* The cell [i] with h.(i) <= x < h.(i + 1), found by a loop: a
+           local recursive function would allocate its closure per call. *)
+        let i = ref 0 in
+        while not (x < h.(!i + 1)) do
+          incr i
+        done;
+        !i
       end
     in
     for i = k + 1 to 4 do

@@ -206,12 +206,146 @@ let of_json j =
       Ok (Custom { time; name; value })
   | e -> Error (Printf.sprintf "unknown event type %S" e)
 
-let to_ndjson e = Json.to_string (to_json e)
+(* The renderer: each event written field by field into one line of
+   bytes the renderer owns, in exactly the bytes [Json.to_string
+   (to_json e)] gives, with no tree. The keys of a shape are constants,
+   and so is the kind label together with the key after it, so a line is
+   a few constant blits around its numbers and its one name. A line is
+   sized once, before its first byte: every write after that is
+   unchecked. *)
+
+let packet_kind_infix = function
+  | Arrival -> {|,"kind":"arrival","link":|}
+  | Drop -> {|,"kind":"drop","link":|}
+  | Depart -> {|,"kind":"depart","link":|}
+
+let tcp_kind_infix = function
+  | Timeout -> {|,"kind":"timeout","flow":|}
+  | Fast_retransmit -> {|,"kind":"fast_retransmit","flow":|}
+  | Cwnd_cut -> {|,"kind":"cwnd_cut","flow":|}
+  | Ecn_reaction -> {|,"kind":"ecn_reaction","flow":|}
+
+let queue_kind_infix = function
+  | Ecn_mark -> {|,"kind":"ecn_mark","queue":|}
+  | Early_drop -> {|,"kind":"early_drop","queue":|}
+  | Forced_drop -> {|,"kind":"forced_drop","queue":|}
+
+(* The quoted, escaped form of the last string one name field carried.
+   Strings are immutable, so physical equality proves the cached form
+   current. A replayed run's names are its recorder's interned strings,
+   one physical string per name, so each is escaped once, not per line. *)
+type name = { mutable raw : string; mutable quoted : string }
+
+let quoted n s =
+  if s != n.raw then begin
+    n.raw <- s;
+    n.quoted <- Json.to_string (Json.String s)
+  end;
+  n.quoted
+
+(* One renderer: its line and its three name caches. Each writer owns
+   one, so renderers on different domains share nothing. *)
+type renderer = {
+  mutable line : Bytes.t;
+  mutable pos : int;
+  link : name;
+  queue : name;
+  custom : name;
+}
+
+let renderer () =
+  let fresh () = { raw = ""; quoted = {|""|} } in
+  {
+    line = Bytes.create 256;
+    pos = 0;
+    link = fresh ();
+    queue = fresh ();
+    custom = fresh ();
+  }
+
+(* A line's constant text (under 96 bytes in every shape), its numbers
+   (at most five, each at most [Json.number_bytes]) and its newline fit
+   in [fixed] bytes; its one name is added on top. *)
+let fixed = 96 + (5 * Json.number_bytes)
+
+let start r ~name =
+  let need = fixed + String.length name in
+  if need > Bytes.length r.line then
+    r.line <- Bytes.create (max need (2 * Bytes.length r.line));
+  r.pos <- 0
+
+let[@inline] text r s =
+  let n = String.length s in
+  Bytes.unsafe_blit_string s 0 r.line r.pos n;
+  r.pos <- r.pos + n
+
+let[@inline] int r n = r.pos <- Json.put_int r.line r.pos n
+let[@inline] float r f = r.pos <- Json.put_float r.line r.pos f
+
+let render r = function
+  | Packet e ->
+      let link = quoted r.link e.link in
+      start r ~name:link;
+      text r {|{"event":"packet","time":|};
+      float r e.time;
+      text r (packet_kind_infix e.kind);
+      text r link;
+      text r {|,"flow":|};
+      int r e.flow;
+      (match e.seq with
+      | Some s ->
+          text r {|,"seq":|};
+          int r s
+      | None -> text r {|,"seq":null|});
+      text r {|,"bytes":|};
+      int r e.size_bytes;
+      text r {|,"uid":|};
+      int r e.uid;
+      text r "}"
+  | Tcp e ->
+      start r ~name:"";
+      text r {|{"event":"tcp","time":|};
+      float r e.time;
+      text r (tcp_kind_infix e.kind);
+      int r e.flow;
+      text r {|,"cwnd":|};
+      float r e.cwnd;
+      text r "}"
+  | Queue e ->
+      let queue = quoted r.queue e.queue in
+      start r ~name:queue;
+      text r {|{"event":"queue","time":|};
+      float r e.time;
+      text r (queue_kind_infix e.kind);
+      text r queue;
+      text r {|,"flow":|};
+      int r e.flow;
+      text r {|,"avg":|};
+      float r e.avg;
+      text r "}"
+  | Custom e ->
+      let name = quoted r.custom e.name in
+      start r ~name;
+      text r {|{"event":"custom","time":|};
+      float r e.time;
+      text r {|,"name":|};
+      text r name;
+      text r {|,"value":|};
+      float r e.value;
+      text r "}"
+
+let to_ndjson e =
+  let r = renderer () in
+  render r e;
+  Bytes.sub_string r.line 0 r.pos
 
 let of_ndjson_line line =
   let* j = Json.parse line in
   of_json j
 
 let ndjson_writer oc =
-  let write = Json.line_writer oc in
-  fun e -> write (to_json e)
+  let r = renderer () in
+  fun e ->
+    render r e;
+    text r "\n";
+    output oc r.line 0 r.pos

@@ -71,12 +71,17 @@ val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
 
 val to_ndjson : event -> string
-(** One-line JSON, no trailing newline. *)
+(** One-line JSON, no trailing newline: the bytes of [Json.to_string
+    (to_json e)], rendered field by field with no tree, by the renderer
+    {!ndjson_writer} uses. *)
 
 val of_ndjson_line : string -> (event, string) result
 
 val ndjson_writer : out_channel -> event -> unit
 (** [ndjson_writer oc] is a ready-made subscriber that appends
-    [to_ndjson e ^ "\n"] to [oc] per event through one
-    {!Json.line_writer}. The caller owns (and flushes/closes) the
-    channel. *)
+    [to_ndjson e ^ "\n"] to [oc] per event. Each line is written
+    straight from the event into one line of bytes the writer owns —
+    constant key prefixes, {!Json.put_int}/{!Json.put_float} for the
+    numbers, and each name escaped once while it repeats — and reaches
+    [oc] in one [output]. Writers share no state. The caller owns (and
+    flushes/closes) the channel. *)

@@ -10,9 +10,9 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Encoder *)
 
-(* Every renderer appends to a caller-owned [Buffer.t]; the module keeps
-   no buffer or other state of its own, so encoders on different domains
-   share nothing. *)
+(* Every renderer writes to a caller-owned [Buffer.t] or bytes; the
+   module keeps no buffer or other state of its own, so encoders on
+   different domains share nothing. *)
 
 (* The primitive behind Printf's %g conversion. *)
 external format_float : string -> float -> string = "caml_format_float"
@@ -44,41 +44,78 @@ let escape_into buf s =
   Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
-(* The digits of [n <= 0], without a sign: counting on the negative side
-   reaches [min_int]. *)
-let rec add_neg_digits buf n =
-  if n <= -10 then add_neg_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+(* Numbers are written straight into bytes at a position, which the
+   caller has made [number_bytes] long: one capacity check per number
+   (or per line, for a renderer that sizes its own line), no call per
+   digit. The [Buffer] renderers write into a fresh scratch of that
+   size — a few words of minor heap, never shared — and blit it once. *)
+let number_bytes = 40
 
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_neg_digits buf n
-  end
-  else add_neg_digits buf (-n)
+let[@inline] put b i c = Bytes.unsafe_set b i (Char.unsafe_chr c)
 
-(* [n >= 0] in exactly [w] digits, zero-padded on the left. *)
-let rec add_padded buf n w =
-  if w > 1 then add_padded buf (n / 10) (w - 1);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+(* The number of digits of [n <= 0]. *)
+let neg_width n =
+  let w = ref 1 and p = ref (-10) in
+  while !w < 19 && n <= !p do
+    incr w;
+    if !w < 19 then p := !p * 10
+  done;
+  !w
 
-(* The [w]-digit fraction [n] as "%g" prints it: trailing zeros dropped,
-   but one "0" kept when nothing else is left. *)
-let rec add_fraction buf n w =
-  if n = 0 then Buffer.add_char buf '0'
-  else if n mod 10 = 0 then add_fraction buf (n / 10) (w - 1)
-  else add_padded buf n w
+(* The digits of [n <= 0], without a sign, ending just before [stop].
+   Counting on the negative side reaches [min_int]. *)
+let put_neg_digits b stop n =
+  let n = ref n and i = ref (stop - 1) in
+  while !n <= -10 do
+    let q = !n / 10 in
+    put b !i (48 + ((q * 10) - !n));
+    n := q;
+    decr i
+  done;
+  put b !i (48 - !n)
+
+(* The digits of [-n], after a '-' when [neg]; the position after. *)
+let put_signed b pos ~neg n =
+  if neg then put b pos 45 (* '-' *);
+  let stop = pos + Bool.to_int neg + neg_width n in
+  put_neg_digits b stop n;
+  stop
+
+let put_int b pos n = put_signed b pos ~neg:(n < 0) (if n < 0 then n else -n)
+
+(* Fixed notation as "%g" prints it: [q], a '.', and the [w]-digit
+   fraction [r] with its trailing zeros dropped, but one "0" kept when
+   nothing else is left. *)
+let put_fixed b pos ~neg q r w =
+  let r = ref r and w = ref w in
+  if !r = 0 then w := 1
+  else
+    while !r mod 10 = 0 do
+      r := !r / 10;
+      decr w
+    done;
+  let dot = put_signed b pos ~neg (-q) in
+  put b dot 46 (* '.' *);
+  for i = dot + !w downto dot + 1 do
+    put b i (48 + (!r mod 10));
+    r := !r / 10
+  done;
+  dot + !w + 1
 
 (* The number contract: "%.12g" when that reads back as the same float,
    else "%.17g"; ".0" appended when neither a '.' nor an exponent shows,
    so the parser reads a Float back. *)
-let add_float_printf buf f =
+let put_float_printf b pos f =
   if not (Float.is_finite f) then invalid_arg "Json: non-finite float";
   let s = format_float "%.12g" f in
   let s = if float_of_string s = f then s else format_float "%.17g" f in
-  Buffer.add_string buf s;
-  if not (String.contains s '.' || String.contains s 'e') then
-    Buffer.add_string buf ".0"
+  let n = String.length s in
+  Bytes.blit_string s 0 b pos n;
+  if String.contains s '.' || String.contains s 'e' then pos + n
+  else begin
+    Bytes.blit_string ".0" 0 b (pos + n) 2;
+    pos + n + 2
+  end
 
 (* The same contract without printf for |f| in [1e-4, 1e11), where "%g"
    prints fixed notation. With [e] the decimal exponent of |f| and
@@ -89,30 +126,48 @@ let add_float_printf buf f =
    digits, so no other 12-digit decimal can round to |f|. The search for
    [e] rounds its products; a wrong [e] fails the range check on m and
    the float takes the printf path. *)
-let add_float buf f =
+let put_float_digits b pos f a =
+  (* [w] = 11 - e fraction digits, p = 10^w *)
+  let p = ref 1_000_000_000_000_000 and w = ref 15 in
+  while !w > 1 && a *. Float.of_int !p >= 1e12 do
+    p := !p / 10;
+    decr w
+  done;
+  let p = !p in
+  let m = Float.to_int ((a *. Float.of_int p) +. 0.5) in
+  if
+    m >= 100_000_000_000
+    && m < 1_000_000_000_000
+    && Float.of_int m /. Float.of_int p = a
+  then put_fixed b pos ~neg:(f < 0.) (m / p) (m mod p) !w
+  else put_float_printf b pos f
+
+(* Every simulation timestamp is a whole number of nanoseconds, k / 1e9,
+   and one below 1000 s takes a shorter path to the same string. With
+   |f| in [1e-4, 1e3) and k = round (|f| * 1e9) < 10^12, the decimal
+   k * 10^-9 has at most 12 significant digits, all at or above the
+   12th digit of |f|; when k / 1e9 rounds back to |f| it lies within
+   half an ulp of |f|, far inside half a unit of that 12th digit, so it
+   is "%.12g"'s string, and it reads back as |f|. The divisions by the
+   constant 10^9 compile to multiplications. *)
+let put_float b pos f =
   let a = Float.abs f in
-  if a >= 1e-4 && a < 1e11 then begin
-    (* [w] = 11 - e fraction digits, p = 10^w *)
-    let p = ref 1_000_000_000_000_000 and w = ref 15 in
-    while !w > 1 && a *. Float.of_int !p >= 1e12 do
-      p := !p / 10;
-      decr w
-    done;
-    let p = !p in
-    let m = Float.to_int ((a *. Float.of_int p) +. 0.5) in
-    if
-      m >= 100_000_000_000
-      && m < 1_000_000_000_000
-      && Float.of_int m /. Float.of_int p = a
-    then begin
-      if f < 0. then Buffer.add_char buf '-';
-      add_neg_digits buf (-(m / p));
-      Buffer.add_char buf '.';
-      add_fraction buf (m mod p) !w
-    end
-    else add_float_printf buf f
+  if a >= 1e-4 && a < 1e3 then begin
+    let k = Float.to_int ((a *. 1e9) +. 0.5) in
+    if Float.of_int k /. 1e9 = a then
+      put_fixed b pos ~neg:(f < 0.) (k / 1_000_000_000) (k mod 1_000_000_000) 9
+    else put_float_digits b pos f a
   end
-  else add_float_printf buf f
+  else if a >= 1e-4 && a < 1e11 then put_float_digits b pos f a
+  else put_float_printf b pos f
+
+let add_int buf n =
+  let b = Bytes.create number_bytes in
+  Buffer.add_subbytes buf b 0 (put_int b 0 n)
+
+let add_float buf f =
+  let b = Bytes.create number_bytes in
+  Buffer.add_subbytes buf b 0 (put_float b 0 f)
 
 let rec encode buf = function
   | Null -> Buffer.add_string buf "null"

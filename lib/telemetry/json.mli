@@ -25,6 +25,25 @@ val to_string : t -> string
     other bytes pass through. @raise Invalid_argument on a non-finite
     float. *)
 
+(** {2 Number writers}
+
+    The number renderers underneath {!to_string}, for an encoder that
+    writes a fixed shape into line bytes of its own: each writes at a
+    position the bytes {!to_string} gives for [Int]/[Float], and returns
+    the position after. The caller guarantees {!number_bytes} free bytes
+    from there. *)
+
+val number_bytes : int
+(** The most bytes one number takes (40). *)
+
+val put_int : Bytes.t -> int -> int -> int
+(** [put_int b pos n] writes [n] in decimal, with a ['-'] when
+    negative. *)
+
+val put_float : Bytes.t -> int -> float -> int
+(** [put_float b pos f] writes [f] under the number contract of
+    {!to_string}. @raise Invalid_argument on a non-finite float. *)
+
 val line_writer : out_channel -> t -> unit
 (** [line_writer oc] is a writer that appends [to_string v ^ "\n"] to
     [oc] for each [v], rendered in one buffer the writer owns and reuses.

@@ -58,9 +58,20 @@ let run_recorder t ~label =
       r.segments_rev <- rec_ :: r.segments_rev;
       Some rec_
 
-let replay t r =
-  if Event_bus.has_subscribers t.bus then
-    Recorder.iter_events r (Event_bus.publish t.bus)
+(* One pass over the records feeds both consumers. *)
+let replay ?(spans = false) t r =
+  let bus = Event_bus.has_subscribers t.bus in
+  if spans || bus then begin
+    let acc = if spans then Some (Spans.create t.registry) else None in
+    let lookup = Recorder.lookup r in
+    Recorder.iter_merged r (fun ~lane:_ ~seq:_ buf off ->
+        (match acc with Some a -> Spans.add a buf off | None -> ());
+        if bus then
+          match Record.event_of_record ~lookup buf off with
+          | Some e -> Event_bus.publish t.bus e
+          | None -> ());
+    Option.iter Spans.close acc
+  end
 
 let replay_canonical t rs =
   if Event_bus.has_subscribers t.bus then begin

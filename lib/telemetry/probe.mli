@@ -64,10 +64,12 @@ val trace_recorder : t -> Recorder.t option
     — one per domain for engines that replay with
     {!replay_canonical}. *)
 
-val replay : t -> Recorder.t -> unit
+val replay : ?spans:bool -> t -> Recorder.t -> unit
 (** Publish the recorder's parity records to the bus in record order
-    (a ring-mode recorder replays only what it retained). A no-op
-    without subscribers. *)
+    (a ring-mode recorder replays only what it retained); without
+    subscribers, no event is decoded. With [~spans:true] (default
+    [false]) the same one pass over the records also folds their
+    lifecycle spans into the probe's registry ({!Spans}). *)
 
 val replay_canonical : t -> Recorder.t list -> unit
 (** Publish the parity records of several recorders sorted by

@@ -14,8 +14,12 @@
    - [depth] instantaneous queue depth at the recording site, or 0.
 
    Kinds 0..10 mirror {!Event_bus.event} one-to-one ("parity" kinds): the
-   bus and its NDJSON are exactly their decode. Kinds >= 11 are lifecycle
-   extensions that only exist in the binary stream. *)
+   bus and its NDJSON are exactly their decode, and [ndjson_writer]
+   renders them through the bus's own renderer. Kinds >= 11 are
+   lifecycle extensions that only exist in the binary stream.
+
+   In a lane and on disk the words are 64-bit little-endian, one order
+   for both, so a recorder writes and reads them in blocks. *)
 
 let words = 8
 
@@ -167,198 +171,213 @@ let get64 b pos =
   done;
   Int64.to_int !v
 
-(* In-memory lane words: native-endian 64-bit stores/loads through the
-   unaligned bytes primitives. Lanes live in [Bytes] precisely so the
-   major GC never scans them (a multi-MB int array is walked word by
-   word on every major cycle; an equally large Bytes block is O(1) to
-   mark). Native endianness never leaks: the on-disk format always goes
-   through the explicitly little-endian {!put64}/{!get64}. *)
+(* Lane words: 64-bit little-endian, the on-disk order, through the
+   unaligned, unchecked bytes primitives — one plain load or store on a
+   little-endian host. Lanes live in [Bytes] precisely so the major GC
+   never scans them (a multi-MB int array is walked word by word on every
+   major cycle; an equally large Bytes block is O(1) to mark), and since
+   their words are already in file order, a lane slice goes to a segment
+   with one [output] and comes back with one [really_input]. *)
 
 external unsafe_set_word64 : Bytes.t -> int -> int64 -> unit
   = "%caml_bytes_set64u"
 
 external unsafe_get_word64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] set_word b pos v = unsafe_set_word64 b pos (Int64.of_int v)
+let[@inline] set_word b pos v =
+  let w = Int64.of_int v in
+  unsafe_set_word64 b pos (if Sys.big_endian then swap64 w else w)
 
-let[@inline] get_word b pos = Int64.to_int (unsafe_get_word64 b pos)
-
-let decode b ~pos buf ~off =
-  for i = 0 to words - 1 do
-    Array.unsafe_set buf (off + i) (get64 b (pos + (8 * i)))
-  done
+let[@inline] get_word b pos =
+  let w = unsafe_get_word64 b pos in
+  Int64.to_int (if Sys.big_endian then swap64 w else w)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding records back into events / JSON.                          *)
 
+(* Parity kind codes, block by block, to their bus kinds. *)
+let packet_kinds = Event_bus.[| Arrival; Drop; Depart |]
+let tcp_kinds = Event_bus.[| Timeout; Fast_retransmit; Cwnd_cut; Ecn_reaction |]
+let queue_kinds = Event_bus.[| Ecn_mark; Early_drop; Forced_drop |]
+
 let event_of_record ~lookup buf off =
+  let kind = buf.(off + 1) in
+  if not (is_parity kind) then None
+  else begin
+    let time = time_of_tick buf.(off) and flow = buf.(off + 2) in
+    let a = buf.(off + 3) and b = buf.(off + 4) and c = buf.(off + 5) in
+    let sid = buf.(off + 6) in
+    Some
+      (if kind <= packet_depart then
+         Event_bus.Packet
+           {
+             time;
+             kind = packet_kinds.(kind - packet_arrival);
+             link = lookup sid;
+             flow;
+             seq = (if c = no_seq then None else Some c);
+             size_bytes = b;
+             uid = a;
+           }
+       else if kind <= tcp_ecn_reaction then
+         Event_bus.Tcp
+           {
+             time;
+             kind = tcp_kinds.(kind - tcp_timeout);
+             flow;
+             cwnd = float_of_parts ~hi:b ~lo:c;
+           }
+       else if kind <= queue_forced_drop then
+         Event_bus.Queue
+           {
+             time;
+             kind = queue_kinds.(kind - queue_ecn_mark);
+             queue = lookup sid;
+             flow;
+             avg = float_of_parts ~hi:b ~lo:c;
+           }
+       else
+         Event_bus.Custom
+           { time; name = lookup sid; value = float_of_parts ~hi:b ~lo:c })
+  end
+
+(* The JSON of a lifecycle (non-parity) record. *)
+let lifecycle_json ~lookup buf off =
   let tick = buf.(off) and kind = buf.(off + 1) and flow = buf.(off + 2) in
   let a = buf.(off + 3) and b = buf.(off + 4) and c = buf.(off + 5) in
   let sid = buf.(off + 6) in
-  let time = time_of_tick tick in
-  let packet k =
-    Some
-      (Event_bus.Packet
-         {
-           time;
-           kind = k;
-           link = lookup sid;
-           flow;
-           seq = (if c = no_seq then None else Some c);
-           size_bytes = b;
-           uid = a;
-         })
-  in
-  let tcp k =
-    Some (Event_bus.Tcp { time; kind = k; flow; cwnd = float_of_parts ~hi:b ~lo:c })
-  in
-  let queue k =
-    Some
-      (Event_bus.Queue
-         { time; kind = k; queue = lookup sid; flow; avg = float_of_parts ~hi:b ~lo:c })
-  in
-  if kind = packet_arrival then packet Event_bus.Arrival
-  else if kind = packet_drop then packet Event_bus.Drop
-  else if kind = packet_depart then packet Event_bus.Depart
-  else if kind = tcp_timeout then tcp Event_bus.Timeout
-  else if kind = tcp_fast_retransmit then tcp Event_bus.Fast_retransmit
-  else if kind = tcp_cwnd_cut then tcp Event_bus.Cwnd_cut
-  else if kind = tcp_ecn_reaction then tcp Event_bus.Ecn_reaction
-  else if kind = queue_ecn_mark then queue Event_bus.Ecn_mark
-  else if kind = queue_early_drop then queue Event_bus.Early_drop
-  else if kind = queue_forced_drop then queue Event_bus.Forced_drop
-  else if kind = custom_value then
-    Some
-      (Event_bus.Custom
-         { time; name = lookup sid; value = float_of_parts ~hi:b ~lo:c })
-  else None
+  let time = Json.Float (time_of_tick tick) in
+  if kind = tcp_phase then
+    Json.Obj
+      [
+        ("event", Json.String "phase");
+        ("time", time);
+        ("flow", Json.Int flow);
+        ("phase", Json.String (phase_label a));
+        ("cwnd", Json.Float (float_of_parts ~hi:b ~lo:c));
+      ]
+  else if kind = tcp_rtt then
+    Json.Obj
+      [
+        ("event", Json.String "rtt");
+        ("time", time);
+        ("flow", Json.Int flow);
+        ("rtt_ns", Json.Int a);
+      ]
+  else if kind = rcv_out_of_order || kind = rcv_duplicate then
+    Json.Obj
+      [
+        ("event", Json.String "receiver");
+        ("time", time);
+        ( "kind",
+          Json.String
+            (if kind = rcv_out_of_order then "out_of_order" else "duplicate")
+        );
+        ("flow", Json.Int flow);
+        ("seq", Json.Int a);
+      ]
+  else if kind = router_rtx_forward then
+    Json.Obj
+      [
+        ("event", Json.String "router");
+        ("time", time);
+        ("name", Json.String (lookup sid));
+        ("flow", Json.Int flow);
+        ("uid", Json.Int a);
+        ("dst", Json.Int b);
+        ("seq", Json.Int c);
+      ]
+  else if kind = run_start then
+    Json.Obj
+      [
+        ("event", Json.String "run");
+        ("time", time);
+        ("kind", Json.String "start");
+        ("label", Json.String (lookup sid));
+      ]
+  else if kind = run_end then
+    Json.Obj
+      [
+        ("event", Json.String "run");
+        ("time", time);
+        ("kind", Json.String "end");
+        ("label", Json.String (lookup sid));
+        ("events", Json.Int a);
+      ]
+  else if kind = burst_cov || kind = burst_idc then
+    Json.Obj
+      [
+        ("event", Json.String "burst");
+        ("time", time);
+        ( "kind",
+          Json.String (if kind = burst_cov then "cov" else "idc") );
+        ("run", Json.String (lookup sid));
+        ("level", Json.Int a);
+        ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
+        ("blocks", Json.Int buf.(off + 7));
+      ]
+  else if kind = burst_hurst then
+    Json.Obj
+      [
+        ("event", Json.String "burst");
+        ("time", time);
+        ("kind", Json.String "hurst");
+        ("run", Json.String (lookup sid));
+        ("octaves", Json.Int a);
+        ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
+      ]
+  else if kind = burst_osc_amp || kind = burst_osc_freq then
+    Json.Obj
+      [
+        ("event", Json.String "burst");
+        ("time", time);
+        ( "kind",
+          Json.String
+            (if kind = burst_osc_amp then "osc_amplitude"
+             else "osc_frequency") );
+        ("run", Json.String (lookup sid));
+        ("crossings", Json.Int a);
+        ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
+        ("oscillating", Json.Bool (buf.(off + 7) = 1));
+      ]
+  else if kind = hybrid_bg_window || kind = hybrid_bg_queue
+          || kind = hybrid_bg_rate then
+    Json.Obj
+      [
+        ("event", Json.String "hybrid");
+        ("time", time);
+        ( "kind",
+          Json.String
+            (if kind = hybrid_bg_window then "bg_window"
+             else if kind = hybrid_bg_queue then "bg_queue"
+             else "bg_rate") );
+        ("run", Json.String (lookup sid));
+        ("background", Json.Int a);
+        ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
+        ("steps", Json.Int buf.(off + 7));
+      ]
+  else
+    Json.Obj
+      [
+        ("event", Json.String (kind_label kind));
+        ("time", time);
+        ("flow", Json.Int flow);
+        ("a", Json.Int a);
+        ("b", Json.Int b);
+        ("c", Json.Int c);
+        ("sid", Json.Int sid);
+        ("depth", Json.Int buf.(off + 7));
+      ]
 
 let json_of_record ~lookup buf off =
   match event_of_record ~lookup buf off with
   | Some e -> Event_bus.to_json e
-  | None ->
-      let tick = buf.(off) and kind = buf.(off + 1) and flow = buf.(off + 2) in
-      let a = buf.(off + 3) and b = buf.(off + 4) and c = buf.(off + 5) in
-      let sid = buf.(off + 6) in
-      let time = Json.Float (time_of_tick tick) in
-      if kind = tcp_phase then
-        Json.Obj
-          [
-            ("event", Json.String "phase");
-            ("time", time);
-            ("flow", Json.Int flow);
-            ("phase", Json.String (phase_label a));
-            ("cwnd", Json.Float (float_of_parts ~hi:b ~lo:c));
-          ]
-      else if kind = tcp_rtt then
-        Json.Obj
-          [
-            ("event", Json.String "rtt");
-            ("time", time);
-            ("flow", Json.Int flow);
-            ("rtt_ns", Json.Int a);
-          ]
-      else if kind = rcv_out_of_order || kind = rcv_duplicate then
-        Json.Obj
-          [
-            ("event", Json.String "receiver");
-            ("time", time);
-            ( "kind",
-              Json.String
-                (if kind = rcv_out_of_order then "out_of_order" else "duplicate")
-            );
-            ("flow", Json.Int flow);
-            ("seq", Json.Int a);
-          ]
-      else if kind = router_rtx_forward then
-        Json.Obj
-          [
-            ("event", Json.String "router");
-            ("time", time);
-            ("name", Json.String (lookup sid));
-            ("flow", Json.Int flow);
-            ("uid", Json.Int a);
-            ("dst", Json.Int b);
-            ("seq", Json.Int c);
-          ]
-      else if kind = run_start then
-        Json.Obj
-          [
-            ("event", Json.String "run");
-            ("time", time);
-            ("kind", Json.String "start");
-            ("label", Json.String (lookup sid));
-          ]
-      else if kind = run_end then
-        Json.Obj
-          [
-            ("event", Json.String "run");
-            ("time", time);
-            ("kind", Json.String "end");
-            ("label", Json.String (lookup sid));
-            ("events", Json.Int a);
-          ]
-      else if kind = burst_cov || kind = burst_idc then
-        Json.Obj
-          [
-            ("event", Json.String "burst");
-            ("time", time);
-            ( "kind",
-              Json.String (if kind = burst_cov then "cov" else "idc") );
-            ("run", Json.String (lookup sid));
-            ("level", Json.Int a);
-            ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
-            ("blocks", Json.Int buf.(off + 7));
-          ]
-      else if kind = burst_hurst then
-        Json.Obj
-          [
-            ("event", Json.String "burst");
-            ("time", time);
-            ("kind", Json.String "hurst");
-            ("run", Json.String (lookup sid));
-            ("octaves", Json.Int a);
-            ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
-          ]
-      else if kind = burst_osc_amp || kind = burst_osc_freq then
-        Json.Obj
-          [
-            ("event", Json.String "burst");
-            ("time", time);
-            ( "kind",
-              Json.String
-                (if kind = burst_osc_amp then "osc_amplitude"
-                 else "osc_frequency") );
-            ("run", Json.String (lookup sid));
-            ("crossings", Json.Int a);
-            ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
-            ("oscillating", Json.Bool (buf.(off + 7) = 1));
-          ]
-      else if kind = hybrid_bg_window || kind = hybrid_bg_queue
-              || kind = hybrid_bg_rate then
-        Json.Obj
-          [
-            ("event", Json.String "hybrid");
-            ("time", time);
-            ( "kind",
-              Json.String
-                (if kind = hybrid_bg_window then "bg_window"
-                 else if kind = hybrid_bg_queue then "bg_queue"
-                 else "bg_rate") );
-            ("run", Json.String (lookup sid));
-            ("background", Json.Int a);
-            ("value", Json.Float (float_of_parts ~hi:b ~lo:c));
-            ("steps", Json.Int buf.(off + 7));
-          ]
-      else
-        Json.Obj
-          [
-            ("event", Json.String (kind_label kind));
-            ("time", time);
-            ("flow", Json.Int flow);
-            ("a", Json.Int a);
-            ("b", Json.Int b);
-            ("c", Json.Int c);
-            ("sid", Json.Int sid);
-            ("depth", Json.Int buf.(off + 7));
-          ]
+  | None -> lifecycle_json ~lookup buf off
+
+let ndjson_writer oc =
+  let event = Event_bus.ndjson_writer oc and other = Json.line_writer oc in
+  fun ~lookup buf off ->
+    match event_of_record ~lookup buf off with
+    | Some e -> event e
+    | None -> other (lifecycle_json ~lookup buf off)

@@ -11,7 +11,8 @@
     bits in [b]/[c].
 
     Kinds [0..10] ("parity" kinds) mirror {!Event_bus.event}
-    one-to-one: the bus and [--trace-out] are exactly their decode.
+    one-to-one: the bus and [--trace-out] are exactly their decode, and
+    {!ndjson_writer} renders them through the bus's own renderer.
     Kinds [>= 11] are lifecycle
     extensions (phases, RTT samples, receiver reordering, router
     retransmit forwards, run markers) that exist only in the binary
@@ -113,24 +114,20 @@ val time_of_tick : int -> float
 
 (** {1 Binary word codec}
 
-    64-bit little-endian two's complement; OCaml's 63-bit ints
+    64-bit little-endian two's complement, the order of both the
+    in-memory lanes and the segment file; OCaml's 63-bit ints
     round-trip exactly. *)
 
 val put64 : Bytes.t -> int -> int -> unit
 val get64 : Bytes.t -> int -> int
 
 val set_word : Bytes.t -> int -> int -> unit
-(** Native-endian unchecked 64-bit store — the in-memory lane format.
-    The caller guarantees [pos + 8 <= length]; disk output must go
-    through the little-endian {!put64} instead. *)
+(** Unchecked little-endian 64-bit store — the lane format, byte for
+    byte what {!put64} writes, in one store on a little-endian host.
+    The caller guarantees [pos + 8 <= length]. *)
 
 val get_word : Bytes.t -> int -> int
-(** Native-endian unchecked load, twin of {!set_word}. *)
-
-val decode : Bytes.t -> pos:int -> int array -> off:int -> unit
-(** Reads the [8 * words] little-endian bytes at [pos] (as the recorder
-    writes them with {!put64}) into the {!words}-word record at
-    [buf.(off..)]. *)
+(** Unchecked little-endian load, twin of {!set_word}. *)
 
 (** {1 Decoding to events / JSON} *)
 
@@ -140,6 +137,13 @@ val event_of_record :
     [lookup] resolves interned-string ids. *)
 
 val json_of_record : lookup:(int -> string) -> int array -> int -> Json.t
-(** JSON for any kind; parity kinds go through
-    {!Event_bus.to_json} so serialization is byte-identical to the
-    bus's NDJSON. *)
+(** JSON for any kind; parity kinds go through {!Event_bus.to_json}, so
+    the tree renders to the bytes of the bus's NDJSON. *)
+
+val ndjson_writer :
+  out_channel -> lookup:(int -> string) -> int array -> int -> unit
+(** [ndjson_writer oc] writes one NDJSON line per record to [oc]: a
+    parity record through one {!Event_bus.ndjson_writer}, so its line is
+    the bus's byte for byte, any other kind as [Json.to_string
+    (json_of_record ...)]. The caller owns (and flushes/closes) the
+    channel. *)

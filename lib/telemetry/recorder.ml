@@ -10,7 +10,12 @@
 
    A recorder owns one intern table (strings referenced by records)
    and one or more lanes (one per domain). Within a segment, records
-   are merged deterministically by [(tick, lane, seq)]. *)
+   are merged deterministically by [(tick, lane, seq)].
+
+   Lane words are little-endian, the segment file's order, so a segment
+   is written as lane slices, one [output] per run of records
+   contiguous in a buffer, and read back one [really_input] per chunk,
+   each record decoded from those bytes as it is iterated. *)
 
 type overflow = Drop_oldest | Grow
 
@@ -25,11 +30,21 @@ let magic = "BFRC0001"
    of scanning every word — measurable on the default 4 MB lane. *)
 let rbytes = 8 * Record.words
 
-(* Local copies of the native-endian word primitives: declared here so
-   the stores compile to single unboxed instructions in [record] (a
-   cross-module call per word would dominate the hot path). *)
+(* Local copies of {!Record.set_word}/{!Record.get_word}, the
+   little-endian lane words: declared here so the stores compile to
+   single unboxed instructions in [record] (a cross-module call per word
+   would dominate the hot path). *)
 external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] set_le buf off v =
+  let w = Int64.of_int v in
+  unsafe_set64 buf off (if Sys.big_endian then swap64 w else w)
+
+let[@inline] get_le buf off =
+  let w = unsafe_get64 buf off in
+  Int64.to_int (if Sys.big_endian then swap64 w else w)
 
 type t = {
   config : config;
@@ -40,13 +55,12 @@ type t = {
   mutable lanes_rev : lane list;
   mutable finished : bool;
   w8 : Bytes.t; (* single-word write scratch *)
-  wchunk : Bytes.t; (* batched record-payload scratch *)
 }
 
 and lane = {
   id : int;
   ring : bool; (* drop oldest; otherwise grow *)
-  mutable buf : Bytes.t; (* [cap * rbytes] bytes, native-endian words *)
+  mutable buf : Bytes.t; (* [cap * rbytes] bytes, little-endian words *)
   cap : int; (* records per buffer *)
   mutable chunks : Bytes.t array; (* grow mode: every buffer, [buf] last *)
   mutable total : int; (* records ever offered *)
@@ -78,7 +92,6 @@ let create ?(label = "") config =
     lanes_rev = [];
     finished = false;
     w8 = Bytes.create 8;
-    wchunk = Bytes.create (128 * 8 * Record.words);
   }
 
 let config t = t.config
@@ -102,6 +115,12 @@ let intern t s =
       i
 
 let intern_array t = Array.of_list (List.rev t.interns_rev)
+
+let lookup_in interns i =
+  if i >= 0 && i < Array.length interns then interns.(i)
+  else Printf.sprintf "?%d" i
+
+let lookup t = lookup_in (intern_array t)
 
 let lane t id =
   match List.find_opt (fun l -> l.id = id) t.lanes_rev with
@@ -165,34 +184,25 @@ let write_header t oc =
   List.iter (out_string t oc) (List.rev t.interns_rev)
 
 (* One chunk: tag 1, lane id, first logical seq, count, then
-   [count * Record.words] little-endian words, batched through the
-   chunk scratch. *)
+   [count * Record.words] little-endian words. Lane words are already in
+   that order, so each run of records contiguous in one buffer goes out
+   with one [output]: a grow lane's buffers in turn, a wrapped ring's
+   two halves. *)
 let write_records t oc l ~first ~count =
   out_word t oc 1;
   out_word t oc l.id;
   out_word t oc first;
   out_word t oc count;
-  let scratch = t.wchunk in
-  let per = Bytes.length scratch / rbytes in
-  let k = ref first in
-  let remaining = ref count in
-  while !remaining > 0 do
-    let batch = min per !remaining in
-    for i = 0 to batch - 1 do
-      let src = slot_of l (!k + i) * rbytes in
-      let dst = i * rbytes in
-      for w = 0 to Record.words - 1 do
-        Record.put64 scratch (dst + (8 * w))
-          (Record.get_word (buf_of l (!k + i)) (src + (8 * w)))
-      done
-    done;
-    output oc scratch 0 (batch * rbytes);
-    k := !k + batch;
-    remaining := !remaining - batch
+  let k = ref first and stop = first + count in
+  while !k < stop do
+    let slot = slot_of l !k in
+    let n = min (l.cap - slot) (stop - !k) in
+    output oc (buf_of l !k) (slot * rbytes) (n * rbytes);
+    k := !k + n
   done
 
 (* ------------------------------------------------------------------ *)
-(* The hot path. Pure int stores into a preallocated array: zero
+(* The hot path. Pure int stores into a preallocated buffer: zero
    minor words per record in ring and (amortized) grow modes.        *)
 
 let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
@@ -207,14 +217,14 @@ let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
   end;
   let off = slot * rbytes in
   let buf = l.buf in
-  unsafe_set64 buf off (Int64.of_int tick);
-  unsafe_set64 buf (off + 8) (Int64.of_int kind);
-  unsafe_set64 buf (off + 16) (Int64.of_int flow);
-  unsafe_set64 buf (off + 24) (Int64.of_int a);
-  unsafe_set64 buf (off + 32) (Int64.of_int b);
-  unsafe_set64 buf (off + 40) (Int64.of_int c);
-  unsafe_set64 buf (off + 48) (Int64.of_int sid);
-  unsafe_set64 buf (off + 56) (Int64.of_int depth);
+  set_le buf off tick;
+  set_le buf (off + 8) kind;
+  set_le buf (off + 16) flow;
+  set_le buf (off + 24) a;
+  set_le buf (off + 32) b;
+  set_le buf (off + 40) c;
+  set_le buf (off + 48) sid;
+  set_le buf (off + 56) depth;
   l.total <- n + 1
 
 (* ------------------------------------------------------------------ *)
@@ -224,7 +234,7 @@ let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
    keep the [int array] view regardless of the lane representation. *)
 let load_record buf boff scratch =
   for w = 0 to Record.words - 1 do
-    Array.unsafe_set scratch w (Record.get_word buf (boff + (8 * w)))
+    Array.unsafe_set scratch w (get_le buf (boff + (8 * w)))
   done
 
 let iter_lane l f =
@@ -248,7 +258,7 @@ let iter_merged t f =
          let l = ls.(i) in
          if cursor.(i) < l.total then begin
            let k = cursor.(i) in
-           let tick = Int64.to_int (unsafe_get64 (buf_of l k) (slot_of l k * rbytes)) in
+           let tick = get_le (buf_of l k) (slot_of l k * rbytes) in
            (* Strict [<] keeps the earliest lane on ties: lanes are
               scanned in ascending id order. *)
            if !best < 0 || tick < !best_tick then begin
@@ -268,11 +278,7 @@ let iter_merged t f =
    with Done -> ())
 
 let iter_events t f =
-  let interns = intern_array t in
-  let lookup i =
-    if i >= 0 && i < Array.length interns then interns.(i)
-    else Printf.sprintf "?%d" i
-  in
+  let lookup = lookup t in
   iter_merged t (fun ~lane:_ ~seq:_ words off ->
       match Record.event_of_record ~lookup words off with
       | Some e -> f e
@@ -303,8 +309,8 @@ let write_segment oc t =
 
 type read_lane = {
   rl_id : int;
-  rl_first : int; (* logical seq of records.(0) *)
-  rl_records : int array;
+  rl_first : int; (* logical seq of the first retained record *)
+  rl_records : Bytes.t; (* little-endian words, as read *)
   rl_total : int;
   rl_dropped : int;
 }
@@ -325,11 +331,9 @@ let read_lane_total l = l.rl_total
 
 let read_lane_dropped l = l.rl_dropped
 
-let read_lane_retained l = Array.length l.rl_records / Record.words
+let read_lane_retained l = Bytes.length l.rl_records / rbytes
 
-let seg_lookup s i =
-  if i >= 0 && i < Array.length s.seg_interns then s.seg_interns.(i)
-  else Printf.sprintf "?%d" i
+let seg_lookup s = lookup_in s.seg_interns
 
 let in64 b8 ic =
   really_input ic b8 0 8;
@@ -343,7 +347,7 @@ let in_string b8 ic =
 type partial_lane = {
   mutable pl_first : int;
   mutable pl_next : int;
-  mutable pl_chunks : int array list; (* reversed *)
+  mutable pl_chunks : Bytes.t list; (* reversed *)
   mutable pl_total : int;
   mutable pl_dropped : int;
   mutable pl_seen_chunk : bool;
@@ -390,14 +394,11 @@ let read_segment_body b8 ic =
         end;
         if first <> p.pl_next then
           failwith "corrupt segment: non-contiguous chunks";
-        let words = Array.make (count * Record.words) 0 in
-        let rbytes = 8 * Record.words in
-        let scratch = Bytes.create rbytes in
-        for i = 0 to count - 1 do
-          really_input ic scratch 0 rbytes;
-          Record.decode scratch ~pos:0 words ~off:(i * Record.words)
-        done;
-        p.pl_chunks <- words :: p.pl_chunks;
+        (* The words are in lane order already: one read, decoded in
+           place as the records are iterated. *)
+        let records = Bytes.create (count * rbytes) in
+        really_input ic records 0 (count * rbytes);
+        p.pl_chunks <- records :: p.pl_chunks;
         p.pl_next <- first + count;
         loop ()
     | 2 ->
@@ -414,7 +415,11 @@ let read_segment_body b8 ic =
   let seg_lanes =
     Hashtbl.fold
       (fun id p acc ->
-        let records = Array.concat (List.rev p.pl_chunks) in
+        let records =
+          match p.pl_chunks with
+          | [ one ] -> one
+          | chunks -> Bytes.concat Bytes.empty (List.rev chunks)
+        in
         {
           rl_id = id;
           rl_first = p.pl_first;
@@ -433,13 +438,19 @@ let read_segments ic =
   let rec loop acc =
     match really_input_string ic 8 with
     | exception End_of_file -> List.rev acc
-    | m when String.equal m magic -> loop (read_segment_body b8 ic :: acc)
+    | m when String.equal m magic ->
+        let seg =
+          try read_segment_body b8 ic
+          with End_of_file -> failwith "corrupt segment: truncated"
+        in
+        loop (seg :: acc)
     | _ -> failwith "not a flight-recorder file (bad magic)"
   in
   loop []
 
 let iter_segment seg f =
   let ls = Array.of_list seg.seg_lanes in
+  let scratch = Array.make Record.words 0 in
   let cursor = Array.make (Array.length ls) 0 in
   let counts = Array.map read_lane_retained ls in
   let n = Array.length ls in
@@ -450,7 +461,7 @@ let iter_segment seg f =
        let best_tick = ref max_int in
        for i = 0 to n - 1 do
          if cursor.(i) < counts.(i) then begin
-           let tick = ls.(i).rl_records.(cursor.(i) * Record.words) in
+           let tick = get_le ls.(i).rl_records (cursor.(i) * rbytes) in
            if !best < 0 || tick < !best_tick then begin
              best := i;
              best_tick := tick
@@ -461,8 +472,7 @@ let iter_segment seg f =
        let i = !best in
        let idx = cursor.(i) in
        cursor.(i) <- idx + 1;
-       f ~lane:ls.(i).rl_id
-         ~seq:(ls.(i).rl_first + idx)
-         ls.(i).rl_records (idx * Record.words)
+       load_record ls.(i).rl_records (idx * rbytes) scratch;
+       f ~lane:ls.(i).rl_id ~seq:(ls.(i).rl_first + idx) scratch 0
      done
    with Done -> ())

@@ -20,8 +20,10 @@
     On disk, a {e segment} is: the magic ["BFRC0001"], the label, the
     intern table, then tagged blocks (1 = record chunk, 2 = lane
     summary, 0 = end). Segments concatenate; all integers are 64-bit
-    little-endian. Within a segment, records merge deterministically
-    by [(tick, lane, seq)]. *)
+    little-endian — the lanes' own word order, so {!write_segment}
+    emits lane slices whole and {!read_segments} reads each chunk in
+    one block. Within a segment, records merge deterministically by
+    [(tick, lane, seq)]. *)
 
 type overflow = Drop_oldest | Grow
 
@@ -51,8 +53,10 @@ val intern : t -> string -> int
     {!write_segment}; instrument at wiring time, not per event.
     @raise Invalid_argument after the segment has been written. *)
 
-val intern_array : t -> string array
-(** The intern table by id; index 0 is always [""]. *)
+val lookup : t -> int -> string
+(** [lookup t] resolves interned ids as the table stands now (["?id"]
+    for an unknown one; id 0 is always [""]), one physical string per
+    id: the [lookup] the {!Record} decoders take. *)
 
 val lane : t -> int -> lane
 (** Get-or-create the lane with the given domain id. *)
@@ -88,7 +92,8 @@ val total_dropped : t -> int
 
 val iter_lane : lane -> (seq:int -> int array -> int -> unit) -> unit
 (** In-memory records of one lane in order; the callback receives the
-    record as [Record.words] ints at the given offset. *)
+    record as [Record.words] ints at the given offset of an array it
+    must not keep (the iterator reuses it for the next record). *)
 
 val iter_merged : t -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
 (** All lanes' in-memory records merged by [(tick, lane, seq)]. *)
@@ -126,4 +131,5 @@ val read_lane_retained : read_lane -> int
 
 val iter_segment :
   segment -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
-(** Records of one segment merged by [(tick, lane, seq)]. *)
+(** Records of one segment merged by [(tick, lane, seq)], each decoded
+    from the words as read into a reused array, as in {!iter_lane}. *)

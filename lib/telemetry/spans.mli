@@ -12,7 +12,25 @@
 
     Tick counters restart per segment, so accumulate one segment (or
     one live recorder) at a time; histograms merge across calls since
-    they share a registry. *)
+    they share a registry.
+
+    Pending packets are keyed per link by their uid alone, so a packet
+    record builds no tuple and makes no call into the runtime's generic
+    hash or compare. *)
+
+type t
+(** One stream's accumulator, fed record by record — for a pass over
+    the records that does other work too (see {!Probe.replay}). *)
+
+val create : Registry.t -> t
+(** Registers the span histograms (if absent) and starts an empty
+    stream. *)
+
+val add : t -> int array -> int -> unit
+(** [add t buf off] folds the record at [buf.(off..)]. *)
+
+val close : t -> unit
+(** Ends the stream: closes the phase spans still open. *)
 
 val accumulate :
   registry:Registry.t ->
@@ -20,7 +38,7 @@ val accumulate :
   unit
 (** [accumulate ~registry iter] folds one record stream, where [iter]
     is an iterator in the shape of {!Recorder.iter_merged} /
-    {!Recorder.iter_segment}. *)
+    {!Recorder.iter_segment}: {!create}, {!add} per record, {!close}. *)
 
 val of_recorder : registry:Registry.t -> Recorder.t -> unit
 (** Spans from a live recorder's retained records. *)

@@ -922,6 +922,26 @@ let twoway_and_parking_past_100_flows () =
   Alcotest.(check bool) "cross flows deliver" true
     (p.Parking_lot.cross_throughput_pps > 0.)
 
+(* Both topologies end their runs with the dumbbell's leak checks: every
+   link reclaimed, then no live pool slot and no flow row. A sink that
+   never frees its packets leaves live slots behind, and the run raises
+   instead of returning. Short horizons cut both mid-transfer, so the
+   reclaim has queued and in-flight packets to free. *)
+let twoway_and_parking_leak_checks () =
+  let leak_free what f =
+    match f () with
+    | _ -> ()
+    | exception Failure msg -> Alcotest.failf "%s: %s" what msg
+  in
+  leak_free "twoway" (fun () ->
+      Twoway.run
+        (tiny ~clients:3 ~duration:2.5 ~warmup:0.5 ())
+        ~cc:Scenario.Reno ~reverse_clients:3);
+  leak_free "parking lot" (fun () ->
+      Parking_lot.run
+        { Config.default with Config.duration_s = 2.5 }
+        ~cc:Scenario.Vegas ~hops:2 ~cross_per_hop:2)
+
 (* ------------------------------------------------------------------ *)
 (* Parking lot *)
 
@@ -1466,6 +1486,7 @@ let suite =
         Alcotest.test_case "validation" `Quick twoway_validates;
         Alcotest.test_case "past 100 flows" `Quick
           twoway_and_parking_past_100_flows;
+        Alcotest.test_case "leak checks" `Quick twoway_and_parking_leak_checks;
       ] );
     ( "core.parking_lot",
       [

@@ -348,6 +348,110 @@ let bus_roundtrip_property =
     (QCheck.make event_gen)
     (fun e -> Event_bus.of_ndjson_line (Event_bus.to_ndjson e) = Ok e)
 
+(* Events of every shape and kind with the corners the direct renderer
+   must reproduce byte for byte: extreme and negative ints, [seq = None],
+   names with quotes, backslashes and control bytes, and floats printed
+   in fixed, exponent and "%.17g" form, 0., -0. and integral values. *)
+let render_event_gen =
+  let open QCheck2.Gen in
+  let int_ =
+    oneof
+      [
+        int;
+        int_range (-1000) 1000;
+        oneofl [ min_int; max_int; min_int + 1; 0; -1; 9; 10; 99; 100; -10 ];
+      ]
+  in
+  let float_ =
+    oneof
+      [
+        (* timestamps: whole nanoseconds, fixed form *)
+        map Record.time_of_tick (int_range 0 999_999_999_999);
+        (* below 1e-4 s: exponent form *)
+        map Record.time_of_tick (int_range 0 99_999);
+        (* any finite double, most of which need "%.17g" *)
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            if Float.is_finite f then f else Float.of_int (Int64.to_int b))
+          ui64;
+        (* integral values, both signs *)
+        map (fun i -> Float.of_int i) (int_range (-1_000_000) 1_000_000);
+        oneofl
+          [
+            0.; -0.; 1.; 5.; 1e-4; 1e-5; 1e3; 1e11; 1e15; 1e21; 0.1; 1. /. 3.;
+            0.30000000000000004; -2.5; 123456789012.5; max_float; min_float;
+          ];
+      ]
+  in
+  let name =
+    oneof
+      [
+        oneofl
+          [ ""; "bottleneck"; "q\"uote"; "back\\slash"; "tab\tnl\ncr\r";
+            "\x00\x01\x1f"; "\x7f\xc3\xa9" ];
+        string_size ~gen:char (int_bound 12);
+      ]
+  in
+  let seq = oneof [ return None; map Option.some int_ ] in
+  frequency
+    [
+      ( 4,
+        map
+          (fun ((time, kind, link), (flow, seq, size_bytes, uid)) ->
+            Event_bus.Packet { time; kind; link; flow; seq; size_bytes; uid })
+          (pair
+             (triple float_
+                (oneofl [ Event_bus.Arrival; Event_bus.Drop; Event_bus.Depart ])
+                name)
+             (quad int_ seq int_ int_)) );
+      ( 2,
+        map
+          (fun (time, kind, flow, cwnd) -> Event_bus.Tcp { time; kind; flow; cwnd })
+          (quad float_
+             (oneofl
+                [
+                  Event_bus.Timeout; Event_bus.Fast_retransmit;
+                  Event_bus.Cwnd_cut; Event_bus.Ecn_reaction;
+                ])
+             int_ float_) );
+      ( 2,
+        map
+          (fun (time, kind, queue, flow, avg) ->
+            Event_bus.Queue { time; kind; queue; flow; avg })
+          (tup5 float_
+             (oneofl
+                [ Event_bus.Ecn_mark; Event_bus.Early_drop; Event_bus.Forced_drop ])
+             name int_ float_) );
+      ( 1,
+        map
+          (fun (time, name, value) -> Event_bus.Custom { time; name; value })
+          (triple float_ name float_) );
+    ]
+
+(* The renderer writes what the tree encoder writes, through [to_ndjson]
+   and through a writer whose name caches and line are already warm. *)
+let bus_renderer_matches_tree_property =
+  QCheck2.Test.make ~name:"renderer line = tree encoding" ~count:2000
+    ~print:(fun (warm, e) ->
+      Json.to_string (Event_bus.to_json warm)
+      ^ " then " ^ Json.to_string (Event_bus.to_json e))
+    (QCheck2.Gen.pair render_event_gen render_event_gen)
+    (fun (warm, e) ->
+      let tree = Json.to_string (Event_bus.to_json e) in
+      let path = Filename.temp_file "burstsim_render" ".ndjson" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              let write = Event_bus.ndjson_writer oc in
+              write warm;
+              write e);
+          let written = In_channel.with_open_bin path In_channel.input_all in
+          Event_bus.to_ndjson e = tree
+          && written
+             = Json.to_string (Event_bus.to_json warm) ^ "\n" ^ tree ^ "\n"))
+
 (* ------------------------------------------------------------------ *)
 (* Perf phases *)
 
@@ -1045,6 +1149,103 @@ let recorder_read_rejects_garbage () =
                false
              with Failure _ -> true)))
 
+(* The segment bytes as a word-by-word writer lays them out: every
+   integer through [Record.put64], each record's words in order. *)
+let segment_by_words ~label ~interns ~lane ~first ~total ~dropped records =
+  let b = Buffer.create 1024 in
+  let w8 = Bytes.create 8 in
+  let word v =
+    Record.put64 w8 0 v;
+    Buffer.add_bytes b w8
+  in
+  let str s =
+    word (String.length s);
+    Buffer.add_string b s
+  in
+  Buffer.add_string b Recorder.magic;
+  str label;
+  word (List.length interns);
+  List.iter str interns;
+  if records <> [] then begin
+    word 1;
+    word lane;
+    word first;
+    word (List.length records);
+    List.iter (Array.iter word) records
+  end;
+  word 2;
+  word lane;
+  word total;
+  word dropped;
+  word 0;
+  Buffer.contents b
+
+(* Record [i] of the layout tests, with words a byte-swapped or truncated
+   store would change: negative values and both ends of the int range. *)
+let layout_record i =
+  [|
+    i; i mod 26; i - 7; (if i mod 3 = 0 then min_int else i * 1_000_003);
+    (if i mod 4 = 0 then max_int else -i); Record.no_seq; i mod 2; -(i * i);
+  |]
+
+let record_layout lane r =
+  Recorder.record lane ~tick:r.(0) ~kind:r.(1) ~flow:r.(2) ~a:r.(3) ~b:r.(4)
+    ~c:r.(5) ~sid:r.(6) ~depth:r.(7)
+
+(* Write 40 records into 16-record lanes, then compare the segment with
+   the word-by-word layout and read it back: a grow lane crosses two
+   buffer boundaries, a ring wraps and keeps records 24..39, the oldest
+   of which sits mid-buffer. *)
+let recorder_layout_round_trip ~overflow ~first () =
+  let r =
+    Recorder.create ~label:"layout" (rcfg ~capacity:16 ~overflow ())
+  in
+  let sid = Recorder.intern r "link \"x\"" in
+  Alcotest.(check int) "sid" 1 sid;
+  let lane = Recorder.lane r 0 in
+  let all = List.init 40 layout_record in
+  List.iter (record_layout lane) all;
+  let kept = List.filteri (fun i _ -> i >= first) all in
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Recorder.write_segment oc r);
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "segment bytes = word-by-word layout"
+        (segment_by_words ~label:"layout" ~interns:[ ""; "link \"x\"" ] ~lane:0
+           ~first ~total:40 ~dropped:first kept)
+        bytes;
+      match In_channel.with_open_bin path Recorder.read_segments with
+      | [ seg ] ->
+          let got = ref [] in
+          Recorder.iter_segment seg (fun ~lane ~seq buf off ->
+              Alcotest.(check int) "lane" 0 lane;
+              got := (seq, Array.sub buf off Record.words) :: !got);
+          Alcotest.(check (list (pair int (array int))))
+            "records read back"
+            (List.mapi (fun i rc -> (first + i, rc)) kept)
+            (List.rev !got)
+      | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs))
+
+(* A recording cut short inside a segment is malformed input: the reader
+   fails with a message, as for a bad magic, rather than letting
+   End_of_file escape. *)
+let recorder_read_rejects_truncation () =
+  let r = Recorder.create ~label:"cut" (rcfg ~overflow:Recorder.Grow ()) in
+  fill (Recorder.lane r 0) 50;
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Recorder.write_segment oc r);
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun keep ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub whole 0 keep));
+          match In_channel.with_open_bin path Recorder.read_segments with
+          | _ -> Alcotest.failf "%d of %d bytes read as a recording" keep
+                   (String.length whole)
+          | exception Failure msg ->
+              Alcotest.(check string) "message" "corrupt segment: truncated"
+                msg)
+        [ 12; String.length whole / 2; String.length whole - 1 ])
+
 (* Word-level codecs, including the corners a simulation never hits. *)
 
 let record_codec_corners () =
@@ -1498,7 +1699,8 @@ let suite =
         Alcotest.test_case "ndjson writer reuses its buffer" `Quick
           bus_ndjson_writer_reuses_buffer;
       ]
-      @ qsuite [ bus_roundtrip_property ] );
+      @ qsuite [ bus_roundtrip_property ]
+      @ [ QCheck_alcotest.to_alcotest bus_renderer_matches_tree_property ] );
     ( "telemetry.json",
       qsuite
         [
@@ -1581,6 +1783,12 @@ let suite =
         Alcotest.test_case "read rejects garbage" `Quick
           recorder_read_rejects_garbage;
         Alcotest.test_case "codec corners" `Quick record_codec_corners;
+        Alcotest.test_case "grow layout across chunk boundaries" `Quick
+          (recorder_layout_round_trip ~overflow:Recorder.Grow ~first:0);
+        Alcotest.test_case "ring layout after wrap" `Quick
+          (recorder_layout_round_trip ~overflow:Recorder.Drop_oldest ~first:24);
+        Alcotest.test_case "read rejects truncation" `Quick
+          recorder_read_rejects_truncation;
       ]
       @ qsuite
           [ qcheck_word_codec; qcheck_float_parts; qcheck_bits_of_nonneg_int ]
