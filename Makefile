@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench benchmark bench-alloc bench-flows bench-burst bench-pdes bench-hybrid figures fast check clean
+.PHONY: all build test bench benchmark bench-alloc bench-flows bench-burst bench-pdes bench-hybrid figures fast check check-flags clean
 
 all: build
 
@@ -72,12 +72,22 @@ figures:
 fast:
 	dune exec bench/main.exe -- --fast
 
-# CI gate: build, unit + cram tests (including the parallel determinism
+# The default build (dune-workspace: release) must compile library
+# modules without -opaque, so calls across modules are direct and can be
+# inlined, and with the dev profile's lint (the root dune file): one
+# module's compile rule is checked.
+check-flags:
+	dune rules _build/default/lib/net/.netsim.objs/native/netsim__Link.cmx > _build/link-rule.txt
+	! grep -q -- '-opaque' _build/link-rule.txt
+	grep -q -- '-strict-sequence' _build/link-rule.txt
+	grep -qF -- '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' _build/link-rule.txt
+
+# CI gate: build flags, unit + cram tests (including the parallel determinism
 # suite, re-run explicitly so a filtered runtest cannot skip it), a
 # telemetry smoke run (sharded UDP) whose trace must be non-empty and
 # whose report must validate, then every gated bench section, each
 # re-validated from the BENCH_*.json it wrote.
-check:
+check: check-flags
 	dune build @all
 	dune runtest
 	dune exec test/test_main.exe -- test parallel

@@ -1100,7 +1100,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.20.0"
+    (Cmd.info "burstsim" ~version:"1.21.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

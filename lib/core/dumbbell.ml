@@ -375,10 +375,11 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
   Config.validate cfg;
   let n = cfg.Config.clients in
   (* Pre-size the event queue for the steady state: each client holds at
-     most a window of data segments plus ACKs in flight (two events per
-     packet: tx-done and delivery), plus per-flow timers and a small
-     fixed overhead for sampling/warmup events. Over-estimating only
-     costs a few words; under-estimating just means one array doubling. *)
+     most a window of data segments plus ACKs in flight (at most two
+     events per packet: its delivery, and a serialization end while a
+     packet waits behind it), plus per-flow timers and a small fixed
+     overhead for sampling/warmup events. Over-estimating only costs a
+     few words; under-estimating just means one array doubling. *)
   let queue_capacity = 64 + (n * ((4 * cfg.Config.adv_window) + 8)) in
   let sched = Scheduler.create ~queue_capacity () in
   let rng = Rng.create ~seed:cfg.Config.seed in

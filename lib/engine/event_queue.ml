@@ -17,7 +17,13 @@
    [clock.now]. Ordering is (time, seq): a comparison is one integer
    compare of two keys read in place, and [seq.(slot)] is read only when
    the two times are equal. Sifts move a hole: each displaced entry is
-   written once, and the entry being placed once, at the end.
+   written once, and the entry being placed once, at the end. A seq is
+   a {e turn}: [schedule] takes the next one, while [reserve] takes it
+   ahead of any action and [schedule_turn] fills it later, so that
+   action fires exactly where one scheduled at reservation would have.
+   [clock.seq] is the last turn that has passed at [clock.now]: [take]
+   sets it to the popped event's, and a drain that runs out of due
+   events to the last turn taken.
 
    Cancellation stays lazy: a cancelled slot remains in the heap and is
    skipped (and only then recycled) when it surfaces. Slots popped by
@@ -51,7 +57,12 @@ let gen_mask = (1 lsl gen_bits) - 1
 
 type handle = int
 
-type clock = { mutable now : Time.t; mutable stopped : bool; mutable fired : int }
+type clock = {
+  mutable now : Time.t;
+  mutable seq : int;
+  mutable stopped : bool;
+  mutable fired : int;
+}
 
 type t = {
   (* Per-slot arrays, all of one length: the slab capacity. *)
@@ -237,7 +248,7 @@ let create ?(capacity = 64) () =
       next_seq = 0;
       live = 0;
       hwm = 0;
-      clock = { now = Time.zero; stopped = false; fired = 0 };
+      clock = { now = Time.zero; seq = -1; stopped = false; fired = 0 };
       wheel = Timer_wheel.create ~capacity ();
       wdue = wheel_idle;
       wflush = ignore;
@@ -311,14 +322,13 @@ let pack slot g = (slot lsl gen_bits) lor (g land gen_mask)
 
 let slot_of h = h lsr gen_bits
 
-(* Claim a slot at [when_]: into the wheel if far enough out, else the
-   heap. The caller fills the action fields. *)
-let enqueue q when_ =
+(* Claim a slot at [when_] in turn [seq]: into the wheel if far enough
+   out, else the heap. The caller fills the action fields. *)
+let enqueue q when_ seq =
   flush_deferred q;
   let slot = alloc_slot q in
-  q.seq.(slot) <- q.next_seq;
+  q.seq.(slot) <- seq;
   q.dead.(slot) <- false;
-  q.next_seq <- q.next_seq + 1;
   q.live <- q.live + 1;
   if q.live > q.hwm then q.hwm <- q.live;
   if Timer_wheel.add q.wheel ~item:slot ~time_ns:(Time.to_ns when_) then begin
@@ -328,14 +338,21 @@ let enqueue q when_ =
   else heap_push q when_ slot;
   slot
 
-let schedule q when_ action =
-  let slot = enqueue q when_ in
+let reserve q =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  seq
+
+let schedule_turn q when_ seq action =
+  let slot = enqueue q when_ seq in
   q.act.(slot) <- action;
   pack slot q.gen.(slot)
 
+let schedule q when_ action = schedule_turn q when_ (reserve q) action
+
 let schedule_keyed q when_ f key =
   if key = no_key then invalid_arg "Event_queue.schedule_keyed: reserved key";
-  let slot = enqueue q when_ in
+  let slot = enqueue q when_ (reserve q) in
   q.kact.(slot) <- f;
   q.karg.(slot) <- key;
   pack slot q.gen.(slot)
@@ -358,14 +375,15 @@ let cancel q h =
 let is_pending q h = valid q h && not q.dead.(slot_of h)
 
 (* The earliest live event, if it is due by [limit_ns]: its slot, with
-   [clock.now] set to its time and the slot out of the heap but not yet
-   recycled; [-1] otherwise. *)
+   [clock.now] and [clock.seq] set to its turn and the slot out of the
+   heap but not yet recycled; [-1] otherwise. *)
 let take q limit_ns =
   ready q limit_ns;
   if q.heap_size = 0 || Time.to_ns q.hkey.(0) > limit_ns then -1
   else begin
     let slot = q.hslot.(0) in
     q.clock.now <- q.hkey.(0);
+    q.clock.seq <- q.seq.(slot);
     heap_drop_top q;
     q.dead.(slot) <- true;
     q.live <- q.live - 1;
@@ -454,4 +472,7 @@ let drain q horizon =
         f key
       end
     end
-  done
+  done;
+  (* Nothing more is due by the horizon, so every turn taken so far at
+     or before it has passed. *)
+  if not c.stopped then c.seq <- q.next_seq - 1

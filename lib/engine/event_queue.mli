@@ -1,8 +1,11 @@
 (** A time-ordered queue of pending simulation events.
 
     Events scheduled for the same instant fire in scheduling order (FIFO
-    within a timestamp), which makes runs deterministic. Cancellation is
-    lazy: a cancelled event stays in the heap but is skipped on pop.
+    within a timestamp), which makes runs deterministic. That order is a
+    sequence of {e turns}: {!schedule} takes the next one, and
+    {!reserve} takes one ahead of time for {!schedule_turn} to fill
+    later. Cancellation is lazy: a cancelled event stays in the heap but
+    is skipped on pop.
 
     The queue is built for an allocation-free inner loop: events live in
     a slab of parallel arrays, popped and cancelled slots are recycled
@@ -45,6 +48,16 @@ val high_water_mark : t -> int
 val schedule : t -> Time.t -> (unit -> unit) -> handle
 (** [schedule q at action] enqueues [action] to fire at time [at].
     Allocates nothing when a recycled slot is available. *)
+
+val reserve : t -> int
+(** Take the next turn — the seq the next {!schedule} would have given
+    its event — without scheduling anything. *)
+
+val schedule_turn : t -> Time.t -> int -> (unit -> unit) -> handle
+(** [schedule_turn q at turn action] enqueues [action] at time [at] in a
+    [turn] taken earlier with {!reserve}: it pops exactly where an event
+    scheduled at [at] when the turn was taken would have. Each turn
+    takes at most one action; the caller keeps that rule. *)
 
 val schedule_keyed : t -> Time.t -> (int -> unit) -> int -> handle
 (** [schedule_keyed q at f key] enqueues the application [f key].
@@ -111,12 +124,20 @@ val fire : t -> handle -> unit
     per-event work — pop, set the clock, count, fire — happens inside
     this module, with no call across modules except the action. *)
 
-type clock = { mutable now : Time.t; mutable stopped : bool; mutable fired : int }
+type clock = {
+  mutable now : Time.t;
+  mutable seq : int;
+  mutable stopped : bool;
+  mutable fired : int;
+}
 (** The queue's drain state, shared with its owner as a record so that
     reading the clock or raising the stop flag is a field access, not a
     call. [now] is the time of the event popped last ({!Time.zero}
-    before any); the owner may move it forward between drains. [fired]
-    counts the events {!drain} has fired. *)
+    before any); the owner may move it forward between drains. [seq] is
+    the last turn that has passed at [now]: the popped event's (every
+    pop — {!drain}, {!pop}, {!pop_if_before} — sets it), or, once a
+    {!drain} has run out of due events, the last turn taken ([-1]
+    before any). [fired] counts the events {!drain} has fired. *)
 
 val clock : t -> clock
 (** The queue's own drain state (the same record on every call). *)
@@ -125,8 +146,9 @@ val drain : t -> Time.t -> unit
 (** [drain q horizon] pops and fires, in order, every live event whose
     time is [<= horizon], setting [(clock q).now] to each event's time
     before running its action. Events the actions schedule join the
-    same drain. Returns when nothing is due by [horizon], or as soon as
-    an action sets [(clock q).stopped]. *)
+    same drain. Returns when nothing is due by [horizon], with every
+    turn taken so far marked passed, or as soon as an action sets
+    [(clock q).stopped]. *)
 
 (** {2 Introspection}
 

@@ -39,6 +39,22 @@ let at_keyed t when_ f key =
 
 let after_keyed t delay f key = at_keyed t (Time.add t.clock.now delay) f key
 
+type turn = int
+
+let no_turn = min_int
+
+let take_turn t = Event_queue.reserve t.queue
+
+(* [clock.seq] is the last turn that has passed at [now]: the event
+   being fired's, or outside an event the last turn taken. *)
+let turn_passed t when_ turn =
+  let w = Time.to_ns when_ and n = Time.to_ns t.clock.now in
+  w < n || (w = n && turn <= t.clock.seq)
+
+let at_turn t when_ turn action =
+  if turn_passed t when_ turn then invalid_arg "Scheduler.at_turn: turn has passed";
+  Event_queue.schedule_turn t.queue when_ turn action
+
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let stop t = t.clock.stopped <- true

@@ -2,7 +2,15 @@
 
     A scheduler owns a virtual clock and an {!Event_queue}. Simulation
     components capture the scheduler and call {!after}/{!at} to register
-    future work; {!run} advances the clock from event to event. *)
+    future work; {!run} advances the clock from event to event.
+
+    Events fire in (time, turn) order, where a turn is taken by every
+    schedule call in program order. A component that may or may not need
+    an event can take its turn now ({!take_turn}), decide later
+    ({!at_turn}), and meanwhile ask whether that event would already
+    have fired ({!turn_passed}): firing order is then exactly what
+    scheduling the event eagerly would have given. The link uses this
+    to fire a serialization end only when a packet waits behind it. *)
 
 type t
 
@@ -39,6 +47,32 @@ val at_keyed : t -> Time.t -> (int -> unit) -> int -> handle
     @raise Invalid_argument if [when_] is past or [key] is [min_int]. *)
 
 val after_keyed : t -> Time.span -> (int -> unit) -> int -> handle
+
+type turn [@@immediate]
+(** A place in the firing order among events of equal time. *)
+
+val no_turn : turn
+(** A turn before every other: [(Time.zero, no_turn)] has passed from
+    the scheduler's creation on, so it stands for "nothing pending". *)
+
+val take_turn : t -> turn
+(** Take the next turn without scheduling anything: an action put into
+    it later with {!at_turn} fires exactly where one scheduled with
+    {!at} at this moment would have, ties with same-time events
+    scheduled before and after included. *)
+
+val at_turn : t -> Time.t -> turn -> (unit -> unit) -> handle
+(** [at_turn t when_ turn action] schedules [action] at [when_] in
+    [turn]. Each turn takes at most one action.
+    @raise Invalid_argument if [(when_, turn)] has passed. *)
+
+val turn_passed : t -> Time.t -> turn -> bool
+(** [turn_passed t when_ turn] is whether an event at [when_] in [turn]
+    would already have fired: [when_] is before {!now}, or equal to it
+    with [turn] at or before the event being fired. Once a {!run} that
+    was not stopped has returned, every turn taken before it returned
+    at or before {!now} has passed; before the first {!run}, no turn at
+    {!now} has. *)
 
 val cancel : t -> handle -> unit
 

@@ -9,14 +9,21 @@ type t = {
   queue : Queue_disc.t;
   pool : Packet_pool.t;
   deliver : Packet_pool.handle -> unit;
+  (* The serialization in progress, or the last one, ends at [free_at]
+     in turn [end_turn]: the turn an end event scheduled at its start
+     would hold. That event is scheduled into the turn ([busy]) only
+     when a packet waits behind, or on a handoff link; otherwise the
+     link is idle once the turn has passed. *)
+  mutable free_at : Time.t;
+  mutable end_turn : Scheduler.turn;
   mutable busy : bool;
   in_flight : Ring.t;
   (* Packets serializing or propagating, in serialization order. The two
      continuations below are allocated once per link instead of once per
-     packet: serialization completions and deliveries each fire in FIFO
-     order (a constant propagation delay after strictly increasing
-     serialization finish times), so the head of [in_flight] is always
-     the packet the next delivery event is for. *)
+     packet: serialization ends and deliveries each fire in FIFO order
+     (a constant propagation delay after strictly increasing
+     serialization ends), so the head of [in_flight] is always the
+     packet the next delivery event is for. *)
   mutable on_tx_done : unit -> unit;
   mutable on_deliver : unit -> unit;
   (* PDES shard boundaries: when set, the propagation leg is not
@@ -46,31 +53,40 @@ let rec notify listeners now h =
       notify rest now h;
       f now h
 
-(* Serialize the head-of-line packet, then pipeline: delivery happens
-   [delay] after serialization ends, while the next packet serializes.
-   The continuations are the link's preallocated [on_tx_done] and
-   [on_deliver]; the packet travels via [in_flight] rather than being
-   captured in a fresh closure per transmission. *)
-let rec try_transmit t =
-  if not t.busy then begin
-    let h = Queue_disc.dequeue t.queue ~now:(Scheduler.now t.sched) in
-    if not (Packet_pool.is_nil h) then begin
-      t.busy <- true;
-      Ring.push t.in_flight h;
-      let tx =
-        Units.transmission_time t.bandwidth ~bytes:(Packet_pool.size_bytes t.pool h)
-      in
-      let tx = if t.bg_slowdown = 1. then tx else Time.mul tx t.bg_slowdown in
-      ignore (Scheduler.after t.sched tx t.on_tx_done)
-    end
+(* Serialize the head-of-line packet, if any. Its end takes its turn
+   now, and its delivery, [delay] after that end, is scheduled at once.
+   The end event goes into its turn only when a packet already waits,
+   or on a handoff link, which hands the packet off there; a packet
+   arriving later schedules it from [admit]. The continuations are the
+   link's preallocated [on_tx_done] and [on_deliver]; the packet travels
+   via [in_flight] rather than being captured in a fresh closure per
+   transmission. *)
+let rec start t =
+  let now = Scheduler.now t.sched in
+  let h = Queue_disc.dequeue t.queue ~now in
+  if Packet_pool.is_nil h then t.busy <- false
+  else begin
+    Ring.push t.in_flight h;
+    let tx =
+      Units.transmission_time t.bandwidth ~bytes:(Packet_pool.size_bytes t.pool h)
+    in
+    let tx = if t.bg_slowdown = 1. then tx else Time.mul tx t.bg_slowdown in
+    t.free_at <- Time.add now tx;
+    t.end_turn <- Scheduler.take_turn t.sched;
+    match t.handoff with
+    | Some _ -> end_event t
+    | None ->
+        ignore (Scheduler.at t.sched (Time.add t.free_at t.delay) t.on_deliver);
+        if Queue_disc.length t.queue > 0 then end_event t else t.busy <- false
   end
 
+and end_event t =
+  t.busy <- true;
+  ignore (Scheduler.at_turn t.sched t.free_at t.end_turn t.on_tx_done)
+
 and tx_done t =
-  t.busy <- false;
-  (match t.handoff with
-  | None -> ignore (Scheduler.after t.sched t.delay t.on_deliver)
-  | Some f -> handoff_head t f);
-  try_transmit t
+  (match t.handoff with None -> () | Some f -> handoff_head t f);
+  start t
 
 (* Departure accounting and listeners fire exactly as [deliver_head]
    would at the far end, stamped with the arrival time, so bottleneck
@@ -101,6 +117,8 @@ let create sched ~name ~bandwidth ~delay ~queue ~pool ~deliver =
       queue;
       pool;
       deliver;
+      free_at = Time.zero;
+      end_turn = Scheduler.no_turn;
       busy = false;
       in_flight = Ring.create ();
       on_tx_done = ignore;
@@ -120,6 +138,13 @@ let create sched ~name ~bandwidth ~delay ~queue ~pool ~deliver =
   t.on_deliver <- (fun () -> deliver_head t);
   t
 
+(* A packet just queued starts at once on an idle link, and on a link
+   still serializing schedules the end event it now waits for. *)
+let admit t =
+  if not t.busy then
+    if Scheduler.turn_passed t.sched t.free_at t.end_turn then start t
+    else end_event t
+
 (* The link owns every drop: the packet is freed here, after the drop
    listeners have seen it, so monitors and the recorder read live fields. *)
 let send t h =
@@ -131,13 +156,13 @@ let send t h =
       t.drops <- t.drops + 1;
       notify t.drop_listeners now h;
       Packet_pool.free t.pool h
-  | `Enqueued -> try_transmit t
+  | `Enqueued -> admit t
   | `Enqueued_dropping victim ->
       (* SFQ admitted the arrival but pushed out another flow's packet. *)
       t.drops <- t.drops + 1;
       notify t.drop_listeners now victim;
       Packet_pool.free t.pool victim;
-      try_transmit t
+      admit t
 
 let set_handoff t f = t.handoff <- Some f
 

@@ -5,6 +5,20 @@
     packet [delay] seconds after its serialization completes (propagation
     pipeline, as in ns). A full-duplex link is a pair of these.
 
+    A hop costs one event when nothing waits behind it. At serialization
+    start the link takes the turn its serialization end would hold
+    ({!Sim_engine.Scheduler.take_turn}) and schedules the delivery at
+    once; the end itself becomes an event, in that turn, only when a
+    packet waits behind, and a packet arriving in the end's nanosecond
+    asks whether that turn has passed. Events therefore fire, and
+    packets dequeue, in exactly the order of a link that scheduled every
+    end eagerly. Deliveries take their turn at serialization start
+    rather than at its end, which keeps two same-nanosecond deliveries
+    in order whenever their links' delays are equal, or differ by more
+    than the packets' serialization times. A handoff link (see
+    {!set_handoff}) keeps every end an event, since it hands the packet
+    off there.
+
     Packets are {!Packet_pool.handle}s. The link {e owns every drop}: a
     packet the discipline refuses (or an SFQ eviction victim) is freed
     here, after the drop listeners have observed it. Delivered packets

@@ -1,5 +1,6 @@
-(* Closed-form reference values the simulator tests compare against.
-   They live here, not in the library, because nothing else calls them. *)
+(* Closed-form reference values, and reference models, the simulator
+   tests compare against. They live here, not in the library, because
+   nothing else calls them. *)
 
 (* Index of dispersion for counts at block size [m]: Var(X^(m)) /
    E(X^(m)), where X^(m) sums [xs] over non-overlapping blocks of [m]
@@ -59,3 +60,75 @@ let rto_seconds ~granularity ~min_rto ~max_rto ~initial_rto st =
     | Some s -> s +. Float.max granularity (4. *. st.rttvar)
   in
   Float.min max_rto (Float.max min_rto (base *. st.backoff))
+
+(* The two-event link that [Netsim.Link] replaced, as the reference its
+   lazy serialization ends must match: every serialization end is an
+   event, scheduled when the serialization starts, and that event
+   schedules the delivery [delay] later and starts the next packet.
+   Handoff, background slowdown, statistics and the recorder are left
+   out, since none of them changes when an end or a delivery fires;
+   listeners are one callback each. *)
+module Link = struct
+  module Time = Sim_engine.Time
+  module Scheduler = Sim_engine.Scheduler
+  module Pool = Netsim.Packet_pool
+  module Queue_disc = Netsim.Queue_disc
+
+  type t = {
+    sched : Scheduler.t;
+    bandwidth : Netsim.Units.bandwidth;
+    delay : Time.span;
+    queue : Queue_disc.t;
+    pool : Pool.t;
+    deliver : Pool.handle -> unit;
+    on_arrival : Time.t -> Pool.handle -> unit;
+    on_drop : Time.t -> Pool.handle -> unit;
+    mutable busy : bool;
+    in_flight : Netsim.Ring.t;
+  }
+
+  let create sched ~bandwidth ~delay ~queue ~pool ~on_arrival ~on_drop ~deliver =
+    {
+      sched;
+      bandwidth;
+      delay;
+      queue;
+      pool;
+      deliver;
+      on_arrival;
+      on_drop;
+      busy = false;
+      in_flight = Netsim.Ring.create ();
+    }
+
+  let rec try_transmit t =
+    if not t.busy then begin
+      let h = Queue_disc.dequeue t.queue ~now:(Scheduler.now t.sched) in
+      if not (Pool.is_nil h) then begin
+        t.busy <- true;
+        Netsim.Ring.push t.in_flight h;
+        let tx = Netsim.Units.transmission_time t.bandwidth ~bytes:(Pool.size_bytes t.pool h) in
+        ignore (Scheduler.after t.sched tx (fun () -> tx_done t))
+      end
+    end
+
+  and tx_done t =
+    t.busy <- false;
+    ignore
+      (Scheduler.after t.sched t.delay (fun () ->
+           t.deliver (Netsim.Ring.pop_exn t.in_flight)));
+    try_transmit t
+
+  let send t h =
+    let now = Scheduler.now t.sched in
+    t.on_arrival now h;
+    match Queue_disc.enqueue t.queue ~now h with
+    | `Dropped ->
+        t.on_drop now h;
+        Pool.free t.pool h
+    | `Enqueued -> try_transmit t
+    | `Enqueued_dropping victim ->
+        t.on_drop now victim;
+        Pool.free t.pool victim;
+        try_transmit t
+end

@@ -578,6 +578,40 @@ let run_recorder_parity_with_live_tracer () =
   check "reno/red" ~clients:20 Scenario.reno_red ~queue_events:true;
   check "reno, dropping" ~clients:20 Scenario.reno ~queue_events:true
 
+(* Two pairs of gateway arrivals that share a nanosecond, pinned in the
+   order the two-event link gave them. A link that scheduled a waiting
+   packet's serialization end with a fresh turn, instead of the turn
+   taken at the serialization's start, swaps the Reno pair; one that
+   judged an end by its time alone (now >= end) instead of its turn
+   swaps the Vegas/RED pair. Each run is the CLI's
+   `run -n N --seed 1 --duration D` cut just past the pair. *)
+let run_same_nanosecond_arrivals_pinned () =
+  let arrivals_at ~clients ~duration scenario ns =
+    let cfg =
+      {
+        (Config.with_clients Config.default clients) with
+        Config.seed = 1L;
+        duration_s = duration;
+        warmup_s = Float.min Config.default.Config.warmup_s (duration /. 4.);
+      }
+    in
+    let seen = ref [] in
+    let prepare d =
+      let pool = Dumbbell.pool d in
+      Netsim.Link.on_arrival (Dumbbell.bottleneck d) (fun now h ->
+          if Sim_engine.Time.to_ns now = ns then
+            seen := (Netsim.Packet_pool.flow pool h, Netsim.Packet_pool.uid pool h) :: !seen)
+    in
+    ignore (Run.run ~prepare cfg scenario);
+    List.rev !seen
+  in
+  Alcotest.(check (list (pair int int)))
+    "reno n=50, 24.148780362 s" [ (1, 14547); (27, 14542) ]
+    (arrivals_at ~clients:50 ~duration:25. Scenario.reno 24_148_780_362);
+  Alcotest.(check (list (pair int int)))
+    "vegas/red n=60, 69.296917152 s" [ (5, 54789); (27, 54791) ]
+    (arrivals_at ~clients:60 ~duration:70. Scenario.vegas_red 69_296_917_152)
+
 let run_lifecycle_recording_pinned () =
   (* Lifecycle-equivalence gate: the pins above see only the parity
      records the bus replays, so the lifecycle records (congestion
@@ -620,7 +654,7 @@ let run_lifecycle_recording_pinned () =
         (run_start, 1); (run_end, 1);
       ];
   Alcotest.(check int) "segment length" 1091875 (String.length bytes);
-  Alcotest.(check string) "segment digest" "52c7dde607b35f2173e8e9ed26fcefe3"
+  Alcotest.(check string) "segment digest" "1caec94b999a8f5b3b8b495f88e8e6ae"
     (Digest.to_hex (Digest.string bytes))
 
 let run_releases_every_pooled_packet () =
@@ -1437,6 +1471,8 @@ let suite =
         Alcotest.test_case "sfq end to end" `Slow run_sfq_end_to_end;
         Alcotest.test_case "pinned lifecycle recording" `Quick
           run_lifecycle_recording_pinned;
+        Alcotest.test_case "pinned same-nanosecond arrivals" `Quick
+          run_same_nanosecond_arrivals_pinned;
       ] );
     ( "core.hybrid",
       [

@@ -169,6 +169,99 @@ let sched_rejects_past () =
   Alcotest.check_raises "past" (Invalid_argument "Scheduler.at: time in the past")
     (fun () -> ignore (Scheduler.at s (Time.of_sec 0.5) ignore))
 
+(* A turn taken with [take_turn] and filled later with [at_turn] fires
+   where [at] at the moment of taking would have put the action: after
+   the same-time event scheduled before it, before the one scheduled
+   after it — whether the turn is filled before the run, by an earlier
+   event, or by an event of the same timestamp that precedes it. *)
+let sched_turn_fires_in_place () =
+  let t = Time.of_ms 5. in
+  let fired fill =
+    let s = Scheduler.create () in
+    let order = ref [] in
+    let note x () = order := x :: !order in
+    ignore (Scheduler.at s t (note "before"));
+    let turn_filler = ref ignore in
+    ignore (Scheduler.at s t (fun () -> !turn_filler ()));
+    let turn = Scheduler.take_turn s in
+    ignore (Scheduler.at s t (note "after"));
+    let put () = ignore (Scheduler.at_turn s t turn (note "turn")) in
+    (match fill with
+    | `Now -> put ()
+    | `Earlier -> ignore (Scheduler.at s (Time.of_ms 1.) put)
+    | `Same_time -> turn_filler := put);
+    Scheduler.run s;
+    List.rev !order
+  in
+  let eager =
+    let s = Scheduler.create () in
+    let order = ref [] in
+    let note x () = order := x :: !order in
+    ignore (Scheduler.at s t (note "before"));
+    ignore (Scheduler.at s t ignore);
+    ignore (Scheduler.at s t (note "turn"));
+    ignore (Scheduler.at s t (note "after"));
+    Scheduler.run s;
+    List.rev !order
+  in
+  Alcotest.(check (list string)) "eager order" [ "before"; "turn"; "after" ] eager;
+  List.iter
+    (fun (label, fill) -> Alcotest.(check (list string)) label eager (fired fill))
+    [ ("filled now", `Now); ("filled earlier", `Earlier); ("filled at its time", `Same_time) ]
+
+(* Within one timestamp a turn has passed exactly for the events after
+   it; [no_turn] always has, and no turn at the clock has passed before
+   the first run. *)
+let sched_turn_passed_within_timestamp () =
+  let s = Scheduler.create () in
+  let t = Time.of_ms 5. in
+  let turn = ref Scheduler.no_turn in
+  let seen = ref [] in
+  let probe label () = seen := (label, Scheduler.turn_passed s t !turn) :: !seen in
+  let at_zero = Scheduler.take_turn s in
+  Alcotest.(check bool) "not before the first run" false
+    (Scheduler.turn_passed s Time.zero at_zero);
+  Alcotest.(check bool) "no_turn has passed" true
+    (Scheduler.turn_passed s Time.zero Scheduler.no_turn);
+  ignore (Scheduler.at s (Time.of_ns (Time.to_ns t - 1)) (probe "a nanosecond early"));
+  ignore (Scheduler.at s t (probe "same time, earlier turn"));
+  turn := Scheduler.take_turn s;
+  ignore (Scheduler.at s t (probe "same time, later turn"));
+  ignore (Scheduler.at s (Time.of_ns (Time.to_ns t + 1)) (probe "a nanosecond late"));
+  Scheduler.run s;
+  Alcotest.(check (list (pair string bool)))
+    "passed"
+    [
+      ("a nanosecond early", false);
+      ("same time, earlier turn", false);
+      ("same time, later turn", true);
+      ("a nanosecond late", true);
+    ]
+    (List.rev !seen)
+
+(* Once [run ~until] has returned at a time, every turn taken so far at
+   that time has passed and can no longer be filled; a turn taken after
+   it returned has not, and a stopped run leaves the turns after the
+   stopping event pending. *)
+let sched_turn_passed_after_run_until () =
+  let s = Scheduler.create () in
+  let t = Time.of_ms 5. in
+  let turn = Scheduler.take_turn s in
+  Scheduler.run ~until:(Time.of_ms 4.) s;
+  Alcotest.(check bool) "earlier run" false (Scheduler.turn_passed s t turn);
+  Scheduler.run ~until:t s;
+  Alcotest.(check bool) "run until its time" true (Scheduler.turn_passed s t turn);
+  Alcotest.check_raises "fill a passed turn"
+    (Invalid_argument "Scheduler.at_turn: turn has passed") (fun () ->
+      ignore (Scheduler.at_turn s t turn ignore));
+  let fresh = Scheduler.take_turn s in
+  Alcotest.(check bool) "taken after the run" false (Scheduler.turn_passed s t fresh);
+  let s = Scheduler.create () in
+  ignore (Scheduler.at s t (fun () -> Scheduler.stop s));
+  let pending = Scheduler.take_turn s in
+  Scheduler.run ~until:(Time.of_ms 6.) s;
+  Alcotest.(check bool) "after a stop" false (Scheduler.turn_passed s t pending)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -974,6 +1067,11 @@ let suite =
         Alcotest.test_case "stop" `Quick sched_stop;
         Alcotest.test_case "queue high-water mark" `Quick sched_queue_high_water_mark;
         Alcotest.test_case "rejects past times" `Quick sched_rejects_past;
+        Alcotest.test_case "reserved turn fires in place" `Quick sched_turn_fires_in_place;
+        Alcotest.test_case "turn passed within a timestamp" `Quick
+          sched_turn_passed_within_timestamp;
+        Alcotest.test_case "turn passed after run ~until" `Quick
+          sched_turn_passed_after_run_until;
       ] );
     ( "engine.rng",
       [

@@ -826,6 +826,219 @@ let ring_matches_queue_property =
           Ring.length r = Queue.length m && Ring.is_empty r = Queue.is_empty m)
         ops)
 
+(* Lazy serialization ends against the two-event reference link
+   ({!Oracle.Link}). A schedule puts 1-3 links on one scheduler and
+   drives them with chains of arrivals: each arrival, when it fires,
+   sends its packet and then schedules the chain's next arrival, so
+   arrival events take their turns while links serialize. Gaps land
+   arrivals in the same nanosecond as each other and on the ends of
+   serializations; cuts stop the run ([run ~until]) and send packets
+   between runs. Delays are equal, or unequal by more than any
+   serialization time (1500 B at 1 Mbps is 12 ms), the domain where
+   taking a delivery's turn at serialization start keeps its order. *)
+type hop_disc = Hop_droptail | Hop_red | Hop_sfq
+
+type hop = { bps : int; delay_ns : int; disc : hop_disc; cap : int }
+
+type gap = Same | Ends of int | Ns of int
+
+type step = { gap : gap; link : int; size : int; flow : int }
+
+type schedule = {
+  hops : hop list;
+  chains : step list list;
+  cuts : (int * (int * int) list) list; (* run until, then send (link, size) *)
+}
+
+let tx_ns hop size =
+  Time.to_ns (Units.transmission_time (Units.bps (float_of_int hop.bps)) ~bytes:size)
+
+let print_schedule s =
+  let hop h =
+    Printf.sprintf "{bps=%d delay=%d %s cap=%d}" h.bps h.delay_ns
+      (match h.disc with Hop_droptail -> "droptail" | Hop_red -> "red" | Hop_sfq -> "sfq")
+      h.cap
+  in
+  let step st =
+    Printf.sprintf "%s->%d:%dB/f%d"
+      (match st.gap with
+      | Same -> "+0"
+      | Ends k -> Printf.sprintf "+%dtx" k
+      | Ns n -> Printf.sprintf "+%dns" n)
+      st.link st.size st.flow
+  in
+  let cut (u, sends) =
+    Printf.sprintf "until %d then [%s]" u
+      (String.concat " " (List.map (fun (l, b) -> Printf.sprintf "%d:%dB" l b) sends))
+  in
+  Printf.sprintf "hops %s\nchains\n  %s\ncuts %s"
+    (String.concat " " (List.map hop s.hops))
+    (String.concat "\n  " (List.map (fun c -> String.concat " " (List.map step c)) s.chains))
+    (String.concat "; " (List.map cut s.cuts))
+
+let gen_schedule =
+  let open QCheck2.Gen in
+  let* n = int_range 1 3 in
+  let* equal = bool in
+  let* shared_delay = frequency [ (1, pure 0); (4, int_range 1 50_000_000) ] in
+  let* shared_bps = oneofl [ 1_000_000; 8_000_000; 10_000_000; 45_000_000 ] in
+  let gen_hop i =
+    let* bps =
+      frequency
+        [ (3, pure shared_bps); (2, int_range 1_000_000 100_000_000) ]
+    in
+    let* delay_ns =
+      if equal then pure shared_delay
+      else map (fun j -> (i * 13_000_000) + j) (int_range 0 500_000)
+    in
+    let* disc = oneofl [ Hop_droptail; Hop_red; Hop_sfq ] in
+    let* cap = int_range 1 4 in
+    pure { bps; delay_ns; disc; cap = (if disc = Hop_red then cap + 2 else cap) }
+  in
+  let* hops = flatten_l (List.init n gen_hop) in
+  let gen_link = int_range 0 (n - 1) in
+  let gen_size = frequency [ (4, pure 1500); (2, pure 40); (1, int_range 41 1499) ] in
+  let gen_step =
+    let* gap =
+      frequency
+        [
+          (2, pure Same);
+          (4, pure (Ends 1));
+          (2, map (fun k -> Ends k) (int_range 2 3));
+          (1, map (fun k -> Ns k) (int_range 1 20_000_000));
+        ]
+    in
+    let* link = gen_link in
+    let* size = gen_size in
+    let* flow = int_range 0 3 in
+    pure { gap; link; size; flow }
+  in
+  let* chains = list_size (int_range 1 4) (list_size (int_range 1 30) gen_step) in
+  let unit = tx_ns (List.hd hops) 1500 in
+  let gen_cut =
+    pair
+      (frequency
+         [ (3, map (fun k -> k * unit) (int_range 1 40)); (1, int_range 1 400_000_000) ])
+      (list_size (int_range 0 3) (pair gen_link gen_size))
+  in
+  let* cuts = list_size (int_range 0 3) gen_cut in
+  pure { hops; chains; cuts = List.sort compare cuts }
+
+(* Run [s] on the lazy link, or on the reference, and return every
+   arrival (time, link, uid, queue depth before the decision), every
+   drop (time, link, uid) and every delivery (time, link, uid), each in
+   the order they happened. *)
+let run_schedule ~reference s =
+  let sched = Scheduler.create () in
+  let pool = Pool.create () in
+  let arrivals = ref [] and drops = ref [] and delivered = ref [] in
+  let log r i now h = r := (Time.to_ns now, i, Pool.uid pool h) :: !r in
+  let send =
+    Array.of_list
+      (List.mapi
+         (fun i hop ->
+           let queue =
+             match hop.disc with
+             | Hop_droptail -> Queue_disc.droptail ~capacity:hop.cap
+             | Hop_sfq -> Queue_disc.sfq ~pool ~capacity:hop.cap
+             | Hop_red ->
+                 Queue_disc.red ~rng:(Rng.create ~seed:(Int64.of_int (i + 1))) ~pool
+                   {
+                     Red.min_th = 1.;
+                     max_th = 3.;
+                     max_p = 0.3;
+                     w_q = 0.25;
+                     capacity = hop.cap;
+                     idle_packet_time = 0.001;
+                     ecn_mark = false;
+                     adaptive = false;
+                   }
+           in
+           let bandwidth = Units.bps (float_of_int hop.bps)
+           and delay = Time.of_ns hop.delay_ns in
+           let arrival now h =
+             arrivals :=
+               (Time.to_ns now, i, Pool.uid pool h, Queue_disc.length queue) :: !arrivals
+           in
+           let deliver h =
+             log delivered i (Scheduler.now sched) h;
+             Pool.free pool h
+           in
+           if reference then
+             Oracle.Link.send
+               (Oracle.Link.create sched ~bandwidth ~delay ~queue ~pool ~on_arrival:arrival
+                  ~on_drop:(log drops i) ~deliver)
+           else begin
+             let l = Link.create sched ~name:"l" ~bandwidth ~delay ~queue ~pool ~deliver in
+             Link.on_arrival l arrival;
+             Link.on_drop l (log drops i);
+             Link.send l
+           end)
+         s.hops)
+  in
+  let hops = Array.of_list s.hops in
+  let rec arm = function
+    | [] -> ()
+    | st :: rest ->
+        let gap =
+          match st.gap with
+          | Same -> 0
+          | Ends k -> k * tx_ns hops.(st.link) st.size
+          | Ns k -> k
+        in
+        ignore
+          (Scheduler.after sched (Time.of_ns gap) (fun () ->
+               send.(st.link) (mk_packet ~flow:st.flow ~size:st.size pool);
+               arm rest))
+  in
+  List.iter arm s.chains;
+  List.iter
+    (fun (until, sends) ->
+      Scheduler.run ~until:(Time.of_ns until) sched;
+      List.iter (fun (link, size) -> send.(link) (mk_packet ~size pool)) sends)
+    s.cuts;
+  Scheduler.run sched;
+  if Pool.live pool <> 0 then Alcotest.fail "packets left in flight";
+  (List.rev !arrivals, List.rev !drops, List.rev !delivered)
+
+let lazy_link_matches_reference s =
+  run_schedule ~reference:false s = run_schedule ~reference:true s
+
+(* The property's smallest failures of two wrong links, kept as fixed
+   cases. With a fresh turn for a waiting packet's serialization end
+   (instead of the turn taken at its start), the end fires after an
+   arrival scheduled for the same nanosecond in between, which then
+   finds the one-packet queue full. With the end judged by its time
+   (now >= end) instead of its turn, a packet arriving in the end's
+   nanosecond but before its turn starts at once, ahead of its place. *)
+let one_hop ~bps = { bps; delay_ns = 0; disc = Hop_droptail; cap = 1 }
+
+let step ?(gap = Same) size = { gap; link = 0; size; flow = 0 }
+
+let lazy_link_end_keeps_its_turn () =
+  Alcotest.(check bool)
+    "matches reference" true
+    (lazy_link_matches_reference
+       {
+         hops = [ one_hop ~bps:1_000_000 ];
+         chains = [ [ step ~gap:(Ends 2) 40; step ~gap:(Ends 1) 40 ]; [ step ~gap:(Ends 2) 40 ] ];
+         cuts = [];
+       })
+
+let lazy_link_arrival_before_end_turn () =
+  Alcotest.(check bool)
+    "matches reference" true
+    (lazy_link_matches_reference
+       {
+         hops = [ one_hop ~bps:8_000_000 ];
+         chains = [ [ step ~gap:(Ends 1) 1500 ]; [ step 1500 ]; [ step ~gap:(Ends 1) 1500 ] ];
+         cuts = [];
+       })
+
+let lazy_link_property =
+  QCheck2.Test.make ~name:"lazy link matches the two-event reference" ~count:400
+    ~print:print_schedule gen_schedule lazy_link_matches_reference
+
 let red_capacity_property =
   QCheck.Test.make ~name:"red never exceeds capacity" ~count:100
     QCheck.(pair (int_range 1 20) (small_list bool))
@@ -1017,6 +1230,10 @@ let suite =
         Alcotest.test_case "reclaim drains pool" `Quick link_reclaim_drains_pool;
         Alcotest.test_case "record decodes lifecycle" `Quick
           link_record_decodes_lifecycle;
+        Alcotest.test_case "waiting packet's end keeps its turn" `Quick
+          lazy_link_end_keeps_its_turn;
+        Alcotest.test_case "arrival before its end's turn waits" `Quick
+          lazy_link_arrival_before_end_turn;
       ] );
     ( "net.router",
       [
@@ -1031,6 +1248,7 @@ let suite =
         QCheck_alcotest.to_alcotest red_capacity_property;
         QCheck_alcotest.to_alcotest pool_handle_roundtrip_property;
         QCheck_alcotest.to_alcotest ring_matches_queue_property;
+        QCheck_alcotest.to_alcotest lazy_link_property;
       ] );
     ( "net.monitor",
       [
