@@ -85,8 +85,10 @@ check-flags:
 # CI gate: build flags, unit + cram tests (including the parallel determinism
 # suite, re-run explicitly so a filtered runtest cannot skip it), a
 # telemetry smoke run (sharded UDP) whose trace must be non-empty and
-# whose report must validate, then every gated bench section, each
-# re-validated from the BENCH_*.json it wrote.
+# whose report must validate, one full-horizon rep of each BENCHMARK.json
+# workload (exit 1 on a raised run, a failed output check, a leak or
+# reps whose digests differ; each prints its digest), then every gated
+# bench section, each re-validated from the BENCH_*.json it wrote.
 check: check-flags
 	dune build @all
 	dune runtest
@@ -96,6 +98,10 @@ check: check-flags
 	  --trace-out=_build/smoke-trace.ndjson
 	test -s _build/smoke-trace.ndjson
 	dune exec bin/main.exe -- report-check _build/smoke-report.json
+	for w in paper-sweep paper-observed; do \
+	  bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 \
+	    --out-dir _build/benchmark-check || exit 1; \
+	done
 	dune exec bench/main.exe -- --fast --only telemetry
 	dune exec bin/main.exe -- report-check BENCH_telemetry.json
 	dune exec bench/main.exe -- --fast --only pdes

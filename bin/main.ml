@@ -191,17 +191,54 @@ let with_jobs ~jobs f =
   if jobs <= 1 then f None
   else Parallel.Pool.Team.with_team ~domains:jobs (fun team -> f (Some team))
 
-(* Build the probe + sinks a subcommand asked for, run [f probe notify]
-   under the "total" phase, emit the report, and return [f]'s result.
-   [notify] is the after-each-run hook; it feeds the progress reporter. *)
+(* Open an output file, or exit 1 with one message. Every file a
+   command writes is opened this way before its first run, so a bad path
+   fails before any simulation; [write_sink] fills it after the runs. *)
 let open_sink path =
-  try open_out path with Sys_error msg -> fail "cannot open %s" msg
+  try (path, open_out path) with Sys_error msg -> fail "cannot open %s" msg
 
-let with_telemetry ~label ?(total_runs = 0) opts f =
-  (match (opts.record_out, opts.trace_out) with
-  | Some r, Some t when r = t ->
-      fail "--record-out and --trace-out name the same file %s" r
-  | _ -> ());
+let write_sink (path, oc) write =
+  try
+    write oc;
+    close_out oc
+  with Sys_error msg -> fail "cannot write %s: %s" path msg
+
+(* The --telemetry report's file; bare --telemetry reports on stderr. *)
+let report_file opts =
+  match opts.report_out with Some "-" -> None | path -> path
+
+(* The output files are all open at once, so no two flags, a command's
+   own [outs] included, may name one file. Checked before any is
+   opened. *)
+let check_outputs ?(outs = []) opts =
+  let named =
+    List.filter_map
+      (fun (flag, path) -> Option.map (fun p -> (flag, p)) path)
+      ([
+         ("--record-out", opts.record_out);
+         ("--trace-out", opts.trace_out);
+         ("--burst-out", opts.burst_out);
+         ("--telemetry", report_file opts);
+       ]
+      @ outs)
+  in
+  List.iteri
+    (fun i (flag, path) ->
+      List.iteri
+        (fun j (flag', path') ->
+          if j > i && String.equal path path' then
+            fail "%s and %s name the same file %s" flag flag' path)
+        named)
+    named
+
+(* Build the probe + sinks a subcommand asked for, run [f probe notify]
+   under the "total" phase, emit the recording, the report and the burst
+   summaries of [burst result] (the run metrics [f] produced; runs
+   without a burst summary are filtered out, so commands that return no
+   metrics write an empty "runs" list), and return [f]'s result.
+   [notify] is the after-each-run hook; it feeds the progress reporter. *)
+let with_telemetry ~label ?(total_runs = 0) ?(burst = fun _ -> []) opts f =
+  check_outputs opts;
   if
     opts.report_out = None && opts.trace_out = None && opts.record_out = None
     && opts.burst_out = None
@@ -213,13 +250,16 @@ let with_telemetry ~label ?(total_runs = 0) opts f =
       Telemetry.Probe.set_burst probe (Some Telemetry.Burst.default_config);
     if opts.record_out <> None then
       Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config;
-    let trace_oc = Option.map open_sink opts.trace_out in
+    let trace_sink = Option.map open_sink opts.trace_out in
+    let record_sink = Option.map open_sink opts.record_out in
+    let report_sink = Option.map open_sink (report_file opts) in
+    let burst_sink = Option.map open_sink opts.burst_out in
     Option.iter
-      (fun oc ->
+      (fun (_, oc) ->
         ignore
           (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus
              (Telemetry.Event_bus.ndjson_writer oc)))
-      trace_oc;
+      trace_sink;
     let reporter =
       if opts.want_progress && total_runs > 0 then
         Some (Telemetry.Progress.create ~total:total_runs ())
@@ -235,43 +275,31 @@ let with_telemetry ~label ?(total_runs = 0) opts f =
     in
     let result =
       Fun.protect
-        ~finally:(fun () -> Option.iter close_out trace_oc)
+        ~finally:(fun () -> Option.iter (fun (_, oc) -> close_out oc) trace_sink)
         (fun () ->
           Telemetry.Probe.time (Some probe) "total" (fun () ->
               f (Some probe) notify))
     in
     (match reporter with Some r -> Telemetry.Progress.finish r | None -> ());
-    (match opts.record_out with
-    | Some path ->
-        let oc = open_sink path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Telemetry.Probe.write_segments probe oc);
-        Format.eprintf "wrote flight recording to %s@." path
-    | None -> ());
-    let report = Telemetry.Report.of_probe ~label probe in
-    (match opts.report_out with
-    | Some "-" ->
-        prerr_endline
-          (Burstcore.Json.to_string (Telemetry.Report.to_json report))
-    | Some path -> (
-        match Burstcore.Export.write_run_report path report with
-        | () -> Format.eprintf "wrote telemetry report to %s@." path
-        | exception Sys_error msg -> fail "cannot write %s" msg)
-    | None -> ());
+    let emit what sink write =
+      Option.iter
+        (fun ((path, _) as sink) ->
+          write_sink sink write;
+          Format.eprintf "wrote %s to %s@." what path)
+        sink
+    in
+    let json j oc = output_string oc (Burstcore.Json.to_string j ^ "\n") in
+    let report () =
+      Telemetry.Report.to_json (Telemetry.Report.of_probe ~label probe)
+    in
+    emit "flight recording" record_sink (Telemetry.Probe.write_segments probe);
+    if opts.report_out = Some "-" then
+      prerr_endline (Burstcore.Json.to_string (report ()));
+    emit "telemetry report" report_sink (fun oc -> json (report ()) oc);
+    emit "burst summaries" burst_sink (fun oc ->
+        json (Burstcore.Export.burst_to_json (burst result)) oc);
     result
   end
-
-(* Write the --burst-out artifact from whatever run metrics the command
-   produced. Runs without a burst summary are filtered out, so commands
-   that return no metrics write an empty "runs" list. *)
-let write_burst_out opts (ms : Burstcore.Metrics.t list) =
-  match opts.burst_out with
-  | None -> ()
-  | Some path ->
-      Burstcore.Export.write_file path
-        (Burstcore.Json.to_string (Burstcore.Export.burst_to_json ms) ^ "\n");
-      Format.eprintf "wrote burst summaries to %s@." path
 
 let sweep_metrics (sweep : Burstcore.Figures.sweep_result) =
   List.concat_map snd sweep
@@ -339,18 +367,15 @@ let fig_cmd =
             with_telemetry ~label:"fig 2 (replicated)"
               ~total_runs:(sweep_runs * replicates) tele (fun probe notify ->
                 Burstcore.Figures.fig2_replicated ?pool ?probe ~notify std cfg
-                  counts ~replicates));
-        write_burst_out tele []
+                  counts ~replicates))
     | 2 | 3 | 4 | 13 ->
-        let sweep =
-          with_jobs ~jobs (fun pool ->
-              with_telemetry
-                ~label:(Printf.sprintf "fig %d" n)
-                ~total_runs:sweep_runs tele
-                (fun probe notify ->
-                  render_sweep_figure ?pool ?probe ~notify n cfg counts))
-        in
-        write_burst_out tele (sweep_metrics sweep)
+        ignore
+          (with_jobs ~jobs (fun pool ->
+               with_telemetry
+                 ~label:(Printf.sprintf "fig %d" n)
+                 ~total_runs:sweep_runs ~burst:sweep_metrics tele
+                 (fun probe notify ->
+                   render_sweep_figure ?pool ?probe ~notify n cfg counts)))
     | _ -> (
         match
           List.find_opt
@@ -367,8 +392,7 @@ let fig_cmd =
                 notify
                   (Printf.sprintf "%s n=%d"
                      (Burstcore.Scenario.label scenario)
-                     clients));
-            write_burst_out tele []
+                     clients))
         | None ->
             Format.eprintf "no such figure: %d (valid: 2-13)@." n;
             exit 1)
@@ -390,9 +414,9 @@ let all_cmd =
       (n_paper_series * List.length counts)
       + List.length Burstcore.Figures.cwnd_figures
     in
-    let sweep =
-      with_jobs ~jobs @@ fun pool ->
-      with_telemetry ~label:"all" ~total_runs tele (fun probe notify ->
+    with_jobs ~jobs @@ fun pool ->
+    with_telemetry ~label:"all" ~total_runs ~burst:sweep_metrics tele
+      (fun probe notify ->
         Burstcore.Figures.table1 std cfg;
         let sweep =
           Burstcore.Figures.run_sweep ?pool ?probe ~notify ~progress cfg counts
@@ -416,8 +440,7 @@ let all_cmd =
                  clients))
           Burstcore.Figures.cwnd_figures;
         sweep)
-    in
-    write_burst_out tele (sweep_metrics sweep)
+    |> ignore
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table and figure.")
@@ -487,13 +510,12 @@ let run_cmd =
          NDJSON stream is merged deterministically across shard domains)";
     let m =
       with_telemetry ~label:(Burstcore.Scenario.label scenario)
-        ~total_runs:1 tele (fun probe notify ->
+        ~total_runs:1 ~burst:(fun m -> [ m ]) tele (fun probe notify ->
           let m = Burstcore.Run.run ?probe ~trace_clients:[ 0 ] cfg scenario in
           notify
             (Printf.sprintf "%s n=%d" (Burstcore.Scenario.label scenario) clients);
           m)
     in
-    write_burst_out tele [ m ];
     if json then
       Format.fprintf std "%s@."
         (Burstcore.Json.to_string
@@ -547,15 +569,17 @@ let with_query_out out f =
   match out with
   | None -> f stdout
   | Some path ->
-      let oc = open_sink path in
+      let _, oc = open_sink path in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
+(* Every record of every segment in file order, with its segment's
+   string lookup. *)
 let iter_records segments f =
   List.iter
     (fun seg ->
       let lookup = Telemetry.Recorder.seg_lookup seg in
-      Telemetry.Recorder.iter_segment seg (fun ~lane ~seq words off ->
-          f seg lookup ~lane ~seq words off))
+      Telemetry.Recorder.iter_segment seg (fun ~seq:_ words off ->
+          f lookup words off))
     segments
 
 let trace_decode_cmd =
@@ -563,8 +587,7 @@ let trace_decode_cmd =
     let segments = read_recording file in
     with_query_out out (fun oc ->
         let write = Telemetry.Record.ndjson_writer oc in
-        iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
-            write ~lookup words off))
+        iter_records segments (fun lookup words off -> write ~lookup words off))
   in
   Cmd.v
     (Cmd.info "decode"
@@ -581,7 +604,7 @@ let trace_stats_cmd =
       (fun seg ->
         let counts = Array.make (Telemetry.Record.max_kind + 1) 0 in
         let first = ref max_int and last = ref min_int and total = ref 0 in
-        Telemetry.Recorder.iter_segment seg (fun ~lane:_ ~seq:_ words off ->
+        Telemetry.Recorder.iter_segment seg (fun ~seq:_ words off ->
             incr total;
             let tick = words.(off) and kind = words.(off + 1) in
             if tick < !first then first := tick;
@@ -589,14 +612,13 @@ let trace_stats_cmd =
             if kind >= 0 && kind < Array.length counts then
               counts.(kind) <- counts.(kind) + 1);
         Format.fprintf std "segment %S@." (Telemetry.Recorder.seg_label seg);
-        List.iter
+        Option.iter
           (fun l ->
-            Format.fprintf std "  lane %d: %d recorded, %d retained, %d dropped@."
-              (Telemetry.Recorder.read_lane_id l)
+            Format.fprintf std "  lane 0: %d recorded, %d retained, %d dropped@."
               (Telemetry.Recorder.read_lane_total l)
               (Telemetry.Recorder.read_lane_retained l)
               (Telemetry.Recorder.read_lane_dropped l))
-          (Telemetry.Recorder.seg_lanes seg);
+          (Telemetry.Recorder.seg_lane seg);
         if !total > 0 then
           Format.fprintf std "  ticks %.6f .. %.6f s (%d records)@."
             (Telemetry.Record.time_of_tick !first)
@@ -614,8 +636,8 @@ let trace_stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Summarize a flight recording: per-segment lanes, drop accounting, \
-          tick range and record counts by kind.")
+         "Summarize a flight recording: per-segment record and drop \
+          accounting, tick range and record counts by kind.")
     Term.(const run $ recording_pos)
 
 let trace_grep_cmd =
@@ -650,7 +672,7 @@ let trace_grep_cmd =
     let segments = read_recording file in
     with_query_out out (fun oc ->
         let write = Telemetry.Record.ndjson_writer oc in
-        iter_records segments (fun _seg lookup ~lane:_ ~seq:_ words off ->
+        iter_records segments (fun lookup words off ->
             let tick = words.(off) in
             let t = Telemetry.Record.time_of_tick tick in
             let keep =
@@ -738,14 +760,15 @@ let trace_cmd =
   let run scenario clients out duration seed fast tele =
     let cfg = { (base_config ~duration ~seed ~fast) with clients } in
     check_configs [ cfg ];
-    let oc = match out with Some path -> open_sink path | None -> stdout in
+    check_outputs ~outs:[ ("-o", out) ] tele;
+    let oc = match out with Some path -> snd (open_sink path) | None -> stdout in
     let lines = ref 0 in
     let m =
       Fun.protect
         ~finally:(fun () -> if out <> None then close_out oc)
         (fun () ->
           with_telemetry ~label:(Burstcore.Scenario.label scenario)
-            ~total_runs:1 tele (fun probe notify ->
+            ~total_runs:1 ~burst:(fun m -> [ m ]) tele (fun probe notify ->
               (* The lines come from the bus replay of the run's records. *)
               let probe =
                 match probe with Some p -> p | None -> Telemetry.Probe.create ()
@@ -763,7 +786,6 @@ let trace_cmd =
     (match out with
     | Some path -> Format.eprintf "wrote %d events to %s@." !lines path
     | None -> ());
-    write_burst_out tele [ m ];
     Format.eprintf "%a@." Burstcore.Metrics.pp_row m
   in
   Cmd.group
@@ -855,8 +877,7 @@ let burst_cmd =
       (* Recorded packet_arrival records carry the instantaneous queue
          depth, so the replay also drives the oscillation detector with
          per-arrival queue samples. *)
-      iter_records (read_recording file)
-        (fun _seg lookup ~lane:_ ~seq:_ words off ->
+      iter_records (read_recording file) (fun lookup words off ->
           if
             words.(off + 1) = Telemetry.Record.packet_arrival
             && String.equal (lookup words.(off + 6)) link
@@ -997,22 +1018,23 @@ let export_cmd =
   let run format out duration seed fast clients_list jobs tele =
     let cfg = base_config ~duration ~seed ~fast in
     let counts = sweep_counts cfg ~fast ~clients_list in
+    check_outputs ~outs:[ ("-o", Some out) ] tele;
+    let sink = open_sink out in
     let sweep =
       with_jobs ~jobs @@ fun pool ->
       with_telemetry ~label:"export"
         ~total_runs:(n_paper_series * List.length counts)
-        tele
+        ~burst:sweep_metrics tele
         (fun probe notify ->
           Burstcore.Figures.run_sweep ?pool ?probe ~notify ~progress cfg counts)
     in
-    let contents =
-      match format with
-      | `Json -> Burstcore.Json.to_string (Burstcore.Export.sweep_to_json cfg sweep)
-      | `Csv -> Burstcore.Export.sweep_to_csv sweep
-    in
-    Burstcore.Export.write_file out contents;
-    Format.eprintf "wrote %s@." out;
-    write_burst_out tele (sweep_metrics sweep)
+    write_sink sink (fun oc ->
+        output_string oc
+          (match format with
+          | `Json ->
+              Burstcore.Json.to_string (Burstcore.Export.sweep_to_json cfg sweep)
+          | `Csv -> Burstcore.Export.sweep_to_csv sweep));
+    Format.eprintf "wrote %s@." out
   in
   Cmd.v
     (Cmd.info "export"
@@ -1100,7 +1122,7 @@ let report_check_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "burstsim" ~version:"1.21.0"
+    (Cmd.info "burstsim" ~version:"1.22.0"
        ~doc:
          "Reproduction of 'On the Burstiness of the TCP Congestion-Control \
           Mechanism in a Distributed Computing System' (ICDCS 2000).")

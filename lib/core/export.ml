@@ -151,6 +151,3 @@ let sweep_to_csv (sweep : Figures.sweep_result) =
 let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let write_run_report path report =
-  write_file path (Json.to_string (Telemetry.Report.to_json report) ^ "\n")

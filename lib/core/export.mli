@@ -35,7 +35,3 @@ val sweep_to_csv : Figures.sweep_result -> string
 
 val write_file : string -> string -> unit
 (** [write_file path contents]. *)
-
-val write_run_report : string -> Telemetry.Report.t -> unit
-(** Write a telemetry run report as one JSON document (trailing
-    newline); the [report-check] subcommand validates such files. *)

@@ -64,7 +64,7 @@ let replay ?(spans = false) t r =
   if spans || bus then begin
     let acc = if spans then Some (Spans.create t.registry) else None in
     let lookup = Recorder.lookup r in
-    Recorder.iter_merged r (fun ~lane:_ ~seq:_ buf off ->
+    Recorder.iter r (fun ~seq:_ buf off ->
         (match acc with Some a -> Spans.add a buf off | None -> ());
         if bus then
           match Record.event_of_record ~lookup buf off with

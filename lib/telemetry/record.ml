@@ -148,36 +148,17 @@ let float_of_parts ~hi ~lo =
 let time_of_tick tick = float_of_int tick /. 1e9
 
 (* ------------------------------------------------------------------ *)
-(* Binary word codec: 64-bit little-endian, sign-extended. OCaml's
-   63-bit ints round-trip exactly (the written 64-bit value is the
-   sign-extension, and reading truncates it back). *)
-
-let put64 b pos v =
-  Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((v asr 8) land 0xff));
-  Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr ((v asr 16) land 0xff));
-  Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr ((v asr 24) land 0xff));
-  Bytes.unsafe_set b (pos + 4) (Char.unsafe_chr ((v asr 32) land 0xff));
-  Bytes.unsafe_set b (pos + 5) (Char.unsafe_chr ((v asr 40) land 0xff));
-  Bytes.unsafe_set b (pos + 6) (Char.unsafe_chr ((v asr 48) land 0xff));
-  Bytes.unsafe_set b (pos + 7) (Char.unsafe_chr ((v asr 56) land 0xff))
-
-let get64 b pos =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v :=
-      Int64.logor (Int64.shift_left !v 8)
-        (Int64.of_int (Char.code (Bytes.get b (pos + i))))
-  done;
-  Int64.to_int !v
-
-(* Lane words: 64-bit little-endian, the on-disk order, through the
-   unaligned, unchecked bytes primitives — one plain load or store on a
-   little-endian host. Lanes live in [Bytes] precisely so the major GC
-   never scans them (a multi-MB int array is walked word by word on every
-   major cycle; an equally large Bytes block is O(1) to mark), and since
-   their words are already in file order, a lane slice goes to a segment
-   with one [output] and comes back with one [really_input]. *)
+(* Binary word codec: 64-bit little-endian, sign-extended, for lane
+   words and segment-header words alike. OCaml's 63-bit ints round-trip
+   exactly (the stored 64-bit value is the sign-extension, and loading
+   truncates it back). The unaligned, unchecked bytes primitives make
+   each word one plain load or store on a little-endian host, and the
+   functions inline into the recorder's hot path. Lanes live in [Bytes]
+   precisely so the major GC never scans them (a multi-MB int array is
+   walked word by word on every major cycle; an equally large Bytes
+   block is O(1) to mark), and since their words are already in file
+   order, a lane slice goes to a segment with one [output] and comes
+   back with one [really_input]. *)
 
 external unsafe_set_word64 : Bytes.t -> int -> int64 -> unit
   = "%caml_bytes_set64u"

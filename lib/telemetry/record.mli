@@ -115,16 +115,12 @@ val time_of_tick : int -> float
 (** {1 Binary word codec}
 
     64-bit little-endian two's complement, the order of both the
-    in-memory lanes and the segment file; OCaml's 63-bit ints
-    round-trip exactly. *)
-
-val put64 : Bytes.t -> int -> int -> unit
-val get64 : Bytes.t -> int -> int
+    in-memory lane and the segment file, header words included;
+    OCaml's 63-bit ints round-trip exactly. *)
 
 val set_word : Bytes.t -> int -> int -> unit
-(** Unchecked little-endian 64-bit store — the lane format, byte for
-    byte what {!put64} writes, in one store on a little-endian host.
-    The caller guarantees [pos + 8 <= length]. *)
+(** Unchecked little-endian 64-bit store, one store on a little-endian
+    host. The caller guarantees [pos + 8 <= length]. *)
 
 val get_word : Bytes.t -> int -> int
 (** Unchecked little-endian load, twin of {!set_word}. *)

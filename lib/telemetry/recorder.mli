@@ -1,11 +1,12 @@
-(** Binary flight recorder: preallocated per-lane buffers of
-    fixed-width {!Record} words.
+(** Binary flight recorder: one preallocated lane of fixed-width
+    {!Record} words.
 
-    A recorder owns one intern table and one or more {e lanes}, merged
-    by [(tick, lane, seq)] when read. Every recording site writes lane
-    0 of its run's own recorder; the runs of a parallel sweep each have
-    their own recorder, whose segments [Probe.merge] carries back in
-    input order.
+    A recorder owns one intern table and at most one {e lane}, created
+    by the first [lane t 0], whose records are read back in the order
+    they were written. Every recording site writes that lane of its
+    run's own recorder; the runs of a parallel sweep each have their
+    own recorder, whose segments [Probe.merge] carries back in input
+    order.
 
     The hot path ({!record}) performs only unboxed 64-bit stores into a
     preallocated [Bytes] buffer — zero minor words per record in ring
@@ -19,23 +20,23 @@
 
     On disk, a {e segment} is: the magic ["BFRC0001"], the label, the
     intern table, then tagged blocks (1 = record chunk, 2 = lane
-    summary, 0 = end). Segments concatenate; all integers are 64-bit
-    little-endian — the lanes' own word order, so {!write_segment}
-    emits lane slices whole and {!read_segments} reads each chunk in
-    one block. Within a segment, records merge deterministically by
-    [(tick, lane, seq)]. *)
+    summary, 0 = end), each lane block naming lane 0. Segments
+    concatenate; all integers are 64-bit little-endian
+    ({!Record.set_word}) — the lane's own word order, so
+    {!write_segment} emits lane slices whole and {!read_segments} reads
+    each chunk in one block. *)
 
 type overflow = Drop_oldest | Grow
 
 type config = { capacity : int; overflow : overflow; lifecycle : bool }
-(** [capacity] is in records per lane (rounded up to a power of two,
-    at least 16, so the ring index is a mask);
+(** [capacity] is in records per lane buffer (rounded up to a power of
+    two, at least 16, so the ring index is a mask);
     [lifecycle] enables the non-parity record kinds (phases, RTT
     samples, receiver reordering, router forwards, run markers) at
     the instrumentation sites. *)
 
 val default_config : config
-(** 65536 records per lane, [Grow], lifecycle on. *)
+(** 65536 records per buffer, [Grow], lifecycle on. *)
 
 type t
 
@@ -59,7 +60,10 @@ val lookup : t -> int -> string
     id: the [lookup] the {!Record} decoders take. *)
 
 val lane : t -> int -> lane
-(** Get-or-create the lane with the given domain id. *)
+(** [lane t 0] is the recorder's lane, created (its first buffer
+    allocated) on the first call.
+    @raise Invalid_argument for any other id, or when the first call
+    comes after the segment has been written. *)
 
 val record :
   lane ->
@@ -84,26 +88,20 @@ val lane_dropped : lane -> int
 val retained : lane -> int
 (** Records currently held in memory. *)
 
-val lanes : t -> lane list
-(** All lanes, sorted by id. *)
-
 val total_recorded : t -> int
 val total_dropped : t -> int
 
-val iter_lane : lane -> (seq:int -> int array -> int -> unit) -> unit
-(** In-memory records of one lane in order; the callback receives the
-    record as [Record.words] ints at the given offset of an array it
-    must not keep (the iterator reuses it for the next record). *)
-
-val iter_merged : t -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
-(** All lanes' in-memory records merged by [(tick, lane, seq)]. *)
+val iter : t -> (seq:int -> int array -> int -> unit) -> unit
+(** The in-memory records in order; the callback receives each record
+    as [Record.words] ints at the given offset of an array it must not
+    keep (the iterator reuses it for the next record). *)
 
 val iter_events : t -> (Event_bus.event -> unit) -> unit
-(** The parity records of {!iter_merged}, decoded to bus events;
-    lifecycle records are skipped. *)
+(** The parity records of {!iter}, decoded to bus events; lifecycle
+    records are skipped. *)
 
 val write_segment : out_channel -> t -> unit
-(** Writes the header, retained records, lane summaries and the end
+(** Writes the header, retained records, the lane summary and the end
     marker, then marks the recorder finished (idempotent). *)
 
 (** {1 Reading segments back} *)
@@ -118,18 +116,20 @@ type read_lane
 
 val read_segments : in_channel -> segment list
 (** All concatenated segments until end of file.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, including a block naming a lane
+    other than 0. *)
 
 val seg_label : segment -> string
-val seg_lanes : segment -> read_lane list
+
+val seg_lane : segment -> read_lane option
+(** The segment's lane; [None] when its recorder never made one. *)
+
 val seg_lookup : segment -> int -> string
 
-val read_lane_id : read_lane -> int
 val read_lane_total : read_lane -> int
 val read_lane_dropped : read_lane -> int
 val read_lane_retained : read_lane -> int
 
-val iter_segment :
-  segment -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
-(** Records of one segment merged by [(tick, lane, seq)], each decoded
-    from the words as read into a reused array, as in {!iter_lane}. *)
+val iter_segment : segment -> (seq:int -> int array -> int -> unit) -> unit
+(** The segment's records in order, each decoded from the words as read
+    into a reused array, as in {!iter}. *)

@@ -123,7 +123,7 @@ let close t =
 
 let accumulate ~registry iter =
   let t = create registry in
-  iter (fun ~lane:_ ~seq:_ buf off -> add t buf off);
+  iter (fun ~seq:_ buf off -> add t buf off);
   close t
 
 let histograms registry =
@@ -136,6 +136,6 @@ let histograms registry =
     ("phase:timeout", phase_hist registry Record.phase_timeout);
   ]
 
-let of_recorder ~registry r = accumulate ~registry (Recorder.iter_merged r)
+let of_recorder ~registry r = accumulate ~registry (Recorder.iter r)
 
 let of_segment ~registry seg = accumulate ~registry (Recorder.iter_segment seg)

@@ -32,14 +32,6 @@ val add : t -> int array -> int -> unit
 val close : t -> unit
 (** Ends the stream: closes the phase spans still open. *)
 
-val accumulate :
-  registry:Registry.t ->
-  ((lane:int -> seq:int -> int array -> int -> unit) -> unit) ->
-  unit
-(** [accumulate ~registry iter] folds one record stream, where [iter]
-    is an iterator in the shape of {!Recorder.iter_merged} /
-    {!Recorder.iter_segment}: {!create}, {!add} per record, {!close}. *)
-
 val of_recorder : registry:Registry.t -> Recorder.t -> unit
 (** Spans from a live recorder's retained records. *)
 

@@ -125,7 +125,7 @@ let on_new_ack ctx fs fb (info : ack_info) =
   | Reno | Newreno | Tahoe | Sack -> grow_aimd ctx fs fb info.newly_acked
   | Vegas -> vegas_on_new_ack ctx fs fb info
 
-let enter_recovery ctx (fs : float array) fb ~flight ~now:(_ : float) =
+let enter_recovery ctx (fs : float array) fb ~flight =
   match ctx.variant with
   | Reno | Newreno ->
       fs.(fb + L.f_ssthresh) <- halve_flight ~flight;
@@ -166,7 +166,7 @@ let on_full_ack ctx (fs : float array) fb (_ : ack_info) =
   | Reno | Newreno | Vegas -> fs.(fb + L.f_cwnd) <- fs.(fb + L.f_ssthresh)
   | Tahoe | Sack -> ()
 
-let on_timeout ctx (fs : float array) fb ~flight ~now:(_ : float) =
+let on_timeout ctx (fs : float array) fb ~flight =
   match ctx.variant with
   | Reno | Newreno | Tahoe | Sack ->
       fs.(fb + L.f_ssthresh) <- halve_flight ~flight;
@@ -177,7 +177,7 @@ let on_timeout ctx (fs : float array) fb ~flight ~now:(_ : float) =
       fs.(fb + L.f_vss) <- 1.;
       fs.(fb + L.f_vgrow) <- 1.
 
-let on_ecn ctx (fs : float array) fb ~flight ~now:(_ : float) =
+let on_ecn ctx (fs : float array) fb ~flight =
   match ctx.variant with
   | Reno | Newreno ->
       (* Halve as for a loss, but no segment is missing (RFC 3168). *)

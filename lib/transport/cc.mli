@@ -97,7 +97,7 @@ val in_slow_start : float array -> int -> bool
 val on_new_ack : ctx -> float array -> int -> ack_info -> unit
 (** A cumulative ACK advancing the window, outside recovery. *)
 
-val enter_recovery : ctx -> float array -> int -> flight:int -> now:float -> unit
+val enter_recovery : ctx -> float array -> int -> flight:int -> unit
 (** Third duplicate ACK; the engine retransmits the head segment. *)
 
 val dup_ack_inflate : ctx -> float array -> int -> unit
@@ -110,9 +110,9 @@ val on_partial_ack : ctx -> float array -> int -> ack_info -> unit
 val on_full_ack : ctx -> float array -> int -> ack_info -> unit
 (** Recovery completes (deflate / resume normal growth). *)
 
-val on_timeout : ctx -> float array -> int -> flight:int -> now:float -> unit
+val on_timeout : ctx -> float array -> int -> flight:int -> unit
 
-val on_ecn : ctx -> float array -> int -> flight:int -> now:float -> unit
+val on_ecn : ctx -> float array -> int -> flight:int -> unit
 (** An ECN congestion-experienced echo arrived; reduce the window as
     for a loss, but nothing needs retransmitting. The engine rate-
     limits this to once per RTT. *)

@@ -343,7 +343,7 @@ and on_rto_fire g slot =
     let fb = slot * g.row_floats in
     iv.(b + L.si_timeouts) <- iv.(b + L.si_timeouts) + 1;
     Rto.backoff_at fv fb;
-    Cc.on_timeout g.ctx fv fb ~flight:(gflight iv b) ~now:(now_sec g);
+    Cc.on_timeout g.ctx fv fb ~flight:(gflight iv b);
     record_tcp g slot Telemetry.Record.tcp_timeout;
     record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
     iv.(b + L.si_flags) <-
@@ -487,7 +487,7 @@ let on_dup_ack g slot =
     iv.(b + L.si_dup_acks) <- iv.(b + L.si_dup_acks) + 1;
     if iv.(b + L.si_dup_acks) = 3 then begin
       iv.(b + L.si_fast_retransmits) <- iv.(b + L.si_fast_retransmits) + 1;
-      Cc.enter_recovery g.ctx fv fb ~flight:(gflight iv b) ~now:(now_sec g);
+      Cc.enter_recovery g.ctx fv fb ~flight:(gflight iv b);
       record_tcp g slot Telemetry.Record.tcp_fast_retransmit;
       record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
       if g.uses_fast_recovery then begin
@@ -531,7 +531,7 @@ let on_ece g slot =
     && iv.(b + L.si_flags) land L.fl_in_recovery = 0
   then begin
     iv.(b + L.si_ecn_reactions) <- iv.(b + L.si_ecn_reactions) + 1;
-    Cc.on_ecn g.ctx fv fb ~flight:(gflight iv b) ~now;
+    Cc.on_ecn g.ctx fv fb ~flight:(gflight iv b);
     record_tcp g slot Telemetry.Record.tcp_ecn_reaction;
     record_tcp g slot Telemetry.Record.tcp_cwnd_cut;
     let rtt =

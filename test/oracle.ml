@@ -61,6 +61,24 @@ let rto_seconds ~granularity ~min_rto ~max_rto ~initial_rto st =
   in
   Float.min max_rto (Float.max min_rto (base *. st.backoff))
 
+(* The flight recorder's word layout, byte by byte: 64-bit
+   little-endian two's complement, the value sign-extended from OCaml's
+   63 bits, so [get64] truncates it back exactly. [Record.set_word] and
+   [Record.get_word] must agree with these on every int. *)
+let put64 b pos v =
+  for i = 0 to 7 do
+    Bytes.set b (pos + i) (Char.chr ((v asr (8 * i)) land 0xff))
+  done
+
+let get64 b pos =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v :=
+      Int64.logor (Int64.shift_left !v 8)
+        (Int64.of_int (Char.code (Bytes.get b (pos + i))))
+  done;
+  Int64.to_int !v
+
 (* The two-event link that [Netsim.Link] replaced, as the reference its
    lazy serialization ends must match: every serialization end is an
    event, scheduled when the serialization starts, and that event

@@ -1035,7 +1035,7 @@ let recorder_ring_drops_oldest () =
   Alcotest.(check int) "total_dropped" 24 (Recorder.total_dropped r);
   (* The survivors are exactly the newest 16, in order. *)
   let next = ref 24 in
-  Recorder.iter_lane lane (fun ~seq buf off ->
+  Recorder.iter r (fun ~seq buf off ->
       Alcotest.(check int) "seq" !next seq;
       check_fill_record seq buf off;
       incr next);
@@ -1060,28 +1060,24 @@ let recorder_grow_keeps_everything () =
   Alcotest.(check int) "retained" 100 (Recorder.retained lane);
   Alcotest.(check int) "dropped" 0 (Recorder.lane_dropped lane);
   let next = ref 0 in
-  Recorder.iter_lane lane (fun ~seq buf off ->
+  Recorder.iter r (fun ~seq buf off ->
       Alcotest.(check int) "seq" !next seq;
       check_fill_record seq buf off;
       incr next);
   Alcotest.(check int) "all records seen" 100 !next
 
-let recorder_merges_lanes_by_tick_then_lane () =
-  let r = Recorder.create (rcfg ~overflow:Recorder.Grow ()) in
-  let l0 = Recorder.lane r 0 and l1 = Recorder.lane r 1 in
-  let put lane tick =
-    Recorder.record lane ~tick ~kind:0 ~flow:0 ~a:0 ~b:0 ~c:0 ~sid:0 ~depth:0
-  in
-  List.iter (put l0) [ 0; 10; 20 ];
-  List.iter (put l1) [ 5; 10; 15 ];
-  let got = ref [] in
-  Recorder.iter_merged r (fun ~lane ~seq:_ buf off ->
-      got := (lane, buf.(off)) :: !got);
-  (* The tick-10 tie goes to the lower lane id. *)
-  Alcotest.(check (list (pair int int)))
-    "merge order"
-    [ (0, 0); (1, 5); (0, 10); (1, 10); (1, 15); (0, 20) ]
-    (List.rev !got)
+(* A recorder has one lane: asking for any other id is a programming
+   error, not a second lane. *)
+let recorder_has_one_lane () =
+  let r = Recorder.create (rcfg ()) in
+  let l0 = Recorder.lane r 0 in
+  Alcotest.(check bool) "lane 0 is one lane" true (l0 == Recorder.lane r 0);
+  List.iter
+    (fun id ->
+      match Recorder.lane r id with
+      | _ -> Alcotest.failf "lane %d was created" id
+      | exception Invalid_argument _ -> ())
+    [ 1; -1; 7 ]
 
 let with_temp_file f =
   let path = Filename.temp_file "burstsim_rec" ".bin" in
@@ -1114,23 +1110,22 @@ let recorder_segment_round_trip () =
           Alcotest.(check string) "intern survives" "gateway"
             (Recorder.seg_lookup s1 sid);
           let next = ref 0 in
-          Recorder.iter_segment s1 (fun ~lane ~seq buf off ->
-              Alcotest.(check int) "lane" 0 lane;
+          Recorder.iter_segment s1 (fun ~seq buf off ->
               Alcotest.(check int) "seq" !next seq;
               check_fill_record seq buf off;
               incr next);
           Alcotest.(check int) "segment 1 complete" 50 !next;
           (* Segment 2 kept only the ring's newest 16, seqs 24..39. *)
-          (match Recorder.seg_lanes s2 with
-          | [ l ] ->
+          (match Recorder.seg_lane s2 with
+          | Some l ->
               Alcotest.(check int) "ring total" 40 (Recorder.read_lane_total l);
               Alcotest.(check int) "ring dropped" 24
                 (Recorder.read_lane_dropped l);
               Alcotest.(check int) "ring retained" 16
                 (Recorder.read_lane_retained l)
-          | ls -> Alcotest.failf "expected 1 lane, got %d" (List.length ls));
+          | None -> Alcotest.fail "segment 2 has no lane");
           let next = ref 24 in
-          Recorder.iter_segment s2 (fun ~lane:_ ~seq buf off ->
+          Recorder.iter_segment s2 (fun ~seq buf off ->
               Alcotest.(check int) "ring seq" !next seq;
               check_fill_record seq buf off;
               incr next)
@@ -1150,12 +1145,12 @@ let recorder_read_rejects_garbage () =
              with Failure _ -> true)))
 
 (* The segment bytes as a word-by-word writer lays them out: every
-   integer through [Record.put64], each record's words in order. *)
+   integer through [Oracle.put64], each record's words in order. *)
 let segment_by_words ~label ~interns ~lane ~first ~total ~dropped records =
   let b = Buffer.create 1024 in
   let w8 = Bytes.create 8 in
   let word v =
-    Record.put64 w8 0 v;
+    Oracle.put64 w8 0 v;
     Buffer.add_bytes b w8
   in
   let str s =
@@ -1192,38 +1187,103 @@ let record_layout lane r =
   Recorder.record lane ~tick:r.(0) ~kind:r.(1) ~flow:r.(2) ~a:r.(3) ~b:r.(4)
     ~c:r.(5) ~sid:r.(6) ~depth:r.(7)
 
-(* Write 40 records into 16-record lanes, then compare the segment with
-   the word-by-word layout and read it back: a grow lane crosses two
-   buffer boundaries, a ring wraps and keeps records 24..39, the oldest
-   of which sits mid-buffer. *)
-let recorder_layout_round_trip ~overflow ~first () =
-  let r =
-    Recorder.create ~label:"layout" (rcfg ~capacity:16 ~overflow ())
-  in
+(* Write [n] layout records into a lane of [capacity] records, then
+   compare the segment with the word-by-word layout and read it back:
+   the reader must give what [Recorder.iter] gives, (seq, words) pair
+   for pair, and the lane's total, retained and dropped counts. The
+   expected layout comes from the rounding and ring rules, not from the
+   recorder: capacities round up to a power of two, at least 16, and a
+   ring keeps the newest that many. Returns the first retained seq. *)
+let layout_round_trip ~capacity ~overflow n =
+  let r = Recorder.create ~label:"layout" (rcfg ~capacity ~overflow ()) in
   let sid = Recorder.intern r "link \"x\"" in
   Alcotest.(check int) "sid" 1 sid;
   let lane = Recorder.lane r 0 in
-  let all = List.init 40 layout_record in
+  let all = List.init n layout_record in
   List.iter (record_layout lane) all;
+  let rounded = ref 16 in
+  while !rounded < capacity do
+    rounded := 2 * !rounded
+  done;
+  let first = if overflow = Recorder.Drop_oldest then max 0 (n - !rounded) else 0 in
   let kept = List.filteri (fun i _ -> i >= first) all in
+  let expected = List.mapi (fun i rc -> (first + i, rc)) kept in
+  let records = Alcotest.(list (pair int (array int))) in
+  let in_memory = ref [] in
+  Recorder.iter r (fun ~seq buf off ->
+      in_memory := (seq, Array.sub buf off Record.words) :: !in_memory);
+  Alcotest.check records "iter" expected (List.rev !in_memory);
   with_temp_file (fun path ->
       Out_channel.with_open_bin path (fun oc -> Recorder.write_segment oc r);
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       Alcotest.(check string) "segment bytes = word-by-word layout"
         (segment_by_words ~label:"layout" ~interns:[ ""; "link \"x\"" ] ~lane:0
-           ~first ~total:40 ~dropped:first kept)
+           ~first ~total:n ~dropped:first kept)
         bytes;
       match In_channel.with_open_bin path Recorder.read_segments with
       | [ seg ] ->
           let got = ref [] in
-          Recorder.iter_segment seg (fun ~lane ~seq buf off ->
-              Alcotest.(check int) "lane" 0 lane;
+          Recorder.iter_segment seg (fun ~seq buf off ->
               got := (seq, Array.sub buf off Record.words) :: !got);
-          Alcotest.(check (list (pair int (array int))))
-            "records read back"
-            (List.mapi (fun i rc -> (first + i, rc)) kept)
-            (List.rev !got)
+          Alcotest.check records "records read back" expected (List.rev !got);
+          (match Recorder.seg_lane seg with
+          | Some l ->
+              Alcotest.(check int) "total" (Recorder.recorded lane)
+                (Recorder.read_lane_total l);
+              Alcotest.(check int) "retained" (Recorder.retained lane)
+                (Recorder.read_lane_retained l);
+              Alcotest.(check int) "dropped" (Recorder.lane_dropped lane)
+                (Recorder.read_lane_dropped l)
+          | None -> Alcotest.fail "segment has no lane");
+          first
       | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs))
+
+(* 40 records into 16-record lanes: a grow lane crosses two buffer
+   boundaries, a ring wraps and keeps records 24..39, the oldest of
+   which sits mid-buffer. *)
+let recorder_layout_round_trip ~overflow ~first () =
+  Alcotest.(check int) "first retained" first
+    (layout_round_trip ~capacity:16 ~overflow 40)
+
+let recorder_layout_property =
+  QCheck2.Test.make ~name:"layout round-trip at any size" ~count:200
+    ~print:
+      QCheck2.Print.(
+        triple int
+          (fun o -> if o = Recorder.Grow then "Grow" else "Drop_oldest")
+          int)
+    QCheck2.Gen.(
+      let* capacity = int_range 1 300 in
+      let* overflow = oneofl [ Recorder.Grow; Recorder.Drop_oldest ] in
+      let+ n = int_range 0 (5 * capacity) in
+      (capacity, overflow, n))
+    (fun (capacity, overflow, n) ->
+      ignore (layout_round_trip ~capacity ~overflow n);
+      true)
+
+(* The reader takes one lane, 0: a segment whose chunk or summary block
+   names another fails like any malformed input, and the same bytes
+   naming lane 0 read back. *)
+let recorder_read_rejects_other_lanes () =
+  List.iter
+    (fun (what, records) ->
+      let segment lane =
+        segment_by_words ~label:what ~interns:[ "" ] ~lane ~first:0
+          ~total:(List.length records) ~dropped:0 records
+      in
+      with_temp_file (fun path ->
+          let read lane =
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (segment lane));
+            In_channel.with_open_bin path Recorder.read_segments
+          in
+          Alcotest.(check int) (what ^ " naming lane 0") 1
+            (List.length (read 0));
+          match read 1 with
+          | _ -> Alcotest.failf "a %s naming lane 1 was read" what
+          | exception Failure msg ->
+              Alcotest.(check string) what "corrupt segment: lane 1" msg))
+    [ ("chunk", List.init 3 layout_record); ("summary", []) ]
 
 (* A recording cut short inside a segment is malformed input: the reader
    fails with a message, as for a bad magic, rather than letting
@@ -1252,10 +1312,12 @@ let record_codec_corners () =
   let b = Bytes.create 8 in
   List.iter
     (fun v ->
-      Record.put64 b 0 v;
-      Alcotest.(check int) "put64/get64" v (Record.get64 b 0);
+      Oracle.put64 b 0 v;
+      Alcotest.(check int) "put64/get64" v (Oracle.get64 b 0);
+      Alcotest.(check int) "get_word reads put64" v (Record.get_word b 0);
       Record.set_word b 0 v;
-      Alcotest.(check int) "set_word/get_word" v (Record.get_word b 0))
+      Alcotest.(check int) "set_word/get_word" v (Record.get_word b 0);
+      Alcotest.(check int) "get64 reads set_word" v (Oracle.get64 b 0))
     [ 0; 1; -1; 42; min_int; max_int; Record.no_seq ]
 
 let qcheck_word_codec =
@@ -1263,9 +1325,10 @@ let qcheck_word_codec =
     QCheck.(frequency [ (4, int); (1, oneofl [ min_int; max_int; 0 ]) ])
     (fun v ->
       let b = Bytes.create 8 in
-      Record.put64 b 0 v;
-      Record.set_word b 0 v;
-      Record.get64 b 0 = v && Record.get_word b 0 = v)
+      let c = Bytes.create 8 in
+      Oracle.put64 b 0 v;
+      Record.set_word c 0 v;
+      Bytes.equal b c && Oracle.get64 c 0 = v && Record.get_word b 0 = v)
 
 let qcheck_float_parts =
   QCheck.Test.make ~name:"float hi/lo split is exact" ~count:500
@@ -1602,7 +1665,7 @@ let burst_record_summary_decodes () =
   Burst.record_summary lane ~tick:8_000_000_000 ~sid s;
   let counts = Hashtbl.create 8 in
   let cov0 = ref nan in
-  Recorder.iter_lane lane (fun ~seq:_ buf off ->
+  Recorder.iter r (fun ~seq:_ buf off ->
       let k = buf.(off + 1) in
       Hashtbl.replace counts k
         (1 + (try Hashtbl.find counts k with Not_found -> 0));
@@ -1651,7 +1714,7 @@ let hybrid_record_kinds_roundtrip () =
     ~b:(Record.float_hi 21237.5)
     ~c:(Record.float_lo 21237.5)
     ~sid ~depth:4242;
-  Recorder.iter_lane lane (fun ~seq:_ buf off ->
+  Recorder.iter r (fun ~seq:_ buf off ->
       let j = Record.json_of_record ~lookup:(fun _ -> "hybrid run") buf off in
       Alcotest.(check bool) "event tag" true
         (Json.member "event" j = Some (Json.String "hybrid"));
@@ -1776,8 +1839,6 @@ let suite =
           recorder_capacity_rounds_up;
         Alcotest.test_case "grow keeps everything" `Quick
           recorder_grow_keeps_everything;
-        Alcotest.test_case "merge by (tick, lane, seq)" `Quick
-          recorder_merges_lanes_by_tick_then_lane;
         Alcotest.test_case "segment round-trip" `Quick
           recorder_segment_round_trip;
         Alcotest.test_case "read rejects garbage" `Quick
@@ -1789,9 +1850,17 @@ let suite =
           (recorder_layout_round_trip ~overflow:Recorder.Drop_oldest ~first:24);
         Alcotest.test_case "read rejects truncation" `Quick
           recorder_read_rejects_truncation;
+        Alcotest.test_case "one lane per recorder" `Quick recorder_has_one_lane;
+        Alcotest.test_case "read rejects other lanes" `Quick
+          recorder_read_rejects_other_lanes;
       ]
       @ qsuite
-          [ qcheck_word_codec; qcheck_float_parts; qcheck_bits_of_nonneg_int ]
+          [
+            qcheck_word_codec;
+            qcheck_float_parts;
+            qcheck_bits_of_nonneg_int;
+            recorder_layout_property;
+          ]
     );
     ( "telemetry.spans",
       [

@@ -196,7 +196,7 @@ let reno_fast_recovery_cycle () =
   let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
   Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
   check_float "grown" 16. (Cc.cwnd fs 0);
-  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  Cc.enter_recovery ctx fs 0 ~flight:16;
   check_float "ssthresh halved" 8. (Cc.ssthresh fs 0);
   check_float "inflated" 11. (Cc.cwnd fs 0);
   Cc.dup_ack_inflate ctx fs 0;
@@ -207,20 +207,20 @@ let reno_fast_recovery_cycle () =
 let reno_timeout_resets () =
   let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
   Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
-  Cc.on_timeout ctx fs 0 ~flight:16 ~now:0.;
+  Cc.on_timeout ctx fs 0 ~flight:16;
   check_float "cwnd 1" 1. (Cc.cwnd fs 0);
   check_float "ssthresh halved" 8. (Cc.ssthresh fs 0)
 
 let reno_halving_floor () =
   let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Reno in
-  Cc.on_timeout ctx fs 0 ~flight:1 ~now:0.;
+  Cc.on_timeout ctx fs 0 ~flight:1;
   check_float "ssthresh floor 2" 2. (Cc.ssthresh fs 0)
 
 let tahoe_loss_restarts_slow_start () =
   let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Tahoe in
   Alcotest.(check bool) "no fast recovery" false (Cc.uses_fast_recovery Cc.Tahoe);
   Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
-  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  Cc.enter_recovery ctx fs 0 ~flight:16;
   check_float "cwnd back to 1" 1. (Cc.cwnd fs 0);
   check_float "ssthresh halved" 8. (Cc.ssthresh fs 0)
 
@@ -228,7 +228,7 @@ let newreno_partial_ack () =
   let ctx, fs = cc_row ~initial_ssthresh:64. ~max_window:64. Cc.Newreno in
   Alcotest.(check bool) "partial stays" true (Cc.partial_ack_stays Cc.Newreno);
   Cc.on_new_ack ctx fs 0 (info ~newly:15 ());
-  Cc.enter_recovery ctx fs 0 ~flight:16 ~now:0.;
+  Cc.enter_recovery ctx fs 0 ~flight:16;
   let before = Cc.cwnd fs 0 in
   Cc.on_partial_ack ctx fs 0 (info ~newly:4 ());
   check_float "deflate by acked minus one" (before -. 3.) (Cc.cwnd fs 0)
@@ -263,9 +263,9 @@ let vegas_gentler_recovery () =
   (* Grow a bit in slow start. *)
   Cc.on_new_ack ctx fs 0 (info ~ack:1 ~newly:6 ~rtt:1.0 ());
   let w = Cc.cwnd fs 0 in
-  Cc.enter_recovery ctx fs 0 ~flight:8 ~now:0.;
+  Cc.enter_recovery ctx fs 0 ~flight:8;
   check_float "3/4 decrease + inflation" ((w *. 0.75) +. 3.) (Cc.cwnd fs 0);
-  Cc.on_timeout ctx fs 0 ~flight:8 ~now:0.;
+  Cc.on_timeout ctx fs 0 ~flight:8;
   check_float "timeout to 2" 2. (Cc.cwnd fs 0)
 
 let vegas_rejects_bad_params () =
